@@ -5,12 +5,17 @@ Example::
     index i = 4; index k = 3;
     tensor B(i, k): compressed(i) -> compressed(k) order(i, k) input;
     tensor c(k): compressed(k) order(k) input;
-    x(i) = B(i, k) * c(k);
-    order(i, k);
+    fuse {
+        x(i) = B(i, k) * c(k);
+        order(i, k);
+    }
+    parallelize(i, 2);
 
 Assignments outside a ``fuse { ... }`` block each form their own region;
 a fuse block groups its assignments into one region and may carry a local
-``order(...)`` directive.
+``order(...)`` directive, the only way to fix a region's loop order (wrap a
+single statement in ``fuse { }`` to order it).  ``parallelize``, ``block``,
+``density`` and ``rate`` are program-wide directives.
 """
 
 from __future__ import annotations
@@ -179,12 +184,10 @@ class _Parser:
             self.tensor_decl()
         elif t.text == "fuse":
             self.fuse_block()
-        elif t.text in ("parallelize", "block", "density", "rate", "order_cap"):
+        elif t.text in ("parallelize", "block", "density", "rate"):
             self.directive()
         elif t.text == "order" and self.peek(1).text == "(":
-            self.next()
-            self.schedule.default_order = self.ident_list()
-            self.expect(";")
+            self.fail("order(...) is only allowed inside a fuse { } block")
         elif t.kind == "ident":
             k = len(self.expressions)
             self.assignment()
@@ -288,8 +291,6 @@ class _Parser:
             d2 = self.ident()
             self.expect(",")
             self.schedule.rates[(t1, d1, t2, d2)] = self.number()
-        elif name == "order_cap":
-            self.schedule.order_cap = self.integer()
         self.expect(")")
         self.expect(";")
 

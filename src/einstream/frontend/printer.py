@@ -74,8 +74,6 @@ def render_program(program: EinsumProgram) -> str:
 
     sched = program.schedule
     extra = []
-    if sched.default_order:
-        extra.append(f"order({', '.join(sched.default_order)});")
     for var, factor in sched.parallelize:
         extra.append(f"parallelize({var}, {factor});")
     if sched.block:
@@ -84,8 +82,6 @@ def render_program(program: EinsumProgram) -> str:
         extra.append(f"density({tensor}, {_num(rho)});")
     for (t1, d1, t2, d2), r in sched.rates.items():
         extra.append(f"rate({t1}.{d1}, {t2}.{d2}, {_num(r)});")
-    if sched.order_cap != 10000:
-        extra.append(f"order_cap({sched.order_cap});")
     if extra:
         out.append("")
         out.extend(extra)

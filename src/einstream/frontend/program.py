@@ -97,8 +97,6 @@ class ScheduleSpec:
     block: tuple[int, int] | None = None
     densities: dict[str, float] = field(default_factory=dict)
     rates: dict[tuple[str, str, str, str], float] = field(default_factory=dict)
-    order_cap: int = 10000
-    default_order: tuple[str, ...] | None = None
 
 
 @dataclass

@@ -64,7 +64,6 @@ class OpIR:
     maps: tuple = ()
     # filled by planning:
     own_vars: tuple[str, ...] = ()
-    extra_vars: tuple[str, ...] = ()
     result_vars: tuple[str, ...] = ()
 
 
@@ -78,7 +77,6 @@ class RegionIR:
     edges: set = field(default_factory=set)
     name_map: dict = field(default_factory=dict)  # source name -> region vars
     copies: dict = field(default_factory=dict)  # view index -> True
-    view_density: dict = field(default_factory=dict)  # view index -> rho
 
     def operand_vars(self, operand: Operand) -> tuple[str, ...]:
         if operand.kind == "view":
@@ -138,11 +136,7 @@ class _Elaborator:
         logical = tuple(subst.get(v, v) for v in expr.lhs.indices)
         svars = tuple(logical[m] for m in decl.mode_order)
         formats = tuple(decl.formats[m].kind for m in decl.mode_order)
-        for t in range(len(svars)):
-            if formats[t] != DENSE:
-                for s in range(t):
-                    if svars[s] != svars[t]:
-                        self.ir.edges.add((svars[s], svars[t]))
+        self.ir.edges |= nesting_edges(svars, formats)
 
     def add_op(self, op: OpIR) -> int:
         self.ir.ops.append(op)
@@ -162,6 +156,19 @@ class _Elaborator:
             s |= self.operand_var_set(op.rhs)
         return s - set(op.reduces)
 
+    def factor_operand(self, f, subst) -> Operand:
+        """A stored view, or the inlined op of a producer in this region."""
+        if f.access.tensor not in self.in_region:
+            return self.view_of(f.access, subst, f.maps)
+        prod = self.in_region[f.access.tensor]
+        inner = {}
+        for formal, actual in zip(prod.lhs.indices, f.access.indices):
+            inner[formal] = subst.get(actual, actual)
+            self.ir.name_map.setdefault(formal, set()).add(inner[formal])
+        op_idx = self.elaborate_expr(prod, inner)
+        self.result_view_edges(prod, inner)
+        return Operand("op", op_idx, f.maps)
+
     def elaborate_expr(self, expr: NormExpr, subst: dict) -> int:
         """Returns the index of the op producing this expression's value."""
         term_ops = []
@@ -169,21 +176,7 @@ class _Elaborator:
             red_map = {v: self.fresh(v) for v in term.reduction_vars}
             tsubst = dict(subst)
             tsubst.update(red_map)
-            fixed = []
-            for f in term.factors:
-                if f.access.tensor in self.in_region:
-                    prod = self.in_region[f.access.tensor]
-                    inner = {}
-                    for formal, actual in zip(prod.lhs.indices, f.access.indices):
-                        inner[formal] = tsubst.get(actual, actual)
-                        self.ir.name_map.setdefault(formal, set()).add(
-                            inner[formal]
-                        )
-                    op_idx = self.elaborate_expr(prod, inner)
-                    self.result_view_edges(prod, inner)
-                    fixed.append(Operand("op", op_idx, f.maps))
-                else:
-                    fixed.append(self.view_of(f.access, tsubst, f.maps))
+            fixed = [self.factor_operand(f, tsubst) for f in term.factors]
             for f in term.factors:
                 for v in f.access.indices:
                     rv = tsubst.get(v, v)
@@ -233,19 +226,7 @@ class _Elaborator:
             ):
                 maps.append(("scale", term.scale * term.sign))
             for f in term.divisors:
-                if f.access.tensor in self.in_region:
-                    prod = self.in_region[f.access.tensor]
-                    inner = {}
-                    for formal, actual in zip(prod.lhs.indices, f.access.indices):
-                        inner[formal] = subst.get(actual, actual)
-                        self.ir.name_map.setdefault(formal, set()).add(
-                            inner[formal]
-                        )
-                    div_idx = self.elaborate_expr(prod, inner)
-                    self.result_view_edges(prod, inner)
-                    divisor = Operand("op", div_idx, f.maps)
-                else:
-                    divisor = self.view_of(f.access, subst, f.maps)
+                divisor = self.factor_operand(f, subst)
                 if maps:
                     self.ir.ops[last].maps = self.ir.ops[last].maps + tuple(maps)
                     maps = []
@@ -307,13 +288,8 @@ def elaborate_region(vp: ValidatedProgram, region_index: int) -> RegionIR:
     ir = el.ir
     ir.index = region_index
     for view in ir.views:
-        for t in range(len(view.vars)):
-            if view.formats[t] not in (DENSE, BLOCKED):
-                for s in range(t):
-                    if view.vars[s] != view.vars[t]:
-                        ir.edges.add((view.vars[s], view.vars[t]))
+        ir.edges |= nesting_edges(view.vars, view.formats)
     _plan_structs(ir)
-    _assign_densities(vp, ir)
     return ir
 
 
@@ -336,7 +312,9 @@ def _later_reads(vp: ValidatedProgram, region_index: int) -> set:
 
 
 def _plan_structs(ir: RegionIR):
-    """Own/result vars per op, then the recompute fixpoint for extras."""
+    """Own and result vars per op.  Vars a consumer iterates above its
+    producer re-run the producer pipeline; the lowering derives those per
+    order (``table._OpPipe``)."""
     for op in ir.ops:
         vars_here = set(ir.operand_vars(op.lhs))
         if op.rhs is not None:
@@ -345,38 +323,21 @@ def _plan_structs(ir: RegionIR):
         op.result_vars = tuple(
             v for v in op.own_vars if v not in op.reduces
         )
-    # consumers may iterate vars the producer does not know; a var outer to
-    # the producer's deepest level forces the producer pipeline to re-run
-    # per that var (its views gain repeat rows), which is what extra_vars
-    # records.  Resolved per chosen order at table-build time; here we only
-    # record the consumer vars each producer must be able to see.
-    changed = True
-    while changed:
-        changed = False
-        for op in ir.ops:
-            full = set(op.own_vars) | set(op.extra_vars)
-            for operand in (op.lhs, op.rhs):
-                if operand is None or operand.kind != "op":
-                    continue
-                prod = ir.ops[operand.index]
-                missing = full - set(prod.own_vars) - set(prod.extra_vars) - set(prod.reduces)
-                if missing:
-                    prod.extra_vars = tuple(
-                        sorted(set(prod.extra_vars) | missing, key=var_key)
-                    )
-                    changed = True
-
-
-def _assign_densities(vp: ValidatedProgram, ir: RegionIR):
-    sched = vp.schedule
-    for idx, view in enumerate(ir.views):
-        rho = sched.densities.get(view.tensor)
-        if rho is None:
-            rho = 1.0
-        ir.view_density[idx] = float(rho)
 
 
 # --- precedence graph API -------------------------------------------------
+
+
+def nesting_edges(vars, formats) -> set:
+    """Precedence edges of one stored layout (levels outer to inner): a
+    sparse level's var comes after every other var above it."""
+    return {
+        (vars[s], vars[t])
+        for t, kind in enumerate(formats)
+        if kind not in (DENSE, BLOCKED)
+        for s in range(t)
+        if vars[s] != vars[t]
+    }
 
 
 def region_vars(ir: RegionIR) -> list[str]:
@@ -410,18 +371,13 @@ def resolve_cycles(ir: RegionIR) -> RegionIR:
     """Break precedence cycles by scheduling permuted input copies."""
     while toposort_vars(ir) is None:
         producer = _producer_edges(ir)
-        for idx, view in enumerate(ir.views):
+        for idx in range(len(ir.views)):
             if idx in ir.copies:
                 continue
             trial = set(producer)
             for jdx, other in enumerate(ir.views):
-                if jdx == idx or jdx in ir.copies:
-                    continue
-                for t in range(len(other.vars)):
-                    if other.formats[t] not in (DENSE, BLOCKED):
-                        for s in range(t):
-                            if other.vars[s] != other.vars[t]:
-                                trial.add((other.vars[s], other.vars[t]))
+                if jdx != idx and jdx not in ir.copies:
+                    trial |= nesting_edges(other.vars, other.formats)
             if toposort_vars(ir, trial) is not None:
                 ir.copies[idx] = True
                 ir.edges = trial
@@ -460,59 +416,13 @@ def plan_copies(ir: RegionIR, order) -> list[CopyPlan]:
             tuple(view.formats[d] for d in perm),
             view.maps,
         )
-        ir.view_density[idx] = ir.view_density.get(idx, 1.0)
         plans.append(CopyPlan(idx, alias, view.tensor, perm))
     return plans
 
 
 def _producer_edges(ir: RegionIR) -> set:
-    view_edges = set()
-    for view in ir.views:
-        for t in range(len(view.vars)):
-            if view.formats[t] not in (DENSE, BLOCKED):
-                for s in range(t):
-                    if view.vars[s] != view.vars[t]:
-                        view_edges.add((view.vars[s], view.vars[t]))
-    return ir.edges - view_edges
-
-
-def enumerate_orders(ir: RegionIR, cap: int = 10000, extra_edges=()):
-    """Lexicographic topological orders up to cap.
-
-    Returns (orders, count, capped): count is exact when capped is False,
-    otherwise at least cap orders exist.
-    """
-    vs = region_vars(ir)
-    edges = set(ir.edges) | set(extra_edges)
-    pred = {v: set() for v in vs}
-    for a, b in edges:
-        if a in pred and b in pred and a != b:
-            pred[b].add(a)
-    orders: list[tuple[str, ...]] = []
-    chosen: list[str] = []
-    used: set = set()
-
-    def dfs() -> bool:
-        if len(orders) >= cap:
-            return True
-        if len(chosen) == len(vs):
-            orders.append(tuple(chosen))
-            return len(orders) >= cap
-        for v in vs:
-            if v in used or not pred[v] <= used:
-                continue
-            chosen.append(v)
-            used.add(v)
-            if dfs():
-                chosen.pop()
-                used.remove(v)
-                return True
-            chosen.pop()
-            used.remove(v)
-        return False
-
-    capped = dfs()
-    return orders, len(orders), capped
+    """Edges contributed by inlined producers' result nesting alone."""
+    return ir.edges - set().union(*(nesting_edges(v.vars, v.formats) for v in ir.views))
 
 
 def check_order(ir: RegionIR, order: tuple[str, ...]):
@@ -535,7 +445,7 @@ def map_user_order(ir: RegionIR, names) -> list[str]:
     for name in names:
         cands = ir.name_map.get(name)
         if not cands:
-            raise UnsatisfiableOrder(f"unknown index {name!r} in order directive")
+            raise UnsatisfiableOrder(f"unknown index {name!r} in this region")
         if len(cands) > 1:
             raise UnsatisfiableOrder(
                 f"index {name!r} is ambiguous in this region "
@@ -543,22 +453,3 @@ def map_user_order(ir: RegionIR, names) -> list[str]:
             )
         out.append(next(iter(cands)))
     return out
-
-
-def choose_order(ir: RegionIR, user_names=None, cap: int = 10000) -> tuple[str, ...]:
-    """First valid order honoring the user's (possibly partial) precedence."""
-    extra = []
-    if user_names:
-        mapped = map_user_order(ir, user_names)
-        extra = [(a, b) for a, b in zip(mapped, mapped[1:])]
-        if set(mapped) == set(region_vars(ir)):
-            order = tuple(mapped)
-            check_order(ir, order)
-            return order
-    edges = set(ir.edges) | set(extra)
-    order = toposort_vars(ir, edges)
-    if order is None:
-        raise UnsatisfiableOrder(
-            "requested precedence conflicts with storage nesting"
-        )
-    return tuple(order)

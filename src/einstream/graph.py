@@ -77,94 +77,48 @@ DONE = _Sentinel("Done")
 NULL = _Sentinel("Null")  # absent position (e.g. missing side of a union)
 
 
-def is_data(tok) -> bool:
-    return not isinstance(tok, Stop) and tok is not DONE
-
-
 # --- graph ----------------------------------------------------------------
 
 CRD, REF, VAL = "crd", "ref", "val"
 
-# kind -> (input ports, output ports); P marks payload ports that may be
-# positions or values, D marks data ports that follow the incoming kind.
+_C, _R, _V = (CRD,), (REF,), (VAL,)
+_RV = (REF, VAL)  # payload ports carry positions or values
+_CV = (CRD, VAL)
+_JOIN = (
+    {"crd0": _C, "p0": _RV, "crd1": _C, "p1": _RV},
+    {"crd": _C, "p0": _RV, "p1": _RV},
+)
+
+# kind -> (input ports, output ports), each port -> the stream kinds it carries
 _PORTS = {
-    "root": ((), ("ref",)),
-    "scan": (("ref",), ("crd", "ref")),
-    "vals": (("ref",), ("val",)),
-    "repeat": (("data", "ctrl"), ("out",)),
-    "intersect": (("crd0", "p0", "crd1", "p1"), ("crd", "p0", "p1")),
-    "union": (("crd0", "p0", "crd1", "p1"), ("crd", "p0", "p1")),
-    "alu": (("in0", "in1"), ("out",)),
-    "map": (("in",), ("out",)),
-    "reduce": (("in",), ("out",)),
-    "red1": (("crd", "val"), ("crd", "val")),
-    "crddrop": (("outer", "inner"), ("outer", "inner")),
-    "write_crd": (("crd",), ()),
-    "write_val": (("val",), ()),
-}
-
-_POLY = {  # ports whose stream kind is not fixed by the node kind
-    ("repeat", "data"): (REF, VAL),
-    ("repeat", "out"): (REF, VAL),
-    ("intersect", "p0"): (REF, VAL),
-    ("intersect", "p1"): (REF, VAL),
-    ("union", "p0"): (REF, VAL),
-    ("union", "p1"): (REF, VAL),
-    ("crddrop", "inner"): (CRD, VAL),
-}
-
-_FIXED = {
-    ("root", "ref"): REF,
-    ("scan", "ref"): REF,
-    ("scan", "crd"): CRD,
-    ("vals", "ref"): REF,
-    ("vals", "val"): VAL,
-    ("repeat", "ctrl"): CRD,
-    ("intersect", "crd0"): CRD,
-    ("intersect", "crd1"): CRD,
-    ("intersect", "crd"): CRD,
-    ("union", "crd0"): CRD,
-    ("union", "crd1"): CRD,
-    ("union", "crd"): CRD,
-    ("alu", "in0"): VAL,
-    ("alu", "in1"): VAL,
-    ("alu", "out"): VAL,
-    ("map", "in"): VAL,
-    ("map", "out"): VAL,
-    ("reduce", "in"): VAL,
-    ("reduce", "out"): VAL,
-    ("red1", "crd"): CRD,
-    ("red1", "val"): VAL,
-    ("crddrop", "outer"): CRD,
-    ("write_crd", "crd"): CRD,
-    ("write_val", "val"): VAL,
+    "root": ({}, {"ref": _R}),
+    "scan": ({"ref": _R}, {"crd": _C, "ref": _R}),
+    "vals": ({"ref": _R}, {"val": _V}),
+    "repeat": ({"data": _RV, "ctrl": _C}, {"out": _RV}),
+    "intersect": _JOIN,
+    "union": _JOIN,
+    "alu": ({"in0": _V, "in1": _V}, {"out": _V}),
+    "map": ({"in": _V}, {"out": _V}),
+    "reduce": ({"in": _V}, {"out": _V}),
+    "red1": ({"crd": _C, "val": _V}, {"crd": _C, "val": _V}),
+    "crddrop": ({"outer": _C, "inner": _CV}, {"outer": _C, "inner": _CV}),
+    "write_crd": ({"crd": _C}, {}),
+    "write_val": ({"val": _V}, {}),
 }
 
 
-def node_ports(kind: str, params: dict) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    if kind == "par":
-        n = params["nstreams"]
-        f = params["factor"]
-        ins = tuple(f"in{i}" for i in range(n))
-        outs = tuple(f"out{k}_{i}" for k in range(f) for i in range(n))
-        return ins, outs
-    if kind == "ser":
-        n = params["nstreams"]
-        f = params["factor"]
-        ins = tuple(f"in{k}_{i}" for k in range(f) for i in range(n))
-        outs = tuple(f"out{i}" for i in range(n))
-        return ins, outs
+def node_ports(kind: str, params: dict) -> tuple[dict, dict]:
+    """(input ports, output ports) of a node, each port -> its stream kinds."""
+    if kind in ("par", "ser"):  # copies of a stream bundle carry any kind
+        n, f = params["nstreams"], params["factor"]
+        one = [str(i) for i in range(n)]
+        many = [f"{k}_{i}" for k in range(f) for i in range(n)]
+        ins, outs = (one, many) if kind == "par" else (many, one)
+        anykind = (CRD, REF, VAL)
+        return {f"in{p}": anykind for p in ins}, {f"out{p}": anykind for p in outs}
     if kind not in _PORTS:
         raise GraphError(f"unknown node kind {kind!r}")
     return _PORTS[kind]
-
-
-def port_kinds(kind: str, port: str) -> tuple[str, ...]:
-    if kind in ("par", "ser"):
-        return (CRD, REF, VAL)
-    if (kind, port) in _POLY:
-        return _POLY[(kind, port)]
-    return (_FIXED[(kind, port)],)
 
 
 @dataclass(frozen=True)
@@ -204,35 +158,17 @@ class DataflowGraph:
             if nid not in self.nodes:
                 raise GraphError(f"{role} node {nid!r} does not exist")
         sn, dn = self.nodes[src], self.nodes[dst]
-        s_in, s_out = node_ports(sn.kind, sn.params)
-        d_in, d_out = node_ports(dn.kind, dn.params)
+        s_out = node_ports(sn.kind, sn.params)[1]
+        d_in = node_ports(dn.kind, dn.params)[0]
         if src_port not in s_out:
             raise GraphError(f"{src}:{src_port} is not an output port")
         if dst_port not in d_in:
             raise GraphError(f"{dst}:{dst_port} is not an input port")
-        if kind not in port_kinds(sn.kind, src_port):
+        if kind not in s_out[src_port]:
             raise GraphError(f"{src}:{src_port} cannot carry {kind} streams")
-        if kind not in port_kinds(dn.kind, dst_port):
+        if kind not in d_in[dst_port]:
             raise GraphError(f"{dst}:{dst_port} cannot carry {kind} streams")
         self.edges.append(Edge(src, src_port, dst, dst_port, kind))
-
-    # -- queries --
-
-    def in_edge(self, node: str, port: str) -> Edge:
-        found = [e for e in self.edges if e.dst == node and e.dst_port == port]
-        if len(found) != 1:
-            raise GraphError(f"{node}:{port} has {len(found)} incoming edges")
-        return found[0]
-
-    def out_edges(self, node: str, port: str) -> list[Edge]:
-        return [e for e in self.edges if e.src == node and e.src_port == port]
-
-    def kinds(self) -> dict[str, int]:
-        """Multiset of node kinds, for structural assertions."""
-        counts: dict[str, int] = {}
-        for n in self.nodes.values():
-            counts[n.kind] = counts.get(n.kind, 0) + 1
-        return counts
 
     def validate(self):
         seen_dst = set()
@@ -302,12 +238,12 @@ class DataflowGraph:
             raise GraphError(f"unsupported graph version {doc.get('version')!r}")
         g = cls()
         for nd in doc["nodes"]:
+            if nd["id"] in g.nodes:
+                raise GraphError(f"duplicate node id {nd['id']!r}")
             params = {k: _tupled(v) for k, v in nd["params"].items()}
-            g.nodes[nd["id"]] = Node(nd["id"], nd["kind"], params)
+            g.add(nd["kind"], nd["id"], **params)
         for ed in doc["edges"]:
-            g.edges.append(
-                Edge(ed["src"][0], ed["src"][1], ed["dst"][0], ed["dst"][1], ed["kind"])
-            )
+            g.connect(*ed["src"], *ed["dst"], ed["kind"])
         return g
 
     def to_dot(self) -> str:

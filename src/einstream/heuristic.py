@@ -22,7 +22,10 @@ materializes them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .fusion import elaborate_region, resolve_cycles
 from .tensors import DENSE, ELEMENT_BYTES, INDEX_BYTES
@@ -30,13 +33,11 @@ from .tensors import DENSE, ELEMENT_BYTES, INDEX_BYTES
 
 @dataclass
 class HeuristicInput:
-    """Model inputs: density fractions per tensor (default 1), intersection
-    rates per (tensor, dim, tensor, dim) pair (default 1), optional order
-    overrides per region index."""
+    """Model inputs: density fractions per tensor (default 1) and
+    intersection rates per (tensor, dim, tensor, dim) pair (default 1)."""
 
     densities: dict = field(default_factory=dict)
     rates: dict = field(default_factory=dict)
-    orders: dict = field(default_factory=dict)
 
     @classmethod
     def from_schedule(cls, vp, measured: dict | None = None) -> "HeuristicInput":
@@ -69,65 +70,63 @@ class CostEstimate:
 
 
 def measured_densities(tensors: dict) -> dict:
-    """Density fractions of concrete tensors, for feeding the model."""
+    """Density fractions of concrete tensors, for feeding the model.
+
+    An unblocked tensor counts its non-fill values, so the padding a dense
+    level stores does not count; a blocked tensor counts every slot of its
+    stored blocks (its block density).
+    """
     out = {}
     for name, t in tensors.items():
-        size = 1
-        for e in t.shape:
-            size *= e
-        out[name] = t.nnz / size if size else 1.0
+        size = math.prod(t.shape)
+        stored = t.nnz if t.is_blocked else int(np.count_nonzero(t.values != t.fill))
+        out[name] = stored / size if size else 1.0
+    return out
+
+
+def _occupancy(extents, formats, rho: float) -> list[float]:
+    """Per storage level, the fraction of its slots that are instantiated.
+
+    ``extents``/``formats`` are per storage level, outer to inner.  A sparse
+    level keeps the prefixes whose subtree holds at least one entry
+    (probability 1-(1-rho)^volume-below, never more than its parent); a
+    dense level enumerates every slot of each instantiated parent.
+    """
+    rho = min(max(rho, 0.0), 1.0)
+    below = math.prod(extents)
+    out, q = [], 1.0
+    for e, kind in zip(extents, formats):
+        below //= e
+        if kind != DENSE:
+            q = min(1.0 - (1.0 - rho) ** below if below > 1 else rho, q)
+        out.append(q)
     return out
 
 
 def storage_stats(extents, formats, rho: float) -> tuple[float, float]:
     """Expected (value slots, metadata ints) for one stored tensor.
 
-    ``extents``/``formats`` are per storage level, outer to inner.  A
-    sparse level keeps the prefixes whose subtree holds at least one entry
-    (probability 1-(1-rho)^volume-below); a dense level enumerates every
-    slot of each instantiated parent.
+    A sparse level's cells are its slot count times its occupancy; the
+    product parent cells x extent x marginal is equal but rounds differently.
     """
-    rho = min(max(rho, 0.0), 1.0)
-    below = 1
-    for e in extents:
-        below *= e
-    prefix = 1.0  # product of extents through the current level
-    q = 1.0  # fraction of prefix slots instantiated
-    cells_prev = 1.0
-    meta = 0.0
-    for e, kind in zip(extents, formats):
-        below //= e
-        prefix *= e
+    cells, prefix, meta = 1.0, 1.0, 0.0
+    for e, kind, q in zip(extents, formats, _occupancy(extents, formats, rho)):
+        parent, prefix = cells, prefix * e
         if kind == DENSE:
-            cells = cells_prev * e
-            q = cells / prefix
+            cells *= e
         else:
-            occ = 1.0 - (1.0 - rho) ** below if below > 1 else rho
-            cells = prefix * min(occ, q)
-            q = cells / prefix
-            meta += cells + cells_prev + 1.0
-        cells_prev = cells
-    return cells_prev, meta
+            cells = prefix * q
+            meta += cells + parent + 1.0
+    return cells, meta
 
 
 def level_marginals(extents, formats, rho: float) -> list[float]:
     """Per-level conditional occupancy: the chance a slot of an instantiated
     parent fiber is itself instantiated (and hence emitted by a scanner)."""
-    rho = min(max(rho, 0.0), 1.0)
-    below = 1
-    for e in extents:
-        below *= e
-    out = []
-    q = 1.0
-    for e, kind in zip(extents, formats):
-        below //= e
-        if kind == DENSE:
-            out.append(1.0)
-        else:
-            occ = 1.0 - (1.0 - rho) ** below if below > 1 else rho
-            occ = min(occ, q)
-            out.append(occ / q if q > 0 else 0.0)
-            q = occ
+    out, parent = [], 1.0
+    for kind, q in zip(formats, _occupancy(extents, formats, rho)):
+        out.append(1.0 if kind == DENSE else (q / parent if parent > 0 else 0.0))
+        parent = q
     return out
 
 
@@ -148,6 +147,13 @@ def _source_name(name: str) -> str:
     """Copied views are aliased <tensor>__perm<n>; model them as the source."""
     base, sep, tail = name.rpartition("__perm")
     return base if sep and tail.isdigit() else name
+
+
+def _density(hin: HeuristicInput, name: str) -> float:
+    """A view's density: its own entry (a measured copy) first, then the
+    source tensor's."""
+    d = hin.densities
+    return d.get(name, d.get(_source_name(name), 1.0))
 
 
 def _dim_at(vp, view, v: str) -> str | None:
@@ -202,7 +208,7 @@ class _Estimator:
 
     def view_stream(self, idx: int) -> _Stream:
         view = self.ir.views[idx]
-        rho = self.hin.densities.get(_source_name(view.tensor), 1.0)
+        rho = _density(self.hin, view.tensor)
         exts = [self.ir.extents[v] for v in view.vars]
         marg = level_marginals(exts, view.formats, rho)
         return _Stream({v: m for v, m in zip(view.vars, marg)})
@@ -306,7 +312,7 @@ def estimate_region(vp, ir, order, hin: HeuristicInput) -> tuple[CostEstimate, d
         slots, meta = storage_stats(storage_exts, fmts, rho)
         cost.bytes_written += slots * ELEMENT_BYTES + meta * INDEX_BYTES
     for view in ir.views:
-        rho = hin.densities.get(view.tensor, 1.0)
+        rho = _density(hin, view.tensor)
         exts = [ir.extents[v] for v in view.vars]
         slots, meta = storage_stats(exts, view.formats, rho)
         cost.bytes_read += slots * ELEMENT_BYTES + meta * INDEX_BYTES
@@ -323,11 +329,10 @@ def estimate_program(vp, hin: HeuristicInput | None = None) -> CostEstimate:
     hin = hin or HeuristicInput.from_schedule(vp)
     dens = dict(hin.densities)
     total = CostEstimate()
-    for ridx, region in enumerate(vp.regions):
+    for ridx in range(len(vp.regions)):
         ir = resolve_cycles(elaborate_region(vp, ridx))
-        order = hin.orders.get(ridx) or region.order or choose_build_order(vp, ir)
-        local = HeuristicInput(densities=dens, rates=hin.rates, orders=hin.orders)
-        cost, out_rho = estimate_region(vp, ir, order, local)
+        local = HeuristicInput(densities=dens, rates=hin.rates)
+        cost, out_rho = estimate_region(vp, ir, choose_build_order(vp, ir), local)
         total.add(cost)
         for name, rho in out_rho.items():
             dens.setdefault(name, rho)

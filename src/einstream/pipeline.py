@@ -1,20 +1,21 @@
 """Program-level compilation: schedulable-order search and region execution.
 
-``enumerate_orders`` is a pure partial-order enumeration; not every linear
-extension can be lowered to a streaming graph (the builder raises
-``UnsupportedSchedule`` for orders that would need unbounded buffering or
-multi-key merges).  This module layers a build-aware search on top: the
-same lexicographic enumeration, but with orders the lowering rejects
-filtered out.  Rejections are pruned by shared prefix, so the search stays
-fast even when the raw order space is huge.
+Not every linear extension of a region's precedence graph can be lowered:
+the builder raises ``UnsupportedSchedule`` for orders that would need
+unbounded buffering or multi-key merges.  ``schedulable_orders`` enumerates
+the extensions lexicographically and keeps the ones the lowering accepts,
+pruning rejections by shared prefix.  ``choose_build_order`` is the one
+place a region's order is decided; ``fuse{ order(...) }`` enters its search
+as extra precedence edges.
 """
+
 from __future__ import annotations
 
 import copy as _copy
 from dataclasses import dataclass, field
 
-from .errors import UnsupportedSchedule
-from .fusion import plan_copies, region_vars
+from .errors import UnsatisfiableOrder, UnsupportedSchedule
+from .fusion import map_user_order, plan_copies, region_vars, toposort_vars
 from .table import build_region_graph
 from .tensors import SparseTensor
 from .transforms import plan_blocking
@@ -112,11 +113,24 @@ def schedulable_orders(vp, ir, cap: int = 24, extra_edges=(),
     return good
 
 
-def choose_build_order(vp, ir, extra_edges=()) -> tuple[str, ...]:
-    """First lexicographic order the lowering accepts."""
-    got = schedulable_orders(vp, ir, cap=1, extra_edges=extra_edges)
+def choose_build_order(vp, ir) -> tuple[str, ...]:
+    """First lexicographic order the lowering accepts, nesting the region's
+    ``order(...)`` indices as listed.  A directive storage nesting forbids
+    raises ``UnsatisfiableOrder``; one the lowering cannot build raises
+    ``UnsupportedSchedule``."""
+    names = vp.regions[ir.index].order
+    where = f"region {ir.index}"
+    extra = set()
+    if names:
+        where += f" order({', '.join(names)})"
+        try:
+            mapped = map_user_order(ir, names)
+        except UnsatisfiableOrder as e:
+            raise UnsatisfiableOrder(f"{where}: {e}") from None
+        extra = set(zip(mapped, mapped[1:]))
+        if toposort_vars(ir, ir.edges | extra) is None:
+            raise UnsatisfiableOrder(f"{where} conflicts with storage nesting")
+    got = schedulable_orders(vp, ir, cap=1, extra_edges=extra)
     if not got:
-        raise UnsupportedSchedule(
-            "no schedulable dataflow order found for this region"
-        )
+        raise UnsupportedSchedule(f"{where}: no schedulable dataflow order found")
     return got[0]

@@ -32,7 +32,6 @@ class SimConfig:
     channel_depth: int = 4
     mem_latency: int = 4
     bandwidth: float = 0.0  # bytes per cycle; 0 means unlimited
-    debug: bool = False
 
 
 @dataclass

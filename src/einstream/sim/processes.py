@@ -24,6 +24,7 @@ import math
 import numpy as np
 
 from ..errors import GraphError, MalformedStream, RepeatUnderflow
+from ..frontend.program import apply_pointwise
 from ..graph import DONE, NULL, Stop
 from ..tensors import DenseLevel, INDEX_BYTES, ELEMENT_BYTES
 
@@ -345,28 +346,17 @@ def proc_alu(op: str, block: dict | None):
         yield ("flops", flops_each)
 
 
-def _apply_map(fn, x):
-    if isinstance(x, np.ndarray):
-        if isinstance(fn, tuple):  # ('scale', c)
-            return fn[1] * x
-        if fn == "relu":
-            return np.maximum(x, 0.0)
-        if fn == "exp":
-            return np.where(x != 0.0, np.exp(x), 0.0)
-        if fn == "gelu":
-            erf = np.vectorize(math.erf)
-            return np.where(x != 0.0, 0.5 * x * (1.0 + erf(x / np.sqrt(2.0))), 0.0)
-        raise GraphError(f"unknown map fn {fn!r}")
-    if x == 0.0:
-        return 0.0
-    if isinstance(fn, tuple):
+def _block_map(fn, x: np.ndarray) -> np.ndarray:
+    """``apply_pointwise`` over every slot of a block (zero stays zero)."""
+    if isinstance(fn, tuple):  # ('scale', c)
         return fn[1] * x
     if fn == "relu":
-        return x if x > 0.0 else 0.0
+        return np.maximum(x, 0.0)
     if fn == "exp":
-        return math.exp(x)
+        return np.where(x != 0.0, np.exp(x), 0.0)
     if fn == "gelu":
-        return 0.5 * x * (1.0 + math.erf(x / math.sqrt(2.0)))
+        erf = np.vectorize(math.erf)
+        return np.where(x != 0.0, 0.5 * x * (1.0 + erf(x / np.sqrt(2.0))), 0.0)
     raise GraphError(f"unknown map fn {fn!r}")
 
 
@@ -379,10 +369,13 @@ def proc_map(fn):
         if isinstance(tok, Stop):
             yield ("send", "out", tok)
             continue
-        out = _apply_map(fn, tok)
-        yield ("send", "out", out)
+        if isinstance(tok, np.ndarray):
+            yield ("send", "out", _block_map(fn, tok))
+            n = int(np.count_nonzero(tok))
+        else:
+            yield ("send", "out", apply_pointwise(fn, tok))
+            n = 1
         yield ("tick", 1)
-        n = int(np.count_nonzero(tok)) if isinstance(tok, np.ndarray) else 1
         yield ("flops", n)
 
 

@@ -226,11 +226,8 @@ class SparseTensor:
         arr = np.asarray(array, dtype=np.float64)
         if formats is None:
             formats = [LevelSpec(COMPRESSED)] * arr.ndim
-        entries = [
-            (idx, arr[idx])
-            for idx in itertools.product(*(range(s) for s in arr.shape))
-            if arr[idx] != fill
-        ]
+        at = np.nonzero(arr != fill)
+        entries = zip(zip(*(c.tolist() for c in at)), arr[at].tolist())
         return SparseTensor.from_coo(arr.shape, entries, formats, mode_order, fill)
 
     # -- views -------------------------------------------------------------
@@ -261,16 +258,6 @@ class SparseTensor:
     @property
     def metadata_elems(self) -> int:
         return sum(lvl.metadata_elems for lvl in self.levels)
-
-    def level_sizes(self) -> list[int]:
-        """Extent of each storage level's coordinate space."""
-        if not self.is_blocked:
-            return [self.shape[m] for m in self.mode_order]
-        bs = self.levels[-1].block_shape
-        out = [
-            -(-self.shape[m] // bs[m]) for m in self.mode_order
-        ]  # ceil-div block grid
-        return out
 
     def entries(self) -> Iterator[tuple[tuple[int, ...], float]]:
         """Stored entries in storage order as (logical coords, value).
@@ -488,12 +475,3 @@ def write_coo_text(path, tensor: SparseTensor) -> None:
         for coords, val in sorted(tensor.entries()):
             fh.write(" ".join(str(c) for c in coords) + f" {val!r}\n")
 
-
-def format_chain(formats: Sequence[LevelSpec]) -> str:
-    parts = []
-    for f in formats:
-        if f.kind == BLOCKED:
-            parts.append("blocked(" + ",".join(str(b) for b in f.block_shape) + ")")
-        else:
-            parts.append(f.kind)
-    return "->".join(parts)

@@ -74,7 +74,6 @@ def test_parse_fuse_block_and_directives():
     block(2, 2);
     density(A, 0.25);
     rate(A.k, X.k, 0.5);
-    order_cap(500);
     """
     p = parse_program(src)
     assert len(p.regions) == 1
@@ -85,7 +84,6 @@ def test_parse_fuse_block_and_directives():
     assert s.block == (2, 2)
     assert s.densities == {"A": 0.25}
     assert s.rates == {("A", "k", "X", "k"): 0.5}
-    assert s.order_cap == 500
 
 
 def test_parse_error_reports_position():

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
-from einstream.errors import Deadlock
+from einstream.errors import Deadlock, GraphError
 from einstream.graph import DataflowGraph
 from einstream.sim import SimConfig, run
 from einstream.tensors import COMPRESSED, LevelSpec, SparseTensor
@@ -166,6 +168,22 @@ def test_graph_json_round_trip():
     assert g2.to_json() == g.to_json()
     report = run(g2, spmv_tensors(), SimConfig())
     assert np.array_equal(report.outputs["x"].to_dense(), [11.0, 8.0])
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda doc: doc["edges"][0]["dst"].__setitem__(1, "bogus"),
+        lambda doc: doc["edges"][0].__setitem__("kind", "ref"),
+        lambda doc: doc["nodes"].append(dict(doc["nodes"][0])),
+    ],
+    ids=["unknown_port", "wrong_stream_kind", "duplicate_id"],
+)
+def test_graph_json_is_validated_on_load(corrupt):
+    doc = json.loads(build_spmv_graph().to_json())
+    corrupt(doc)
+    with pytest.raises(GraphError):
+        DataflowGraph.from_json(json.dumps(doc))
 
 
 def test_dot_export_mentions_every_node():
