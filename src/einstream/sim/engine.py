@@ -1,7 +1,19 @@
-"""Cooperative round-robin scheduler with cycle/FLOP/byte accounting.
+"""Ready-queue scheduler with cycle/FLOP/byte accounting.
 
-Nodes run as generators over bounded channels (Kahn-style), so outputs are
-independent of scheduling order and channel depth; only timing shifts.
+Nodes run as generators over bounded channels (Kahn-style).  A node runs
+until it blocks: on a recv from an empty channel, or a send into a full
+one.  A push wakes the reader blocked on that channel and a pop wakes a
+writer backpressured on it; ``Deadlock`` means the ready queue is empty
+while nodes are unfinished.
+
+The order in which ready nodes run changes no clock, counter or output.
+Each node's process is deterministic in the tokens it reads, and every
+token carries a virtual time: the sender's clock, held back until the
+reader picked up the token ``depth`` places earlier (see ``channels``).
+So each clock, and every counter, is a function of the graph and its
+inputs alone (Kahn 1974); the schedule only decides when the host
+computes it.
+
 Per-node local clocks advance one cycle per processed element plus memory
 latency per fiber fetch; the dataflow cycle count is the largest final
 clock.  With a finite bandwidth the report takes the rooflined maximum of
@@ -11,6 +23,7 @@ dataflow cycles and total traffic divided by bandwidth.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +37,7 @@ from ..tensors import (
     SparseTensor,
 )
 from .channels import Channel
-from .processes import build_process
+from .processes import NodeContext, build_process
 
 
 @dataclass
@@ -62,143 +75,137 @@ class SimReport:
         }
 
 
-class _State:
+class _Node(NodeContext):
+    """A node's context plus what the scheduler tracks about it."""
+
     __slots__ = (
-        "gen",
-        "clock",
-        "resume",
-        "blocked_recv",
-        "blocked_send",
-        "send_tok",
-        "finished",
+        "nid", "gen", "ins", "outs", "recv_on", "send_on", "send_tok", "queued", "finished"
     )
 
-    def __init__(self, gen):
-        self.gen = gen
-        self.clock = 0
-        self.resume = None
-        self.blocked_recv = None
-        self.blocked_send = None
+    def __init__(self, nid: str):
+        super().__init__()
+        self.nid = nid
+        self.gen = None
+        self.ins: dict[str, Channel] = {}
+        self.outs: dict[str, list[Channel]] = {}  # absent port: sends dropped
+        self.recv_on: Channel | None = None  # empty channel it waits on
+        self.send_on: list[Channel] | None = None  # full channels owed send_tok
         self.send_tok = None
+        self.queued = True
         self.finished = False
+
+
+def _push_all(st: _Node, chans, tok, ready) -> bool:
+    """Push ``tok`` into every channel with room; False if some are full."""
+    full = None
+    for ch in chans:
+        if len(ch.queue) >= ch.depth:
+            if full is None:
+                full = []
+            full.append(ch)
+            continue
+        ch.push(tok, st.clock)
+        r = ch.reader
+        if r.recv_on is ch and not r.queued:
+            r.queued = True
+            ready.append(r)
+    st.send_on = full
+    st.send_tok = tok if full else None
+    return full is None
+
+
+def _step(st: _Node, ready) -> None:
+    """Run one node until it blocks or finishes.  A recv with a token
+    waiting and a send with room are served inline."""
+    st.queued = False
+    if st.send_on is not None and not _push_all(st, st.send_on, st.send_tok, ready):
+        return
+    gen, ins, outs = st.gen, st.ins, st.outs
+    ch, st.recv_on = st.recv_on, None  # the recv this node is waiting on
+    while True:
+        resume = None
+        if ch is not None:
+            if not ch.queue:
+                st.recv_on = ch
+                return
+            resume, st.clock = ch.pop(st.clock)
+            w = ch.writer
+            if w.send_on is not None and not w.queued and ch in w.send_on:
+                w.queued = True
+                ready.append(w)
+        try:
+            eff = gen.send(resume)
+        except StopIteration:
+            st.finished = True
+            return
+        except (MalformedStream, RepeatUnderflow) as err:
+            raise type(err)(f"{st.nid}: {err}") from None
+        if eff[0] == "recv":
+            ch = ins.get(eff[1])
+            if ch is None:
+                raise GraphError(f"{st.nid}:{eff[1]} reads an unconnected port")
+        else:
+            ch = None
+            chans = outs.get(eff[1])
+            if chans and not _push_all(st, chans, eff[2], ready):
+                return
+
+
+def _deadlock(nodes) -> Deadlock:
+    blocked = []
+    for st in nodes:
+        if st.recv_on is not None:
+            blocked.append(f"{st.nid} awaiting {st.recv_on.label}")
+        elif st.send_on is not None:
+            labels = ", ".join(ch.label for ch in st.send_on)
+            blocked.append(f"{st.nid} backpressured on {labels}")
+    return Deadlock("no runnable node; " + "; ".join(blocked))
 
 
 def run(graph: DataflowGraph, tensors: dict, config: SimConfig | None = None) -> SimReport:
     config = config or SimConfig()
     graph.validate()
-    order = graph.topo_order()
-
-    in_channel: dict[tuple[str, str], Channel] = {}
-    out_channels: dict[tuple[str, str], list[Channel]] = {}
+    nodes = {nid: _Node(nid) for nid in graph.topo_order()}
     for e in graph.edges:
-        ch = Channel(config.channel_depth, f"{e.src}:{e.src_port}->{e.dst}:{e.dst_port}")
-        in_channel[(e.dst, e.dst_port)] = ch
-        out_channels.setdefault((e.src, e.src_port), []).append(ch)
+        src, dst = nodes[e.src], nodes[e.dst]
+        label = f"{e.src}:{e.src_port}->{e.dst}:{e.dst_port}"
+        ch = Channel(config.channel_depth, label, writer=src, reader=dst)
+        dst.ins[e.dst_port] = ch
+        src.outs.setdefault(e.src_port, []).append(ch)
+    for nid, st in nodes.items():
+        st.gen = build_process(graph.nodes[nid], st, tensors, config.mem_latency)
 
-    states = {
-        nid: _State(build_process(graph.nodes[nid], tensors, config.mem_latency))
-        for nid in order
-    }
-    records: dict[str, list] = {
-        nid: [] for nid, n in graph.nodes.items() if n.kind in ("write_crd", "write_val")
-    }
-    node_flops: dict[str, int] = {}
-    touched: set = set()
-    counters = {"bytes_read": 0, "flops": 0}
-    unfinished = len(order)
+    ready = deque(nodes.values())
+    try:
+        while ready:
+            _step(ready.popleft(), ready)
+        stuck = [st for st in nodes.values() if not st.finished]
+        if stuck:
+            raise _deadlock(stuck)
+    finally:
+        # free by refcount: channels point back at their nodes, and an
+        # unfinished generator's frame holds its node
+        for st in nodes.values():
+            st.gen = None
+            for ch in st.ins.values():
+                ch.writer = ch.reader = None
 
-    def advance(nid: str, st: _State) -> bool:
-        nonlocal unfinished
-        made = False
-        while True:
-            if st.blocked_recv is not None:
-                ch = st.blocked_recv
-                if ch.empty():
-                    return made
-                tok, pickup = ch.pop(st.clock)
-                st.clock = max(st.clock, pickup)
-                st.resume = tok
-                st.blocked_recv = None
-                made = True
-            elif st.blocked_send is not None:
-                remaining = []
-                for ch in st.blocked_send:
-                    if ch.full():
-                        remaining.append(ch)
-                    else:
-                        ch.push(st.send_tok, st.clock)
-                        made = True
-                st.blocked_send = remaining or None
-                if remaining:
-                    return made
-                st.send_tok = None
-            try:
-                eff = st.gen.send(st.resume)
-            except StopIteration:
-                st.finished = True
-                unfinished -= 1
-                return True
-            except (MalformedStream, RepeatUnderflow) as err:
-                raise type(err)(f"{nid}: {err}") from None
-            st.resume = None
-            op = eff[0]
-            if op == "recv":
-                key = (nid, eff[1])
-                if key not in in_channel:
-                    raise GraphError(f"{nid}:{eff[1]} reads an unconnected port")
-                st.blocked_recv = in_channel[key]
-            elif op == "send":
-                st.send_tok = eff[2]
-                st.blocked_send = list(out_channels.get((nid, eff[1]), ())) or None
-                if st.blocked_send is None:
-                    st.send_tok = None  # dangling output port: drop
-            elif op in ("tick", "lat"):
-                st.clock += eff[1]
-            elif op == "flops":
-                counters["flops"] += eff[1]
-                node_flops[nid] = node_flops.get(nid, 0) + eff[1]
-            elif op == "touch":
-                key = (nid, eff[1])
-                if key not in touched:
-                    touched.add(key)
-                    counters["bytes_read"] += eff[2]
-            elif op == "record":
-                records[nid].append(eff[1])
-            else:
-                raise GraphError(f"{nid}: unknown effect {op!r}")
-
-    while unfinished:
-        progress = False
-        for nid in order:
-            st = states[nid]
-            if not st.finished:
-                progress = advance(nid, st) or progress
-        if not progress:
-            blocked = []
-            for nid in order:
-                st = states[nid]
-                if st.finished:
-                    continue
-                if st.blocked_recv is not None:
-                    blocked.append(f"{nid} awaiting {st.blocked_recv.label}")
-                elif st.blocked_send is not None:
-                    blocked.append(f"{nid} backpressured")
-            raise Deadlock("no runnable node; " + "; ".join(blocked))
-
-    outputs, bytes_written = _finalize(graph, records)
-    dataflow = max((st.clock for st in states.values()), default=0)
-    total = counters["bytes_read"] + bytes_written
+    outputs, bytes_written = _finalize(graph, nodes)
+    dataflow = max((st.clock for st in nodes.values()), default=0)
+    node_flops = {nid: st.flops for nid, st in nodes.items() if st.flops is not None}
+    bytes_read = sum(st.bytes_read for st in nodes.values())
+    total = bytes_read + bytes_written
     memory = math.ceil(total / config.bandwidth) if config.bandwidth else 0
     return SimReport(
         cycles=max(dataflow, memory),
         dataflow_cycles=dataflow,
         memory_cycles=memory,
-        flops=counters["flops"],
-        bytes_read=counters["bytes_read"],
+        flops=sum(node_flops.values()),
+        bytes_read=bytes_read,
         bytes_written=bytes_written,
         outputs=outputs,
         node_flops=node_flops,
-        node_cycles={nid: st.clock for nid, st in states.items()},
+        node_cycles={nid: st.clock for nid, st in nodes.items()},
     )
 
 
@@ -231,15 +238,15 @@ def _nest(tokens, depth: int):
     return root
 
 
-def _finalize(graph: DataflowGraph, records: dict):
+def _finalize(graph: DataflowGraph, nodes: dict):
     groups: dict[str, dict] = {}
     for node in graph.nodes.values():
         if node.kind == "write_crd":
             g = groups.setdefault(node.params["tensor"], {"levels": {}})
-            g["levels"][node.params["level"]] = records[node.id]
+            g["levels"][node.params["level"]] = nodes[node.id].records
         elif node.kind == "write_val":
             g = groups.setdefault(node.params["tensor"], {"levels": {}})
-            g["vals"] = records[node.id]
+            g["vals"] = nodes[node.id].records
             g["params"] = node.params
 
     outputs: dict[str, SparseTensor] = {}
@@ -254,24 +261,25 @@ def _finalize(graph: DataflowGraph, records: dict):
         flat_vals = [
             t for t in g["vals"] if not isinstance(t, Stop) and t is not DONE
         ]
+        # depth-first over the coordinate trees, in stream order
         entries: list = []
-        cursor = [0]
-
-        def walk(d, pos_path, crd_path, trees=trees, ndim=ndim, entries=entries):
+        cursor = 0
+        stack = [(0, (), ())]
+        while stack:
+            d, pos_path, crd_path = stack.pop()
             node_list = trees[d]
             for q in pos_path:
                 node_list = node_list[q]
-            for idx, crd in enumerate(node_list):
-                if d == ndim - 1:
-                    entries.append((tuple(crd_path) + (crd,), flat_vals[cursor[0]]))
-                    cursor[0] += 1
-                else:
-                    walk(d + 1, pos_path + [idx], crd_path + [crd])
-
-        walk(0, [], [])
-        if cursor[0] != len(flat_vals):
+            if d == ndim - 1:
+                for crd in node_list:
+                    entries.append((crd_path + (crd,), flat_vals[cursor]))
+                    cursor += 1
+            else:
+                for idx in range(len(node_list) - 1, -1, -1):
+                    stack.append((d + 1, pos_path + (idx,), crd_path + (node_list[idx],)))
+        if cursor != len(flat_vals):
             raise MalformedStream(
-                f"writer {name}: {len(flat_vals)} values for {cursor[0]} coordinates"
+                f"writer {name}: {len(flat_vals)} values for {cursor} coordinates"
             )
         mode_order = tuple(p["mode_order"])
         shape = tuple(p["shape"])

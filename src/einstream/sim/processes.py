@@ -1,14 +1,14 @@
-"""Node behaviors as effect-yielding generators.
+"""Node behaviors as generators over a per-node context.
 
-A process yields effect tuples and is resumed by the engine:
+A process yields one of two effect tuples and is resumed by the engine:
 
     ("recv", port)          -> resumed with the next token on that port
     ("send", port, token)   -> delivered to every outgoing edge of the port
-    ("tick", n)             -> advance this node's local clock
-    ("lat", n)              -> same, for memory access latency
-    ("flops", n)            -> account n scalar operations
-    ("touch", key, nbytes)  -> account nbytes once per distinct key
-    ("record", token)       -> append to this writer node's transcript
+
+Everything else a node does is a direct update of the ``NodeContext`` that
+``build_process`` hands it: ``clock`` (one cycle per processed element, plus
+memory latency per fiber fetch), ``add_flops``, ``touch`` (bytes read,
+counted once per distinct key) and ``records`` (a writer's transcript).
 
 Boundary emission uses a single pending stop per producer: a new boundary
 at a deeper level merges into the pending one (same closure point); at the
@@ -27,6 +27,27 @@ from ..errors import GraphError, MalformedStream, RepeatUnderflow
 from ..frontend.program import apply_pointwise
 from ..graph import DONE, NULL, Stop
 from ..tensors import DenseLevel, INDEX_BYTES, ELEMENT_BYTES
+
+
+class NodeContext:
+    """One node's local clock and accounting, updated by its process."""
+
+    __slots__ = ("clock", "flops", "bytes_read", "touched", "records")
+
+    def __init__(self):
+        self.clock = 0
+        self.flops = None  # None until the node accounts any, even 0
+        self.bytes_read = 0
+        self.touched: set = set()
+        self.records: list = []
+
+    def add_flops(self, n: int):
+        self.flops = n if self.flops is None else self.flops + n
+
+    def touch(self, key, nbytes: int):
+        if key not in self.touched:
+            self.touched.add(key)
+            self.bytes_read += nbytes
 
 
 def _merge(pending, level):
@@ -49,13 +70,13 @@ def _zero(tok):
 # --- memory-side processes ------------------------------------------------
 
 
-def proc_root():
+def proc_root(ctx):
     yield ("send", "ref", 0)
-    yield ("tick", 1)
+    ctx.clock += 1
     yield ("send", "ref", DONE)
 
 
-def proc_scan(tensor, level_idx: int, mem_latency: int, mult=None, stride=None):
+def proc_scan(ctx, tensor, level_idx: int, mem_latency: int, mult=None, stride=None):
     # Dense refs are affine: ref_out = ref_in * mult + crd * stride.  The
     # defaults give in-storage-order nesting; explicit values let a run of
     # dense levels be iterated in any order (each level then contributes
@@ -84,26 +105,26 @@ def proc_scan(tensor, level_idx: int, mem_latency: int, mult=None, stride=None):
             pending = None
         if tok is not NULL:
             p = tok
-            yield ("lat", mem_latency)
+            ctx.clock += mem_latency
             if dense:
                 for m in range(level.size):
                     yield ("send", "crd", m)
                     yield ("send", "ref", p * mult + m * stride)
-                    yield ("tick", 1)
+                    ctx.clock += 1
             else:
-                yield ("touch", ("seg", level_idx, p), INDEX_BYTES)
-                yield ("touch", ("seg", level_idx, p + 1), INDEX_BYTES)
+                ctx.touch(("seg", level_idx, p), INDEX_BYTES)
+                ctx.touch(("seg", level_idx, p + 1), INDEX_BYTES)
                 start, end = level.segments[p], level.segments[p + 1]
                 for pos in range(start, end):
-                    yield ("touch", ("crd", level_idx, pos), INDEX_BYTES)
+                    ctx.touch(("crd", level_idx, pos), INDEX_BYTES)
                     yield ("send", "crd", int(level.coords[pos]))
                     yield ("send", "ref", pos)
-                    yield ("tick", 1)
+                    ctx.clock += 1
         pending, flush = _merge(pending, 0)
         assert flush is None
 
 
-def proc_vals(tensor, mem_latency: int):
+def proc_vals(ctx, tensor, mem_latency: int):
     blocked = tensor.is_blocked
     fill_block = np.zeros(tensor.values.shape[1:]) if blocked else None
     elem_bytes = ELEMENT_BYTES * (fill_block.size if blocked else 1)
@@ -118,15 +139,15 @@ def proc_vals(tensor, mem_latency: int):
             fresh = True
             continue
         if fresh:
-            yield ("lat", mem_latency)
+            ctx.clock += mem_latency
             fresh = False
         if tok is NULL:
             val = fill_block if blocked else tensor.fill
         else:
-            yield ("touch", ("val", tok), elem_bytes)
+            ctx.touch(("val", tok), elem_bytes)
             val = tensor.values[tok] if blocked else float(tensor.values[tok])
         yield ("send", "val", val)
-        yield ("tick", 1)
+        ctx.clock += 1
 
 
 # --- stream combinators ---------------------------------------------------
@@ -143,7 +164,7 @@ def _pair(cport, pport):
     return (c, p)
 
 
-def proc_join(mode: str):
+def proc_join(ctx, mode: str):
     """Two-finger co-iteration; mode is 'intersect' or 'union'."""
     keep_single = mode == "union"
     t0 = yield from _pair("crd0", "p0")
@@ -177,7 +198,7 @@ def proc_join(mode: str):
                 yield ("send", "crd", c0)
                 yield ("send", "p0", p0)
                 yield ("send", "p1", p1)
-                yield ("tick", 1)
+                ctx.clock += 1
                 t0 = yield from _pair("crd0", "p0")
                 t1 = yield from _pair("crd1", "p1")
             elif c0 < c1:
@@ -185,14 +206,14 @@ def proc_join(mode: str):
                     yield ("send", "crd", c0)
                     yield ("send", "p0", p0)
                     yield ("send", "p1", NULL)
-                yield ("tick", 1)
+                ctx.clock += 1
                 t0 = yield from _pair("crd0", "p0")
             else:
                 if keep_single:
                     yield ("send", "crd", c1)
                     yield ("send", "p0", NULL)
                     yield ("send", "p1", p1)
-                yield ("tick", 1)
+                ctx.clock += 1
                 t1 = yield from _pair("crd1", "p1")
         else:
             # one side still has elements, the other reached its boundary
@@ -202,7 +223,7 @@ def proc_join(mode: str):
                     yield ("send", "crd", c0)
                     yield ("send", "p0", p0)
                     yield ("send", "p1", NULL)
-                yield ("tick", 1)
+                ctx.clock += 1
                 t0 = yield from _pair("crd0", "p0")
             else:
                 c1, p1 = t1
@@ -210,11 +231,11 @@ def proc_join(mode: str):
                     yield ("send", "crd", c1)
                     yield ("send", "p0", NULL)
                     yield ("send", "p1", p1)
-                yield ("tick", 1)
+                ctx.clock += 1
                 t1 = yield from _pair("crd1", "p1")
 
 
-def proc_repeat():
+def proc_repeat(ctx):
     cur = None
     have = False
     data_done = False
@@ -270,7 +291,7 @@ def proc_repeat():
             cur = t
             have = True
         yield ("send", "out", cur)
-        yield ("tick", 1)
+        ctx.clock += 1
 
 
 # --- compute --------------------------------------------------------------
@@ -323,7 +344,7 @@ def _scalar_binary(op, a, b):
     raise GraphError(f"unknown alu op {op!r}")
 
 
-def proc_alu(op: str, block: dict | None):
+def proc_alu(ctx, op: str, block: dict | None):
     flops_each = block["flops"] if block else 1
     while True:
         a = yield ("recv", "in0")
@@ -342,8 +363,8 @@ def proc_alu(op: str, block: dict | None):
             b = 0.0
         out = _block_binary(op, a, b, block) if block else _scalar_binary(op, a, b)
         yield ("send", "out", out)
-        yield ("tick", 1)
-        yield ("flops", flops_each)
+        ctx.clock += 1
+        ctx.add_flops(flops_each)
 
 
 def _block_map(fn, x: np.ndarray) -> np.ndarray:
@@ -360,7 +381,7 @@ def _block_map(fn, x: np.ndarray) -> np.ndarray:
     raise GraphError(f"unknown map fn {fn!r}")
 
 
-def proc_map(fn):
+def proc_map(ctx, fn):
     while True:
         tok = yield ("recv", "in")
         if tok is DONE:
@@ -375,11 +396,11 @@ def proc_map(fn):
         else:
             yield ("send", "out", apply_pointwise(fn, tok))
             n = 1
-        yield ("tick", 1)
-        yield ("flops", n)
+        ctx.clock += 1
+        ctx.add_flops(n)
 
 
-def proc_reduce(op: str, intra: tuple, zero_shape):
+def proc_reduce(ctx, op: str, intra: tuple, zero_shape):
     acc = None
     count = 0
 
@@ -403,9 +424,9 @@ def proc_reduce(op: str, intra: tuple, zero_shape):
         if isinstance(tok, Stop) or tok is DONE:
             out, extra = finish()
             yield ("send", "out", out)
-            yield ("tick", 1)
+            ctx.clock += 1
             if extra:
-                yield ("flops", extra)
+                ctx.add_flops(extra)
             if tok is DONE:
                 yield ("send", "out", DONE)
                 return
@@ -417,15 +438,15 @@ def proc_reduce(op: str, intra: tuple, zero_shape):
         else:
             if isinstance(tok, np.ndarray):
                 acc = np.maximum(acc, tok) if op == "max" else acc + tok
-                yield ("flops", int(tok.size))
+                ctx.add_flops(int(tok.size))
             else:
                 acc = _scalar_binary("max" if op == "max" else "add", acc, tok)
-                yield ("flops", 1)
+                ctx.add_flops(1)
         count += 1
-        yield ("tick", 1)
+        ctx.clock += 1
 
 
-def proc_red1():
+def proc_red1(ctx):
     """Coordinate-keyed reduction across sibling fibers of one level."""
     table: dict[int, object] = {}
 
@@ -433,7 +454,7 @@ def proc_red1():
         for crd in sorted(table):
             yield ("send", "crd", crd)
             yield ("send", "val", table[crd])
-            yield ("tick", 1)
+            ctx.clock += 1
         table.clear()
 
     while True:
@@ -459,13 +480,13 @@ def proc_red1():
         if c in table:
             prev = table[c]
             table[c] = prev + v
-            yield ("flops", int(v.size) if isinstance(v, np.ndarray) else 1)
+            ctx.add_flops(int(v.size) if isinstance(v, np.ndarray) else 1)
         else:
             table[c] = v
-        yield ("tick", 1)
+        ctx.clock += 1
 
 
-def proc_crddrop_inner():
+def proc_crddrop_inner(ctx):
     """Innermost stage: drops (coordinate, value) pairs with zero value."""
     while True:
         c = yield ("recv", "outer")
@@ -478,14 +499,14 @@ def proc_crddrop_inner():
             if c is DONE:
                 return
             continue
-        yield ("tick", 1)
+        ctx.clock += 1
         if _zero(v):
             continue
         yield ("send", "outer", c)
         yield ("send", "inner", v)
 
 
-def proc_crddrop_outer():
+def proc_crddrop_outer(ctx):
     """Outer stage: drops coordinates whose inner group came out empty."""
     pend_in = pend_out = None
     cur = None
@@ -541,26 +562,26 @@ def proc_crddrop_outer():
                 yield ("send", "inner", Stop(pend_in))
                 pend_in = None
             yield ("send", "outer", cur)
-            yield ("tick", 1)
+            ctx.clock += 1
             emitted = True
         yield ("send", "inner", t)
-        yield ("tick", 1)
+        ctx.clock += 1
 
 
 # --- sinks and parallel plumbing -----------------------------------------
 
 
-def proc_write(port: str):
+def proc_write(ctx, port: str):
     while True:
         tok = yield ("recv", port)
-        yield ("record", tok)
+        ctx.records.append(tok)
         if tok is DONE:
             return
         if not isinstance(tok, Stop):
-            yield ("tick", 1)
+            ctx.clock += 1
 
 
-def proc_par(factor: int, nstreams: int):
+def proc_par(ctx, factor: int, nstreams: int):
     rr = 0
     while True:
         toks = []
@@ -580,11 +601,11 @@ def proc_par(factor: int, nstreams: int):
             continue
         for i, tok in enumerate(toks):
             yield ("send", f"out{rr}_{i}", tok)
-        yield ("tick", 1)
+        ctx.clock += 1
         rr = (rr + 1) % factor
 
 
-def proc_ser(factor: int, depths: tuple):
+def proc_ser(ctx, factor: int, depths: tuple):
     """Inverse-interleaves round-robin copies back into one bundle.
 
     depths[i] is stream i's nesting below the split level: a depth-0
@@ -628,10 +649,12 @@ def proc_ser(factor: int, depths: tuple):
         else:
             yield ("send", f"out{i}", tok)
 
-    def group(k, t):
+    def group(k, t, group):
         """Forward one depth-t group of copy k.  Returns the level the
         closing separators reached: t for a plain group end, less when an
-        ancestor group closed with it, 0 at the bundle boundary."""
+        ancestor group closed with it, 0 at the bundle boundary.  It recurses
+        through its last argument: a closure naming itself is a reference
+        cycle only the cyclic GC frees."""
         streams = by_depth.get(t, ())
         while True:
             close = "none"
@@ -653,7 +676,7 @@ def proc_ser(factor: int, depths: tuple):
                     mine = "none"
                     yield from flush(i)
                     yield ("send", f"out{i}", tok)
-                    yield ("tick", 1)
+                    ctx.clock += 1
                 if i == streams[0]:
                     close = mine
                 elif close != mine:
@@ -664,7 +687,7 @@ def proc_ser(factor: int, depths: tuple):
             if close != "none":
                 return close
             if t < dmax:
-                sub = yield from group(k, t + 1)
+                sub = yield from group(k, t + 1, group)
                 if sub <= t:
                     # nested levels closed through here; collect our own
                     # separators and hand the close upward
@@ -716,7 +739,7 @@ def proc_ser(factor: int, depths: tuple):
                 return
             continue
         yield ("send", "out0", t0)
-        yield ("tick", 1)
+        ctx.clock += 1
         for i in zero:
             tok = yield from take(rr, i)
             if tok is DONE or isinstance(tok, Stop):
@@ -725,21 +748,23 @@ def proc_ser(factor: int, depths: tuple):
                     " alongside a split-level element"
                 )
             yield ("send", f"out{i}", tok)
-            yield ("tick", 1)
+            ctx.clock += 1
         if dmax >= 1:
-            yield from group(rr, 1)
+            yield from group(rr, 1, group)
         rr = (rr + 1) % factor
 
 
 # --- factory --------------------------------------------------------------
 
 
-def build_process(node, tensors: dict, mem_latency: int):
+def build_process(node, ctx: NodeContext, tensors: dict, mem_latency: int):
+    """The generator that runs ``node``, updating ``ctx`` as it goes."""
     kind, p = node.kind, node.params
     if kind == "root":
-        return proc_root()
+        return proc_root(ctx)
     if kind == "scan":
         return proc_scan(
+            ctx,
             tensors[p["tensor"]],
             p["level"],
             mem_latency,
@@ -747,30 +772,30 @@ def build_process(node, tensors: dict, mem_latency: int):
             p.get("stride"),
         )
     if kind == "vals":
-        return proc_vals(tensors[p["tensor"]], mem_latency)
+        return proc_vals(ctx, tensors[p["tensor"]], mem_latency)
     if kind in ("intersect", "union"):
-        return proc_join(kind)
+        return proc_join(ctx, kind)
     if kind == "repeat":
-        return proc_repeat()
+        return proc_repeat(ctx)
     if kind == "alu":
-        return proc_alu(p["op"], p.get("block"))
+        return proc_alu(ctx, p["op"], p.get("block"))
     if kind == "map":
-        return proc_map(p["fn"])
+        return proc_map(ctx, p["fn"])
     if kind == "reduce":
-        return proc_reduce(p["op"], tuple(p.get("intra", ())), p.get("zero_shape"))
+        return proc_reduce(ctx, p["op"], tuple(p.get("intra", ())), p.get("zero_shape"))
     if kind == "red1":
-        return proc_red1()
+        return proc_red1(ctx)
     if kind == "crddrop":
         if p.get("stage") == "inner":
-            return proc_crddrop_inner()
-        return proc_crddrop_outer()
+            return proc_crddrop_inner(ctx)
+        return proc_crddrop_outer(ctx)
     if kind == "write_crd":
-        return proc_write("crd")
+        return proc_write(ctx, "crd")
     if kind == "write_val":
-        return proc_write("val")
+        return proc_write(ctx, "val")
     if kind == "par":
-        return proc_par(p["factor"], p["nstreams"])
+        return proc_par(ctx, p["factor"], p["nstreams"])
     if kind == "ser":
         depths = tuple(p.get("depths") or (0,) * p["nstreams"])
-        return proc_ser(p["factor"], depths)
+        return proc_ser(ctx, p["factor"], depths)
     raise GraphError(f"no process for node kind {kind!r}")

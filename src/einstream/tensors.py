@@ -146,74 +146,15 @@ class SparseTensor:
         :class:`DuplicateCoordinate` and out-of-range coordinates raise
         :class:`CoordinateOutOfBounds`.  Explicitly stored zeros are preserved.
         """
-        shape = tuple(int(s) for s in shape)
+        entries = list(entries)
         ndim = len(shape)
-        if mode_order is None:
-            mode_order = tuple(range(ndim))
-        mode_order = tuple(mode_order)
-        if sorted(mode_order) != list(range(ndim)):
-            raise IllegalFormatCombination(f"mode_order {mode_order} is not a permutation")
-        formats = list(formats)
-        blocked = any(f.kind == BLOCKED for f in formats)
-        if blocked:
-            return _from_coo_blocked(shape, entries, formats, mode_order, fill)
-        if len(formats) != ndim:
-            raise IllegalFormatCombination(
-                f"{len(formats)} level formats for {ndim} modes"
-            )
-
-        seen = set()
-        rows = []
-        for coords, val in entries:
-            coords = tuple(int(c) for c in coords)
+        for coords, _ in entries:
             if len(coords) != ndim:
                 raise CoordinateOutOfBounds(f"entry rank {len(coords)} != {ndim}")
-            for c, s in zip(coords, shape):
-                if not (0 <= c < s):
-                    raise CoordinateOutOfBounds(f"coordinate {coords} outside {shape}")
-            if coords in seen:
-                raise DuplicateCoordinate(f"duplicate entry at {coords}")
-            seen.add(coords)
-            rows.append((tuple(coords[m] for m in mode_order), float(val)))
-        rows.sort(key=lambda r: r[0])
-
-        levels = []
-        # Fibers at the current depth, each a list of (storage_coords, value).
-        fibers: list[list[tuple[tuple[int, ...], float]]] = [rows]
-        for d, spec in enumerate(formats):
-            size = shape[mode_order[d]]
-            if spec.kind == DENSE:
-                levels.append(DenseLevel(size))
-                nxt = []
-                for fib in fibers:
-                    groups: dict[int, list] = {c: [] for c in range(size)}
-                    for coords, val in fib:
-                        groups[coords[d]].append((coords, val))
-                    nxt.extend(groups[c] for c in range(size))
-                fibers = nxt
-            elif spec.kind in (COMPRESSED, COORDINATE):
-                segments = [0]
-                coords_arr: list[int] = []
-                nxt = []
-                for fib in fibers:
-                    groups: dict[int, list] = {}
-                    for coords, val in fib:
-                        groups.setdefault(coords[d], []).append((coords, val))
-                    for c in sorted(groups):
-                        coords_arr.append(c)
-                        nxt.append(groups[c])
-                    segments.append(len(coords_arr))
-                cls = CompressedLevel if spec.kind == COMPRESSED else CoordinateLevel
-                levels.append(cls(segments, coords_arr))
-                fibers = nxt
-            else:  # pragma: no cover - blocked handled above
-                raise IllegalFormatCombination("blocked level must be innermost")
-
-        values = np.full(len(fibers), fill, dtype=np.float64)
-        for p, fib in enumerate(fibers):
-            if fib:
-                values[p] = fib[0][1]
-        return SparseTensor(shape, mode_order, levels, values, fill)
+        crd = np.array([c for c, _ in entries], dtype=np.int64)
+        crd = crd.reshape(len(entries), ndim)
+        vals = np.array([v for _, v in entries], dtype=np.float64)
+        return _from_arrays(shape, crd, vals, formats, mode_order, fill)
 
     @staticmethod
     def from_dense(
@@ -227,8 +168,8 @@ class SparseTensor:
         if formats is None:
             formats = [LevelSpec(COMPRESSED)] * arr.ndim
         at = np.nonzero(arr != fill)
-        entries = zip(zip(*(c.tolist() for c in at)), arr[at].tolist())
-        return SparseTensor.from_coo(arr.shape, entries, formats, mode_order, fill)
+        crd = np.stack(at, axis=1)
+        return _from_arrays(arr.shape, crd, arr[at], formats, mode_order, fill)
 
     # -- views -------------------------------------------------------------
 
@@ -376,13 +317,71 @@ class SparseTensor:
                 raise IllegalFormatCombination("block leaf must be innermost")
 
 
-def _from_coo_blocked(shape, entries, formats, mode_order, fill) -> SparseTensor:
-    if formats[-1].kind != BLOCKED or any(f.kind == BLOCKED for f in formats[:-1]):
-        raise IllegalFormatCombination("blocked level must be the single innermost level")
-    base = SparseTensor.from_coo(
-        shape, entries, [LevelSpec(COMPRESSED)] * len(shape), mode_order, fill
-    )
-    return block_tensor(base, formats[-1].block_shape, outer_formats=formats[:-1])
+def _from_arrays(shape, crd, vals, formats, mode_order, fill) -> SparseTensor:
+    """``from_coo`` on an (entries, ndim) coordinate array and its values.
+
+    Entries are sorted in storage order; level by level, each entry's
+    position is then its parent's position times the extent plus its
+    coordinate (dense), or the rank of its distinct (parent, coordinate)
+    pair (compressed), which keeps positions sorted.
+    """
+    shape = tuple(int(s) for s in shape)
+    ndim = len(shape)
+    if mode_order is None:
+        mode_order = tuple(range(ndim))
+    mode_order = tuple(mode_order)
+    if sorted(mode_order) != list(range(ndim)):
+        raise IllegalFormatCombination(f"mode_order {mode_order} is not a permutation")
+    formats = list(formats)
+    if any(f.kind == BLOCKED for f in formats):
+        if formats[-1].kind != BLOCKED or any(f.kind == BLOCKED for f in formats[:-1]):
+            raise IllegalFormatCombination(
+                "blocked level must be the single innermost level"
+            )
+        base = _from_arrays(
+            shape, crd, vals, [LevelSpec(COMPRESSED)] * ndim, mode_order, fill
+        )
+        return block_tensor(base, formats[-1].block_shape, outer_formats=formats[:-1])
+    if len(formats) != ndim:
+        raise IllegalFormatCombination(f"{len(formats)} level formats for {ndim} modes")
+
+    outside = np.any((crd < 0) | (crd >= np.array(shape, dtype=np.int64)), axis=1)
+    if outside.any():
+        coords = tuple(int(c) for c in crd[np.argmax(outside)])
+        raise CoordinateOutOfBounds(f"coordinate {coords} outside {shape}")
+    sc = crd[:, list(mode_order)]
+    order = np.lexsort(sc.T[::-1]) if ndim else np.arange(len(vals))
+    sc, vals = sc[order], np.asarray(vals, dtype=np.float64)[order]
+    same = np.all(sc[1:] == sc[:-1], axis=1)
+    if same.any():
+        coords = [0] * ndim
+        for d, c in enumerate(sc[np.argmax(same)]):
+            coords[mode_order[d]] = int(c)
+        raise DuplicateCoordinate(f"duplicate entry at {tuple(coords)}")
+
+    levels = []
+    pos = np.zeros(len(vals), dtype=np.int64)
+    npos = 1
+    for d, spec in enumerate(formats):
+        size = shape[mode_order[d]]
+        c = sc[:, d]
+        if spec.kind == DENSE:
+            levels.append(DenseLevel(size))
+            pos = pos * size + c
+            npos *= size
+        elif spec.kind in (COMPRESSED, COORDINATE):
+            new = np.ones(len(c), dtype=bool)
+            new[1:] = (pos[1:] != pos[:-1]) | (c[1:] != c[:-1])
+            segments = np.searchsorted(pos[new], np.arange(npos + 1))
+            cls = CompressedLevel if spec.kind == COMPRESSED else CoordinateLevel
+            levels.append(cls(segments, c[new]))
+            pos = np.cumsum(new) - 1
+            npos = int(segments[-1])
+        else:  # pragma: no cover - blocked handled above
+            raise IllegalFormatCombination("blocked level must be innermost")
+    values = np.full(npos, fill, dtype=np.float64)
+    values[pos] = vals
+    return SparseTensor(shape, mode_order, levels, values, fill)
 
 
 def block_tensor(

@@ -3,6 +3,8 @@ and simulation, checked against the dense oracle."""
 
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -152,6 +154,28 @@ def run_program(src, seed=0):
 )
 def test_program_matches_oracle(src):
     run_program(src)
+
+
+@pytest.mark.parametrize(
+    "src",
+    [
+        SPMV.format(body="y(i) = A(i, k) * x(k);"),
+        SPMM.format(extra=""),
+        SPMM.format(extra="parallelize(i, 2);"),
+    ],
+    ids=["spmv", "fused_relu", "fused_relu_par2"],
+)
+def test_sim_run_is_freed_by_refcount(src):
+    vp = validate_program(parse_program(src))
+    cr = _compile(vp, 0)
+    tens = _prepare(vp, cr, _inputs(vp))
+    gc.collect()
+    gc.disable()
+    try:
+        sim.run(cr.graph, tens, sim.SimConfig())
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_copy_program_schedules_a_permuted_copy():

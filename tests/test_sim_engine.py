@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from einstream.errors import Deadlock, GraphError
+from einstream.errors import Deadlock, GraphError, MalformedStream
 from einstream.graph import DataflowGraph
 from einstream.sim import SimConfig, run
 from einstream.tensors import COMPRESSED, LevelSpec, SparseTensor
@@ -143,9 +143,8 @@ def test_mem_latency_slows_dataflow():
     assert slow.dataflow_cycles > fast.dataflow_cycles
 
 
-def test_structural_deadlock_detected():
-    # an adder pairing a raw value stream with its own fiber reduction needs
-    # buffering as deep as the fiber; depth 1 must deadlock
+def _value_plus_its_total() -> tuple[DataflowGraph, dict]:
+    """An adder pairing a raw value stream with its own fiber reduction."""
     g = DataflowGraph()
     root = g.add("root")
     ci = g.add("scan", "scan_c", tensor="c", level=0)
@@ -158,8 +157,24 @@ def test_structural_deadlock_detected():
     g.connect(cv, "val", red, "in", "val")
     g.connect(red, "out", add, "in1", "val")
     c = SparseTensor.from_dense(np.array([1.0, 2.0, 3.0]), [LevelSpec(COMPRESSED)])
-    with pytest.raises(Deadlock):
-        run(g, {"c": c}, SimConfig(channel_depth=1))
+    return g, {"c": c}
+
+
+def test_structural_deadlock_detected():
+    # the adder needs buffering as deep as the fiber; depth 1 must deadlock
+    g, tensors = _value_plus_its_total()
+    with pytest.raises(Deadlock) as err:
+        run(g, tensors, SimConfig(channel_depth=1))
+    msg = str(err.value)
+    assert "vals_c backpressured on vals_c:val->add_total:in0" in msg
+    assert "add_total awaiting total:out->add_total:in1" in msg
+
+
+def test_malformed_stream_names_the_node():
+    # deep enough to run, the adder meets the total's Done against a value
+    g, tensors = _value_plus_its_total()
+    with pytest.raises(MalformedStream, match="^add_total: alu inputs desynchronized"):
+        run(g, tensors, SimConfig(channel_depth=4))
 
 
 def test_graph_json_round_trip():

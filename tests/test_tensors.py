@@ -14,6 +14,9 @@ from einstream.tensors import (
     COMPRESSED,
     COORDINATE,
     DENSE,
+    CompressedLevel,
+    CoordinateLevel,
+    DenseLevel,
     LevelSpec,
     SparseTensor,
     read_coo_text,
@@ -152,6 +155,47 @@ def test_random_formats_against_dense_reference():
         # permutation preserves content
         perm = tuple(rng.permutation(ndim).tolist())
         np.testing.assert_array_equal(t.permute_modes(perm).to_dense(), ref)
+
+
+def _loop_from_coo(shape, entries, formats, mode_order, fill):
+    """Reference construction: group entries fiber by fiber in Python."""
+    rows = sorted((tuple(c[m] for m in mode_order), float(v)) for c, v in entries)
+    levels, fibers = [], [rows]
+    for d, spec in enumerate(formats):
+        size = shape[mode_order[d]]
+        nxt, segments, coords = [], [0], []
+        for fib in fibers:
+            groups: dict = {c: [] for c in range(size)} if spec.kind == DENSE else {}
+            for row in fib:
+                groups.setdefault(row[0][d], []).append(row)
+            for c in sorted(groups):
+                coords.append(c)
+                nxt.append(groups[c])
+            segments.append(len(coords))
+        if spec.kind == DENSE:
+            levels.append(DenseLevel(size))
+        else:
+            cls = CompressedLevel if spec.kind == COMPRESSED else CoordinateLevel
+            levels.append(cls(segments, coords))
+        fibers = nxt
+    values = [fib[0][1] if fib else fill for fib in fibers]
+    return SparseTensor(shape, mode_order, levels, values, fill)
+
+
+def test_from_coo_matches_loop_reference():
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        ndim = int(rng.integers(1, 4))
+        _, shape, entries = _random_tensor(rng, ndim)
+        entries = [(c, 0.0 if rng.random() < 0.2 else v) for c, v in entries]
+        rng.shuffle(entries)
+        kinds = rng.choice([DENSE, COMPRESSED, COORDINATE], size=ndim)
+        formats = [LevelSpec(str(k)) for k in kinds]
+        order = tuple(rng.permutation(ndim).tolist())
+        got = SparseTensor.from_coo(shape, entries, formats, order, fill=0.5)
+        want = _loop_from_coo(shape, entries, formats, order, 0.5)
+        assert got == want
+        assert [lvl.kind for lvl in got.levels] == [f.kind for f in formats]
 
 
 def test_values_are_immutable():
