@@ -17,6 +17,7 @@ from .program import (
     TensorDecl,
     ValidatedProgram,
     apply_pointwise,
+    apply_pointwise_array,
     normalize,
     validate_program,
 )
@@ -36,6 +37,7 @@ __all__ = [
     "TensorDecl",
     "ValidatedProgram",
     "apply_pointwise",
+    "apply_pointwise_array",
     "normalize",
     "parse_program",
     "render_body",

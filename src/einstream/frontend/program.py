@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from ..errors import ArityMismatch, FrontendError, NonSSA, UnknownTensor
 from ..tensors import COMPRESSED, LevelSpec
 
@@ -146,6 +148,24 @@ def apply_pointwise(fn, x: float) -> float:
         return math.exp(x)
     if fn == "gelu":
         return 0.5 * x * (1.0 + math.erf(x / math.sqrt(2.0)))
+    raise FrontendError(f"unknown pointwise fn {fn!r}")
+
+
+def apply_pointwise_array(fn, x: np.ndarray) -> np.ndarray:
+    """``apply_pointwise`` on every element of ``x``, bit for bit.
+
+    exp and gelu go through the scalar function on the nonzero entries
+    only: ``np.exp`` can differ from ``math.exp`` in the last bit.
+    """
+    if isinstance(fn, tuple):  # ('scale', c)
+        return np.where(x != 0.0, fn[1] * x, 0.0)
+    if fn == "relu":
+        return np.where(x > 0.0, x, 0.0)
+    if fn in ("exp", "gelu"):
+        out = np.zeros(x.shape)
+        nz = x != 0.0
+        out[nz] = [apply_pointwise(fn, v) for v in x[nz].tolist()]
+        return out
     raise FrontendError(f"unknown pointwise fn {fn!r}")
 
 

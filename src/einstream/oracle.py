@@ -1,7 +1,14 @@
-"""Reference evaluator: literal nested loops over dense index space.
+"""Reference evaluator over dense arrays.
 
 Each expression is evaluated independently on dense arrays, in program
 order, so chained results match a run that materializes every intermediate.
+The evaluation is vectorised over the output index space and sequential
+over reduction points: every factor is laid out once as a broadcast view
+over the output axes, and the reduction points are visited in lexicographic
+order, so each output element sees the same float operations in the same
+order as a scalar loop over the dense index space.  The results are
+bit-identical to that loop (kept in ``tests/test_oracle.py`` as the
+reference).
 
 Semantics follow stored entries rather than the full dense space:
 
@@ -11,8 +18,9 @@ Semantics follow stored entries rather than the full dense space:
   contributes where a term that owns the index has support — a repeated
   operand pairs with existing coordinates, it cannot invent new ones.
   Ownership is resolved outer-to-inner per the left-hand side index order;
-* division applies only where the term value is nonzero, mirroring result
-  streams that carry no value there.
+* division applies only where both the term value and the divisor are
+  nonzero (stored), and gives 0 elsewhere, mirroring result streams that
+  carry no value there.
 """
 
 from __future__ import annotations
@@ -22,41 +30,54 @@ import itertools
 import numpy as np
 
 from .errors import EinstreamError
-from .frontend.program import NormExpr, NormTerm, ValidatedProgram, apply_pointwise
+from .frontend.program import (
+    Factor,
+    NormExpr,
+    NormTerm,
+    ValidatedProgram,
+    apply_pointwise_array,
+)
+
+
+def _layout(f: Factor, axes, env, extents) -> np.ndarray:
+    """The factor's raw values laid out over ``axes``.
+
+    Axes the access does not name have size 1 and broadcast; a repeated
+    index such as ``T(i, i)`` reads the diagonal.
+    """
+    grid = dict(zip(axes, np.ix_(*(np.arange(extents[v]) for v in axes))))
+    return env[f.access.tensor][tuple(grid[v] for v in f.access.indices)]
+
+
+def _mapped(f: Factor, raw: np.ndarray) -> np.ndarray:
+    for fn in f.maps:
+        raw = apply_pointwise_array(fn, raw)
+    return raw
 
 
 def _term_arrays(term: NormTerm, out_vars, shape, env, extents):
     """Raw per-point term value (no sign/scale/divisors) plus support."""
-    vals = np.zeros(shape, dtype=np.float64)
+    red_vars = term.reduction_vars
+    views = []  # (mapped values, raw nonzero, positions in the reduction point)
+    for f in term.factors:
+        pos = tuple(p for p, v in enumerate(red_vars) if v in f.access.indices)
+        raw = _layout(f, [red_vars[p] for p in pos] + list(out_vars), env, extents)
+        views.append((_mapped(f, raw), raw != 0.0, pos))
+    acc = np.zeros(shape)  # running sum, or running best of a max term
     supp = np.zeros(shape, dtype=bool)
-    spaces = [range(extents[v]) for v in term.reduction_vars]
-    for combo in itertools.product(*(range(s) for s in shape)):
-        point = dict(zip(out_vars, combo))
-        acc = 0.0
-        best = None
-        alive_any = False
-        for red in itertools.product(*spaces):
-            idx = dict(point)
-            idx.update(zip(term.reduction_vars, red))
-            prod = 1.0
-            alive = True
-            for f in term.factors:
-                v = float(env[f.access.tensor][tuple(idx[i] for i in f.access.indices)])
-                if v == 0.0:
-                    alive = False
-                for fn in f.maps:
-                    v = apply_pointwise(fn, v)
-                prod *= v
-            alive_any = alive_any or alive
-            if term.reduce_op == "max":
-                if alive and (best is None or prod > best):
-                    best = prod
-            else:
-                acc += prod
-        total = best if term.reduce_op == "max" else acc
-        vals[combo] = 0.0 if total is None else total
-        supp[combo] = alive_any
-    return vals, supp
+    for red in itertools.product(*(range(extents[v]) for v in red_vars)):
+        prod = alive = None
+        for vals, nz, pos in views:
+            at = tuple(red[p] for p in pos)
+            prod = vals[at] if prod is None else prod * vals[at]
+            alive = nz[at] if alive is None else alive & nz[at]
+        if term.reduce_op == "max":
+            better = alive & (~supp | (prod > acc))
+            np.copyto(acc, prod, where=better)
+        else:
+            acc += prod
+        supp |= alive
+    return acc, supp
 
 
 def _broadcast_mask(term: NormTerm, terms, supports, out_vars, shape):
@@ -87,21 +108,12 @@ def evaluate_expression(expr: NormExpr, env: dict, extents: dict[str, int]) -> n
         mask = _broadcast_mask(term, expr.terms, supports, out_vars, shape)
         contrib = np.where(mask, vals, 0.0) * (term.sign * term.scale)
         for f in term.divisors:
-            d = np.zeros(shape, dtype=np.float64)
-            for combo in itertools.product(*(range(s) for s in shape)):
-                point = dict(zip(out_vars, combo))
-                v = float(env[f.access.tensor][tuple(point[i] for i in f.access.indices)])
-                for fn in f.maps:
-                    v = apply_pointwise(fn, v)
-                d[combo] = v
-            nz = contrib != 0.0
-            contrib[nz] = contrib[nz] / d[nz]
+            d = _mapped(f, _layout(f, out_vars, env, extents))
+            both = (contrib != 0.0) & (d != 0.0)
+            contrib = np.divide(contrib, d, out=np.zeros(shape), where=both)
         out += contrib
-    for combo in itertools.product(*(range(s) for s in shape)):
-        v = out[combo]
-        for fn in expr.maps:
-            v = apply_pointwise(fn, v)
-        out[combo] = v
+    for fn in expr.maps:
+        out = apply_pointwise_array(fn, out)
     return out
 
 

@@ -19,12 +19,10 @@ and is dropped — no stream ends with a stop right before Done.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from ..errors import GraphError, MalformedStream, RepeatUnderflow
-from ..frontend.program import apply_pointwise
+from ..frontend.program import apply_pointwise, apply_pointwise_array
 from ..graph import DONE, NULL, Stop
 from ..tensors import DenseLevel, INDEX_BYTES, ELEMENT_BYTES
 
@@ -367,20 +365,6 @@ def proc_alu(ctx, op: str, block: dict | None):
         ctx.add_flops(flops_each)
 
 
-def _block_map(fn, x: np.ndarray) -> np.ndarray:
-    """``apply_pointwise`` over every slot of a block (zero stays zero)."""
-    if isinstance(fn, tuple):  # ('scale', c)
-        return fn[1] * x
-    if fn == "relu":
-        return np.maximum(x, 0.0)
-    if fn == "exp":
-        return np.where(x != 0.0, np.exp(x), 0.0)
-    if fn == "gelu":
-        erf = np.vectorize(math.erf)
-        return np.where(x != 0.0, 0.5 * x * (1.0 + erf(x / np.sqrt(2.0))), 0.0)
-    raise GraphError(f"unknown map fn {fn!r}")
-
-
 def proc_map(ctx, fn):
     while True:
         tok = yield ("recv", "in")
@@ -391,7 +375,7 @@ def proc_map(ctx, fn):
             yield ("send", "out", tok)
             continue
         if isinstance(tok, np.ndarray):
-            yield ("send", "out", _block_map(fn, tok))
+            yield ("send", "out", apply_pointwise_array(fn, tok))
             n = int(np.count_nonzero(tok))
         else:
             yield ("send", "out", apply_pointwise(fn, tok))

@@ -22,6 +22,8 @@ from einstream.frontend import (
     RegionSpec,
     ScheduleSpec,
     TensorDecl,
+    apply_pointwise,
+    apply_pointwise_array,
     normalize,
     parse_program,
     render_program,
@@ -317,3 +319,21 @@ def test_round_trip_random_programs():
         assert p2.extents == p1.extents
         assert [r.exprs for r in p2.regions] == [r.exprs for r in p1.regions]
         assert p2.schedule == p1.schedule
+
+
+@pytest.mark.parametrize(
+    "fn", ["relu", "exp", "gelu", ("scale", 2.5), ("scale", -1.0)], ids=str
+)
+def test_apply_pointwise_array_matches_scalar_bit_for_bit(fn):
+    # np.exp differs from math.exp in the last bit on a few % of such values
+    spread = np.random.default_rng(0).uniform(-5.0, 5.0, 186)
+    x = np.concatenate([[0.0, -0.0, 1.0, -1.0, 1e-300, -1e-300], spread]).reshape(2, 6, 16)
+    want = np.array([apply_pointwise(fn, v) for v in x.ravel().tolist()]).reshape(x.shape)
+    got = apply_pointwise_array(fn, x)
+    assert got.shape == x.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_apply_pointwise_array_rejects_unknown_fn():
+    with pytest.raises(FrontendError, match="unknown pointwise fn"):
+        apply_pointwise_array("tanh", np.ones(2))

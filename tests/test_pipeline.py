@@ -69,6 +69,13 @@ D(i) = Z(i, j);
 O(i, j) = Z(i, j) / D(i);
 """
 
+DIVIDE = """
+index i = 8;
+tensor a(i): compressed(i) order(i) input;
+tensor d(i): compressed(i) order(i) input;
+y(i) = a(i) / d(i);
+"""
+
 MATMUL = """
 index i = 3; index j = 4; index k = 5;
 tensor A(i, k): dense(i) -> dense(k) order(i, k) input;
@@ -80,7 +87,7 @@ fuse {{
 """
 
 DENSITY = {"A": 0.4, "X": 0.5, "b": 0.5, "x": 0.6, "C": 0.4, "S": 0.5,
-           "W1": 1.0, "W2": 1.0, "B": 1.0}
+           "W1": 1.0, "W2": 1.0, "B": 1.0, "a": 0.6, "d": 0.5}
 
 
 def _inputs(vp, seed=0):
@@ -149,8 +156,9 @@ def run_program(src, seed=0):
         GCN,
         COPY,
         SOFTMAX,
+        DIVIDE,
     ],
-    ids=["spmv", "fused_relu", "fused_relu_par2", "gcn_block2", "copy", "softmax"],
+    ids=["spmv", "fused_relu", "fused_relu_par2", "gcn_block2", "copy", "softmax", "divide"],
 )
 def test_program_matches_oracle(src):
     run_program(src)
