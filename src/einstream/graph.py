@@ -170,7 +170,9 @@ class DataflowGraph:
             raise GraphError(f"{dst}:{dst_port} cannot carry {kind} streams")
         self.edges.append(Edge(src, src_port, dst, dst_port, kind))
 
-    def validate(self):
+    def validate(self) -> list[str]:
+        """Check every input port has exactly one edge and the graph is
+        acyclic; returns the node ids in topological order."""
         seen_dst = set()
         for e in self.edges:
             key = (e.dst, e.dst_port)
@@ -182,7 +184,7 @@ class DataflowGraph:
             for p in ins:
                 if (node.id, p) not in seen_dst:
                     raise GraphError(f"{node.id}:{p} is not connected")
-        self.topo_order()
+        return self.topo_order()
 
     def topo_order(self) -> list[str]:
         succ: dict[str, set[str]] = {nid: set() for nid in self.nodes}

@@ -1,53 +1,25 @@
-"""Bounded FIFO channels with virtual-time backpressure.
+"""Bounded FIFO channels between node processes.
 
-Each token carries the time it becomes visible to the reader: the sender's
-clock, or later if every buffer slot was still occupied.  A slot frees when
-the reader picks its token up, so the n-th send cannot land before the
-(n - depth)-th pickup — that is the whole backpressure model, and it makes
-reported timing independent of scheduling interleave.
+A channel is a plain record; the engine moves tokens through it.  Each
+queued token carries the sender's clock at the send, and the reader's
+clock becomes at least that time when it picks the token up.
+
+``depth`` bounds the buffer: a send into a full channel blocks the sender
+until the reader makes room.  So depth decides whether a run deadlocks,
+and never a clock (see ``engine`` for why).
 """
 
 from __future__ import annotations
 
 from collections import deque
-
-from ..errors import MalformedStream
-from ..graph import DONE
+from dataclasses import dataclass, field
 
 
+@dataclass(slots=True, eq=False)  # eq=False: the engine tests membership by identity
 class Channel:
-    __slots__ = (
-        "depth", "queue", "sent", "popped", "freed", "closed", "label", "writer", "reader"
-    )
-
-    def __init__(self, depth: int, label: str = "", writer=None, reader=None):
-        self.depth = depth
-        self.queue: deque = deque()  # (token, ready_time)
-        self.sent = 0
-        self.popped = 0
-        # ring of the last ``depth`` pickup times: pickup n sits at n % depth;
-        # the zeros stand in for pickups before the first, so the first
-        # ``depth`` sends are never held back
-        self.freed = [0] * depth
-        self.closed = False
-        self.label = label
-        self.writer = writer  # the engine's node at each end
-        self.reader = reader
-
-    def push(self, token, clock: int):
-        """Append a token; the caller has checked the channel is not full,
-        so pickup ``sent - depth`` is still in the ring."""
-        if self.closed:
-            raise MalformedStream(f"token after Done on {self.label}")
-        slot_free = self.freed[self.sent % self.depth]
-        self.queue.append((token, clock if clock >= slot_free else slot_free))
-        self.sent += 1
-        if token is DONE:
-            self.closed = True
-
-    def pop(self, reader_clock: int):
-        token, ready = self.queue.popleft()
-        pickup = reader_clock if reader_clock >= ready else ready
-        self.freed[self.popped % self.depth] = pickup
-        self.popped += 1
-        return token, pickup
+    depth: int
+    label: str
+    writer: object  # the engine's node at each end
+    reader: object
+    queue: deque = field(default_factory=deque)  # (token, sender clock)
+    closed: bool = False  # Done was sent

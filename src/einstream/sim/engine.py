@@ -8,11 +8,15 @@ while nodes are unfinished.
 
 The order in which ready nodes run changes no clock, counter or output.
 Each node's process is deterministic in the tokens it reads, and every
-token carries a virtual time: the sender's clock, held back until the
-reader picked up the token ``depth`` places earlier (see ``channels``).
-So each clock, and every counter, is a function of the graph and its
-inputs alone (Kahn 1974); the schedule only decides when the host
-computes it.
+token carries the sender's clock at the send; the reader's clock becomes
+the larger of its own and that time.  So each clock, and every counter,
+is a function of the graph and its inputs alone (Kahn 1974); the schedule
+only decides when the host computes it.
+
+Channel depth never moves a clock either.  Holding send n back until
+pickup n - depth would only raise the token's time to a pickup made
+earlier by the same reader, and a reader's clock never decreases, so the
+reader's clock at pickup n is already at least that late.
 
 Per-node local clocks advance one cycle per processed element plus memory
 latency per fiber fetch; the dataflow cycle count is the largest final
@@ -95,40 +99,46 @@ class _Node(NodeContext):
         self.finished = False
 
 
-def _push_all(st: _Node, chans, tok, ready) -> bool:
-    """Push ``tok`` into every channel with room; False if some are full."""
-    full = None
-    for ch in chans:
-        if len(ch.queue) >= ch.depth:
-            if full is None:
-                full = []
-            full.append(ch)
-            continue
-        ch.push(tok, st.clock)
-        r = ch.reader
-        if r.recv_on is ch and not r.queued:
-            r.queued = True
-            ready.append(r)
-    st.send_on = full
-    st.send_tok = tok if full else None
-    return full is None
-
-
 def _step(st: _Node, ready) -> None:
     """Run one node until it blocks or finishes.  A recv with a token
-    waiting and a send with room are served inline."""
+    waiting and a send with room are served inline; a send the node still
+    owes from its last block goes first."""
     st.queued = False
-    if st.send_on is not None and not _push_all(st, st.send_on, st.send_tok, ready):
-        return
     gen, ins, outs = st.gen, st.ins, st.outs
     ch, st.recv_on = st.recv_on, None  # the recv this node is waiting on
+    chans, tok = st.send_on, st.send_tok  # or the channels it owes tok
+    st.send_on = st.send_tok = None
     while True:
         resume = None
-        if ch is not None:
-            if not ch.queue:
+        if chans is not None:
+            full = None
+            for c in chans:
+                q = c.queue
+                if len(q) >= c.depth:
+                    if full is None:
+                        full = []
+                    full.append(c)
+                    continue
+                if c.closed:
+                    raise MalformedStream(f"token after Done on {c.label}")
+                q.append((tok, st.clock))
+                if tok is DONE:
+                    c.closed = True
+                r = c.reader
+                if r.recv_on is c and not r.queued:
+                    r.queued = True
+                    ready.append(r)
+            if full is not None:
+                st.send_on, st.send_tok = full, tok
+                return
+        elif ch is not None:
+            q = ch.queue
+            if not q:
                 st.recv_on = ch
                 return
-            resume, st.clock = ch.pop(st.clock)
+            resume, t = q.popleft()
+            if t > st.clock:
+                st.clock = t
             w = ch.writer
             if w.send_on is not None and not w.queued and ch in w.send_on:
                 w.queued = True
@@ -141,14 +151,11 @@ def _step(st: _Node, ready) -> None:
         except (MalformedStream, RepeatUnderflow) as err:
             raise type(err)(f"{st.nid}: {err}") from None
         if eff[0] == "recv":
-            ch = ins.get(eff[1])
+            chans, ch = None, ins.get(eff[1])
             if ch is None:
                 raise GraphError(f"{st.nid}:{eff[1]} reads an unconnected port")
-        else:
-            ch = None
-            chans = outs.get(eff[1])
-            if chans and not _push_all(st, chans, eff[2], ready):
-                return
+        else:  # a port with no channel drops the send
+            ch, chans, tok = None, outs.get(eff[1]), eff[2]
 
 
 def _deadlock(nodes) -> Deadlock:
@@ -164,8 +171,7 @@ def _deadlock(nodes) -> Deadlock:
 
 def run(graph: DataflowGraph, tensors: dict, config: SimConfig | None = None) -> SimReport:
     config = config or SimConfig()
-    graph.validate()
-    nodes = {nid: _Node(nid) for nid in graph.topo_order()}
+    nodes = {nid: _Node(nid) for nid in graph.validate()}
     for e in graph.edges:
         src, dst = nodes[e.src], nodes[e.dst]
         label = f"{e.src}:{e.src_port}->{e.dst}:{e.dst_port}"

@@ -322,7 +322,7 @@ def _block_binary(op, a, b, spec):
     if op == "div":
         aa, bb = np.broadcast_arrays(aa, bb)
         out = np.zeros(aa.shape)
-        nz = aa != 0
+        nz = (aa != 0) & (bb != 0)  # as the oracle: 0 unless both are nonzero
         out[nz] = aa[nz] / bb[nz]
         return out
     raise GraphError(f"unknown alu op {op!r}")
@@ -338,7 +338,7 @@ def _scalar_binary(op, a, b):
     if op == "max":
         return a if a >= b else b
     if op == "div":
-        return 0.0 if a == 0.0 else a / b
+        return 0.0 if a == 0.0 or b == 0.0 else a / b
     raise GraphError(f"unknown alu op {op!r}")
 
 

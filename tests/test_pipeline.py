@@ -76,6 +76,15 @@ tensor d(i): compressed(i) order(i) input;
 y(i) = a(i) / d(i);
 """
 
+DIVIDE_RELU = """
+index i = 4;
+tensor a(i): compressed(i) order(i) input;
+tensor d(i): compressed(i) order(i) input;
+y(i) = a(i) / relu(d(i));
+"""
+# stored divisors that relu maps to 0, and a stored 0 numerator
+DIVIDE_RELU_INPUTS = {"a": np.array([6.0, 0.0, 2.0, 1.0]), "d": np.array([3.0, 5.0, -1.0, 0.0])}
+
 MATMUL = """
 index i = 3; index j = 4; index k = 5;
 tensor A(i, k): dense(i) -> dense(k) order(i, k) input;
@@ -130,10 +139,11 @@ def _compile(vp, r):
     return compile_region(vp, ir, order, par=par or None, block=vp.schedule.block)
 
 
-def run_program(src, seed=0):
-    """Every region in turn; later regions read earlier outputs densely."""
+def run_program(src, seed=0, inputs=None):
+    """Every region in turn; later regions read earlier outputs densely.
+    ``inputs`` replaces the random inputs drawn from ``seed``."""
     vp = validate_program(parse_program(src))
-    dense = _inputs(vp, seed)
+    dense = dict(inputs) if inputs is not None else _inputs(vp, seed)
     want = oracle.evaluate_program(vp, dense)
     orders = []
     for r in range(len(vp.regions)):
@@ -148,20 +158,24 @@ def run_program(src, seed=0):
 
 
 @pytest.mark.parametrize(
-    "src",
+    "src, inputs",
     [
-        SPMV.format(body="y(i) = A(i, k) * x(k);"),
-        SPMM.format(extra=""),
-        SPMM.format(extra="parallelize(i, 2);"),
-        GCN,
-        COPY,
-        SOFTMAX,
-        DIVIDE,
+        (SPMV.format(body="y(i) = A(i, k) * x(k);"), None),
+        (SPMM.format(extra=""), None),
+        (SPMM.format(extra="parallelize(i, 2);"), None),
+        (GCN, None),
+        (COPY, None),
+        (SOFTMAX, None),
+        (DIVIDE, None),
+        (DIVIDE_RELU, DIVIDE_RELU_INPUTS),
     ],
-    ids=["spmv", "fused_relu", "fused_relu_par2", "gcn_block2", "copy", "softmax", "divide"],
+    ids=[
+        "spmv", "fused_relu", "fused_relu_par2", "gcn_block2", "copy", "softmax", "divide",
+        "divide_relu",
+    ],
 )
-def test_program_matches_oracle(src):
-    run_program(src)
+def test_program_matches_oracle(src, inputs):
+    run_program(src, inputs=inputs)
 
 
 @pytest.mark.parametrize(

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from einstream.errors import Deadlock, GraphError, MalformedStream
-from einstream.graph import DataflowGraph
-from einstream.sim import SimConfig, run
+from einstream.graph import DONE, DataflowGraph
+from einstream.sim import SimConfig, engine, run
 from einstream.tensors import COMPRESSED, LevelSpec, SparseTensor
 
 CC = [LevelSpec(COMPRESSED), LevelSpec(COMPRESSED)]
@@ -110,6 +110,7 @@ def test_spmv_drops_empty_rows():
 
 
 def test_outputs_identical_across_channel_depths():
+    # depth bounds buffering only; no clock waits on a free slot
     reports = [
         run(build_spmv_graph(), spmv_tensors(), SimConfig(channel_depth=d))
         for d in (1, 4, 256)
@@ -120,6 +121,8 @@ def test_outputs_identical_across_channel_depths():
         assert rep.flops == base.flops
         assert rep.bytes_read == base.bytes_read
         assert rep.bytes_written == base.bytes_written
+        assert rep.cycles == base.cycles
+        assert rep.node_cycles == base.node_cycles
 
 
 def test_report_deterministic_across_runs():
@@ -175,6 +178,27 @@ def test_malformed_stream_names_the_node():
     g, tensors = _value_plus_its_total()
     with pytest.raises(MalformedStream, match="^add_total: alu inputs desynchronized"):
         run(g, tensors, SimConfig(channel_depth=4))
+
+
+def test_token_after_done_names_the_channel(monkeypatch):
+    def root_sending_past_done(ctx):
+        yield ("send", "ref", 0)
+        yield ("send", "ref", DONE)
+        yield ("send", "ref", 0)
+
+    real = engine.build_process
+
+    def build(node, ctx, tensors, mem_latency):
+        if node.kind == "root":
+            return root_sending_past_done(ctx)
+        return real(node, ctx, tensors, mem_latency)
+
+    monkeypatch.setattr(engine, "build_process", build)
+    g = DataflowGraph()
+    g.connect(g.add("root"), "ref", g.add("scan", "scan_c0", tensor="c", level=0), "ref", "ref")
+    c = SparseTensor.from_dense(np.array([1.0, 0.0, 3.0]), [LevelSpec(COMPRESSED)])
+    with pytest.raises(MalformedStream, match="^token after Done on root:ref->scan_c0:ref$"):
+        run(g, {"c": c}, SimConfig())
 
 
 def test_graph_json_round_trip():

@@ -172,6 +172,20 @@ def test_alu_div_zero_numerator_is_zero():
     assert out["out"] == [0.0, DONE]
 
 
+def test_alu_div_by_a_zero_divisor_is_zero():
+    # a stored divisor can map to 0, e.g. relu of a negative entry
+    out = drive(proc_alu, {"in0": [6.0, 2.0, DONE], "in1": [3.0, 0.0, DONE]}, "div", None)
+    assert out["out"] == [2.0, 0.0, DONE]
+
+
+def test_alu_block_div_is_zero_where_either_side_is_zero():
+    spec = {"mode": "ew", "out_ndim": 2, "bmap0": (0, 1), "bmap1": (0, 1), "flops": 4}
+    a = np.array([[6.0, 0.0], [2.0, 1.0]])
+    d = np.array([[3.0, 5.0], [0.0, 0.0]])
+    out = drive(proc_alu, {"in0": [a, DONE], "in1": [d, DONE]}, "div", spec)
+    np.testing.assert_array_equal(out["out"][0], [[2.0, 0.0], [0.0, 0.0]])
+
+
 def test_alu_detects_desync():
     with pytest.raises(MalformedStream):
         drive(
