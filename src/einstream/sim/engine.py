@@ -35,10 +35,12 @@ import numpy as np
 from ..errors import Deadlock, GraphError, MalformedStream, RepeatUnderflow
 from ..graph import DONE, DataflowGraph, Stop
 from ..tensors import (
+    BLOCKED,
     ELEMENT_BYTES,
     INDEX_BYTES,
     LevelSpec,
     SparseTensor,
+    _from_arrays,
 )
 from .channels import Channel
 from .processes import NodeContext, build_process
@@ -268,8 +270,7 @@ def _finalize(graph: DataflowGraph, nodes: dict):
             t for t in g["vals"] if not isinstance(t, Stop) and t is not DONE
         ]
         # depth-first over the coordinate trees, in stream order
-        entries: list = []
-        cursor = 0
+        scoords: list = []
         stack = [(0, (), ())]
         while stack:
             d, pos_path, crd_path = stack.pop()
@@ -277,49 +278,33 @@ def _finalize(graph: DataflowGraph, nodes: dict):
             for q in pos_path:
                 node_list = node_list[q]
             if d == ndim - 1:
-                for crd in node_list:
-                    entries.append((crd_path + (crd,), flat_vals[cursor]))
-                    cursor += 1
+                scoords.extend(crd_path + (crd,) for crd in node_list)
             else:
                 for idx in range(len(node_list) - 1, -1, -1):
                     stack.append((d + 1, pos_path + (idx,), crd_path + (node_list[idx],)))
-        if cursor != len(flat_vals):
+        if len(scoords) != len(flat_vals):
             raise MalformedStream(
-                f"writer {name}: {len(flat_vals)} values for {cursor} coordinates"
+                f"writer {name}: {len(flat_vals)} values for {len(scoords)} coordinates"
             )
         mode_order = tuple(p["mode_order"])
-        shape = tuple(p["shape"])
+        coords = np.empty((len(scoords), ndim), dtype=np.int64)
+        coords[:, mode_order] = np.array(scoords, dtype=np.int64).reshape(-1, ndim)
         formats = [LevelSpec(k) for k in p["formats"]]
         block_shape = p.get("block_shape")
-        logical_entries = []
         if block_shape:
             bs = tuple(block_shape)
-            formats.append(LevelSpec("blocked", bs))
-            block_perm = p.get("block_perm")  # stream axis per logical mode
-            for storage_crds, block in entries:
-                logical_block = [0] * ndim
-                for d, c in enumerate(storage_crds):
-                    logical_block[mode_order[d]] = c
-                arr = np.asarray(block)
-                if block_perm:
-                    arr = np.transpose(arr, block_perm)
-                for off in zip(*np.nonzero(arr)):
-                    coords = tuple(
-                        logical_block[m] * bs[m] + off[m] for m in range(ndim)
-                    )
-                    logical_entries.append((coords, float(arr[off])))
+            formats.append(LevelSpec(BLOCKED, bs))
+            perm = p["block_perm"]  # stream axis per logical mode
+            stream_shape = [bs[m] for m in np.argsort(perm)]
+            blocks = np.array(flat_vals, dtype=np.float64).reshape(-1, *stream_shape)
+            blocks = blocks.transpose(0, *(a + 1 for a in perm))
+            blk, *off = np.nonzero(blocks)
+            coords = coords[blk] * bs + np.stack(off, axis=1)
+            vals = blocks[(blk, *off)]
         else:
-            for storage_crds, v in entries:
-                coords = [0] * ndim
-                for d, c in enumerate(storage_crds):
-                    coords[mode_order[d]] = c
-                logical_entries.append((tuple(coords), float(v)))
-        tensor = SparseTensor.from_coo(
-            shape,
-            logical_entries,
-            formats,
-            mode_order=mode_order,
-            fill=p.get("fill", 0.0),
+            vals = np.array(flat_vals, dtype=np.float64)
+        tensor = _from_arrays(
+            p["shape"], coords, vals, formats, mode_order, p.get("fill", 0.0)
         )
         outputs[name] = tensor
         bytes_written += (

@@ -12,11 +12,15 @@ flat value array.  Level kinds:
 CSR is dense->compressed, CSC the same after permuting modes, CSF compressed on
 all modes, COO coordinate on all modes.  Blocked tensors store one level per
 mode indexing blocks plus a trailing block leaf.
+
+``SparseTensor.coo()`` is the one walk over the levels: ``entries``,
+``to_dense``, ``permute_modes``, ``unblock`` and ``block_tensor`` read a
+tensor through it as whole arrays, and ``_from_arrays`` builds every tensor
+from such arrays.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -200,50 +204,53 @@ class SparseTensor:
     def metadata_elems(self) -> int:
         return sum(lvl.metadata_elems for lvl in self.levels)
 
-    def entries(self) -> Iterator[tuple[tuple[int, ...], float]]:
-        """Stored entries in storage order as (logical coords, value).
+    def coo(self) -> tuple[np.ndarray, np.ndarray]:
+        """Logical coordinates, ``(n, ndim)``, and values, ``(n,)``, of the
+        stored entries in storage order.
 
-        Blocked tensors yield only non-fill slots of stored blocks; unblocked
-        tensors yield every stored slot, including explicit fill values.
+        Blocked tensors give only the non-fill slots of stored blocks, row
+        major within a block; unblocked tensors give every stored slot,
+        including explicit fill values.  The walk goes level by level: a
+        dense level repeats each parent position ``size`` times, a
+        compressed or coordinate level expands it into its segment.
         """
-        for scoords, pos in self._walk():
-            if self.is_blocked:
-                block = self.values[pos]
-                bs = self.levels[-1].block_shape
-                for intra in itertools.product(*(range(b) for b in bs)):
-                    v = float(block[intra])
-                    if v != self.fill:
-                        logical = [0] * self.ndim
-                        for d, m in enumerate(self.mode_order):
-                            logical[m] = scoords[d] * bs[m] + intra[m]
-                        yield tuple(logical), v
-            else:
-                logical = [0] * self.ndim
-                for d, m in enumerate(self.mode_order):
-                    logical[m] = scoords[d]
-                yield tuple(logical), float(self.values[pos])
-
-    def _walk(self):
-        """Yield (storage coords, leaf position) for every stored leaf slot."""
-
-        def rec(depth: int, parent_pos: int, prefix: tuple[int, ...]):
-            if depth == len(self.levels) or self.levels[depth].kind == BLOCKED:
-                yield prefix, parent_pos
-                return
-            lvl = self.levels[depth]
+        pos = np.zeros(1, dtype=np.int64)
+        scoords: list[np.ndarray] = []
+        for lvl in self.levels:
+            if lvl.kind == BLOCKED:
+                break
             if lvl.kind == DENSE:
-                for c in range(lvl.size):
-                    yield from rec(depth + 1, parent_pos * lvl.size + c, prefix + (c,))
+                fan = np.full(len(pos), lvl.size)
+                crd = np.tile(np.arange(lvl.size), len(pos))
+                pos = np.repeat(pos * lvl.size, fan) + crd
             else:
-                for p in range(lvl.segments[parent_pos], lvl.segments[parent_pos + 1]):
-                    yield from rec(depth + 1, int(p), prefix + (int(lvl.coords[p]),))
+                start = lvl.segments[pos]
+                fan = lvl.segments[pos + 1] - start
+                # parents' segments back to back; `first` is where each starts
+                first = np.cumsum(fan) - fan
+                pos = np.repeat(start - first, fan) + np.arange(int(fan.sum()))
+                crd = lvl.coords[pos]
+            scoords = [np.repeat(c, fan) for c in scoords] + [crd]
+        coords = np.empty((len(pos), self.ndim), dtype=np.int64)
+        for d, m in enumerate(self.mode_order):
+            coords[:, m] = scoords[d]
+        vals = self.values[pos]
+        if self.is_blocked:
+            blk, *intra = np.nonzero(vals != self.fill)
+            bs = self.levels[-1].block_shape
+            coords = coords[blk] * bs + np.stack(intra, axis=1)
+            vals = vals[(blk, *intra)]
+        return coords, vals
 
-        yield from rec(0, 0, ())
+    def entries(self) -> Iterator[tuple[tuple[int, ...], float]]:
+        """``coo()`` as (logical coords, value) pairs of Python scalars."""
+        coords, vals = self.coo()
+        return zip(map(tuple, coords.tolist()), vals.tolist())
 
     def to_dense(self) -> np.ndarray:
         out = np.full(self.shape, self.fill, dtype=np.float64)
-        for coords, val in self.entries():
-            out[coords] = val
+        coords, vals = self.coo()
+        out[tuple(coords.T)] = vals
         return out
 
     def permute_modes(
@@ -256,13 +263,17 @@ class SparseTensor:
             raise IllegalFormatCombination("cannot permute a blocked tensor")
         if formats is None:
             formats = self.formats
-        return SparseTensor.from_coo(
-            self.shape, list(self.entries()), formats, new_mode_order, self.fill
-        )
+        return _from_arrays(self.shape, *self.coo(), formats, new_mode_order, self.fill)
 
     def block(self, block_shape: Sequence[int]) -> "SparseTensor":
-        """Rebuild with a dense block leaf; a block is stored iff it holds a
-        non-fill entry."""
+        """Rebuild with a dense block leaf.
+
+        A block is stored iff it holds a stored slot of this tensor, even
+        when every such slot holds the fill value: explicit fill entries
+        and the padding of a dense level count.  So a 4x4 dense->dense
+        tensor with one nonzero stores all four of its 2x2 blocks, and the
+        same tensor stored compressed on both modes stores one.
+        """
         return block_tensor(self, block_shape)
 
     def unblock(self, formats: Sequence[LevelSpec] | None = None) -> "SparseTensor":
@@ -270,9 +281,7 @@ class SparseTensor:
             return self
         if formats is None:
             formats = [LevelSpec(COMPRESSED)] * self.ndim
-        return SparseTensor.from_coo(
-            self.shape, list(self.entries()), formats, self.mode_order, self.fill
-        )
+        return _from_arrays(self.shape, *self.coo(), formats, self.mode_order, self.fill)
 
     # -- misc --------------------------------------------------------------
 
@@ -410,33 +419,28 @@ def block_tensor(
         raise IllegalFormatCombination("need one outer level per mode")
 
     grid = tuple(t.shape[m] // block_shape[m] for m in range(t.ndim))
-    blocks: dict[tuple[int, ...], np.ndarray] = {}
-    for coords, val in t.entries():
-        bidx = tuple(coords[m] // block_shape[m] for m in range(t.ndim))
-        intra = tuple(coords[m] % block_shape[m] for m in range(t.ndim))
-        blocks.setdefault(bidx, np.full(block_shape, t.fill)).__setitem__(intra, val)
+    coords, vals = t.coo()
+    bcoords = coords // block_shape
+    # The outer level chain over block coordinates, one unit payload per
+    # stored block; its leaf positions are in storage order, so the blocks'
+    # storage-order ranks are sorted and locate each entry's block.
+    stored = np.unique(bcoords, axis=0)
+    marker = _from_arrays(
+        grid, stored, np.ones(len(stored)), outer_formats, t.mode_order, 0.0
+    )
+    sgrid = [grid[m] for m in t.mode_order]
 
-    # Build the outer level chain over block coordinates with a unit payload
-    # per stored block, then attach block values in the same traversal order.
-    marker = SparseTensor.from_coo(
-        grid, [(b, 1.0) for b in blocks], outer_formats, t.mode_order, 0.0
-    )
-    logical_blocks = []
-    for scoords, _pos in marker._walk():
-        logical = [0] * t.ndim
-        for d, m in enumerate(marker.mode_order):
-            logical[m] = scoords[d]
-        logical_blocks.append(tuple(logical))
-    vals = (
-        np.stack([blocks.get(b, np.full(block_shape, t.fill)) for b in logical_blocks])
-        if logical_blocks
-        else np.zeros((0, *block_shape))
-    )
+    def rank(c):
+        return np.ravel_multi_index(tuple(c[:, list(t.mode_order)].T), sgrid)
+
+    blocks = np.full((marker.nnz, *block_shape), t.fill)
+    at = np.searchsorted(rank(marker.coo()[0]), rank(bcoords))
+    blocks[(at, *(coords % block_shape).T)] = vals
     return SparseTensor(
         t.shape,
         t.mode_order,
         list(marker.levels) + [BlockLeafLevel(block_shape)],
-        vals,
+        blocks,
         t.fill,
     )
 

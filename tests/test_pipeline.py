@@ -85,6 +85,20 @@ y(i) = a(i) / relu(d(i));
 # stored divisors that relu maps to 0, and a stored 0 numerator
 DIVIDE_RELU_INPUTS = {"a": np.array([6.0, 0.0, 2.0, 1.0]), "d": np.array([3.0, 5.0, -1.0, 0.0])}
 
+ZERO_BLOCKS = """
+index i = 4; index k = 4; index j = 4;
+tensor A(i, k): dense(i) -> compressed(k) order(i, k) input;
+tensor X(k, j): dense(k) -> compressed(j) order(k, j) input;
+H(i, j) = relu(A(i, k) * X(k, j));
+Y(i, j) = H(i, k) * X(k, j);
+block(2, 2);
+"""
+# A >= 0 and X <= 0, so relu writes H with no nonzero block and Y reads it
+ZERO_BLOCKS_INPUTS = {
+    "A": np.array([[1.0, 0, 0, 2], [0, 0, 0, 0], [0, 3, 0, 0], [0, 0, 0, 0]]),
+    "X": -np.array([[1.0, 0, 0, 0], [0, 2, 0, 0], [0, 0, 0, 0], [4, 0, 0, 5]]),
+}
+
 MATMUL = """
 index i = 3; index j = 4; index k = 5;
 tensor A(i, k): dense(i) -> dense(k) order(i, k) input;
@@ -168,10 +182,11 @@ def run_program(src, seed=0, inputs=None):
         (SOFTMAX, None),
         (DIVIDE, None),
         (DIVIDE_RELU, DIVIDE_RELU_INPUTS),
+        (ZERO_BLOCKS, ZERO_BLOCKS_INPUTS),
     ],
     ids=[
         "spmv", "fused_relu", "fused_relu_par2", "gcn_block2", "copy", "softmax", "divide",
-        "divide_relu",
+        "divide_relu", "zero_blocks",
     ],
 )
 def test_program_matches_oracle(src, inputs):

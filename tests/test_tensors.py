@@ -1,24 +1,32 @@
 """Fibertree storage: construction, conversion, blocking, text I/O."""
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from einstream.errors import (
     CoordinateOutOfBounds,
     DuplicateCoordinate,
     IllegalFormatCombination,
 )
+from einstream.graph import DONE, DataflowGraph, Stop
+from einstream.sim import engine
 from einstream.tensors import (
+    BLOCKED,
     COMPRESSED,
     COORDINATE,
     DENSE,
+    BlockLeafLevel,
     CompressedLevel,
     CoordinateLevel,
     DenseLevel,
     LevelSpec,
     SparseTensor,
+    block_tensor,
     read_coo_text,
     write_coo_text,
 )
@@ -202,3 +210,250 @@ def test_values_are_immutable():
     t = SparseTensor.from_coo((2, 3), B_ENTRIES, CSR)
     with pytest.raises(ValueError):
         t.values[0] = 9.0
+
+
+def test_block_keeps_every_block_holding_a_stored_slot():
+    dense = np.zeros((4, 4))
+    dense[1, 2] = 3.0
+    padded = SparseTensor.from_dense(dense, [LevelSpec(DENSE), LevelSpec(DENSE)])
+    assert padded.block((2, 2)).values.shape == (4, 2, 2)
+    assert SparseTensor.from_dense(dense, CSF).block((2, 2)).values.shape == (1, 2, 2)
+
+
+def test_blocked_tensor_without_blocks():
+    t = SparseTensor.from_coo((4, 6), [], CSF).block((2, 3))
+    assert t.values.shape == (0, 2, 3)
+    coords, vals = t.coo()
+    assert coords.shape == (0, 2) and vals.shape == (0,)
+    np.testing.assert_array_equal(t.to_dense(), np.zeros((4, 6)))
+    assert t.unblock(CSF) == SparseTensor.from_coo((4, 6), [], CSF)
+    assert t.block((2, 3)) == t
+
+
+# --- loop references of the array walk ------------------------------------
+
+
+def _loop_walk(t):
+    """Reference walk: (storage coords, leaf position) of every stored leaf
+    slot, one generator frame per fiber."""
+
+    def rec(depth, parent_pos, prefix):
+        if depth == len(t.levels) or t.levels[depth].kind == BLOCKED:
+            yield prefix, parent_pos
+            return
+        lvl = t.levels[depth]
+        if lvl.kind == DENSE:
+            for c in range(lvl.size):
+                yield from rec(depth + 1, parent_pos * lvl.size + c, prefix + (c,))
+        else:
+            for p in range(lvl.segments[parent_pos], lvl.segments[parent_pos + 1]):
+                yield from rec(depth + 1, int(p), prefix + (int(lvl.coords[p]),))
+
+    yield from rec(0, 0, ())
+
+
+def _loop_entries(t):
+    """Reference ``entries()``: the non-fill slots of stored blocks, or every
+    stored slot of an unblocked tensor, in storage order."""
+    out = []
+    for scoords, pos in _loop_walk(t):
+        if t.is_blocked:
+            block = t.values[pos]
+            bs = t.levels[-1].block_shape
+            for intra in itertools.product(*(range(b) for b in bs)):
+                v = float(block[intra])
+                if v != t.fill:
+                    logical = [0] * t.ndim
+                    for d, m in enumerate(t.mode_order):
+                        logical[m] = scoords[d] * bs[m] + intra[m]
+                    out.append((tuple(logical), v))
+        else:
+            logical = [0] * t.ndim
+            for d, m in enumerate(t.mode_order):
+                logical[m] = scoords[d]
+            out.append((tuple(logical), float(t.values[pos])))
+    return out
+
+
+def _loop_to_dense(t):
+    out = np.full(t.shape, t.fill, dtype=np.float64)
+    for coords, val in _loop_entries(t):
+        out[coords] = val
+    return out
+
+
+def _loop_block_tensor(t, block_shape, outer_formats=None):
+    """Reference ``block_tensor``: a dict of blocks, then a walk of the
+    marker chain."""
+    if t.is_blocked:
+        unblocked = [LevelSpec(COMPRESSED)] * t.ndim
+        t = SparseTensor.from_coo(t.shape, _loop_entries(t), unblocked, t.mode_order, t.fill)
+    if outer_formats is None:
+        outer_formats = [LevelSpec(DENSE)] + [LevelSpec(COMPRESSED)] * (t.ndim - 1)
+        if t.ndim == 1:
+            outer_formats = [LevelSpec(COMPRESSED)]
+    grid = tuple(t.shape[m] // block_shape[m] for m in range(t.ndim))
+    blocks = {}
+    for coords, val in _loop_entries(t):
+        bidx = tuple(coords[m] // block_shape[m] for m in range(t.ndim))
+        intra = tuple(coords[m] % block_shape[m] for m in range(t.ndim))
+        blocks.setdefault(bidx, np.full(block_shape, t.fill)).__setitem__(intra, val)
+    marker = SparseTensor.from_coo(
+        grid, [(b, 1.0) for b in blocks], outer_formats, t.mode_order, 0.0
+    )
+    logical_blocks = []
+    for scoords, _pos in _loop_walk(marker):
+        logical = [0] * t.ndim
+        for d, m in enumerate(marker.mode_order):
+            logical[m] = scoords[d]
+        logical_blocks.append(tuple(logical))
+    vals = (
+        np.stack([blocks.get(b, np.full(block_shape, t.fill)) for b in logical_blocks])
+        if logical_blocks
+        else np.zeros((0, *block_shape))
+    )
+    levels = list(marker.levels) + [BlockLeafLevel(tuple(block_shape))]
+    return SparseTensor(t.shape, t.mode_order, levels, vals, t.fill)
+
+
+def _loop_expand_blocks(records, mode_order, block_shape, block_perm):
+    """Reference of the blocked writer reconstruction: (storage block
+    coords, block in stream layout) records to logical entries, one
+    ``np.nonzero`` per block."""
+    ndim = len(mode_order)
+    out = []
+    for storage_crds, block in records:
+        logical_block = [0] * ndim
+        for d, c in enumerate(storage_crds):
+            logical_block[mode_order[d]] = c
+        arr = np.asarray(block)
+        if block_perm:
+            arr = np.transpose(arr, block_perm)
+        for off in zip(*np.nonzero(arr)):
+            coords = tuple(logical_block[m] * block_shape[m] + off[m] for m in range(ndim))
+            out.append((coords, float(arr[off])))
+    return out
+
+
+def _writer_transcripts(t, block_perm):
+    """What the writers of a blocked graph record for ``t``: per outer level
+    its coordinates, where ``Stop(k)`` closes k + 1 levels between sibling
+    fibers, and the blocks in stream layout (axis ``block_perm[m]`` holds
+    logical mode m)."""
+    outer = t.levels[:-1]
+
+    def fiber(d, pos):
+        lvl = outer[d]
+        if lvl.kind == DENSE:
+            return [(c, pos * lvl.size + c) for c in range(lvl.size)]
+        return [(int(lvl.coords[p]), p) for p in range(lvl.segments[pos], lvl.segments[pos + 1])]
+
+    def tokens(d, level, pos):
+        if d == level:
+            return [c for c, _ in fiber(d, pos)]
+        out = []
+        for i, (_, child) in enumerate(fiber(d, pos)):
+            if i:
+                out.append(Stop(level - d - 1))
+            out += tokens(d + 1, level, child)
+        return out
+
+    crds = [tokens(0, d, 0) + [DONE] for d in range(len(outer))]
+    stream = np.argsort(block_perm)
+    records = [(sc, np.transpose(t.values[pos], stream)) for sc, pos in _loop_walk(t)]
+    return crds, records
+
+
+def _assert_same_bytes(got, want):
+    assert (got.shape, got.mode_order) == (want.shape, want.mode_order)
+    assert np.float64(got.fill).tobytes() == np.float64(want.fill).tobytes()
+    assert [type(lvl) for lvl in got.levels] == [type(lvl) for lvl in want.levels]
+    for a, b in zip(got.levels, want.levels):
+        if isinstance(a, (CompressedLevel, CoordinateLevel)):
+            assert a.segments.tobytes() == b.segments.tobytes()
+            assert a.coords.tobytes() == b.coords.tobytes()
+        else:
+            assert a == b
+    assert got.values.shape == want.values.shape
+    assert got.values.tobytes() == want.values.tobytes()
+
+
+def _assert_walk_matches_loop(t):
+    want = _loop_entries(t)
+    coords, vals = t.coo()
+    want_coords = np.array([c for c, _ in want], dtype=np.int64).reshape(len(want), t.ndim)
+    assert coords.dtype == np.int64 and coords.shape == want_coords.shape
+    assert coords.tobytes() == want_coords.tobytes()
+    assert vals.tobytes() == np.array([v for _, v in want], dtype=np.float64).tobytes()
+    got = list(t.entries())
+    assert got == want
+    assert [np.float64(v).tobytes() for _, v in got] == [np.float64(v).tobytes() for _, v in want]
+    assert t.to_dense().tobytes() == _loop_to_dense(t).tobytes()
+
+
+KINDS = st.sampled_from([DENSE, COMPRESSED, COORDINATE])
+
+
+@st.composite
+def walk_cases(draw):
+    """A tensor of rank 1-3 with a block shape dividing its extents, plus
+    the formats, mode orders and stream layout to convert it with."""
+    ndim = draw(st.integers(1, 3))
+    block = tuple(draw(st.integers(1, 3)) for _ in range(ndim))
+    shape = tuple(b * draw(st.integers(1, 3)) for b in block)
+    fill = draw(st.sampled_from([0.0, 0.5]))
+    size = int(np.prod(shape))
+    cells = sorted(draw(st.sets(st.integers(0, size - 1), max_size=size)))
+    values = st.sampled_from([fill, 0.0, -0.0, 1.5, -2.0, 0.25])
+    entries = [
+        (tuple(int(i) for i in np.unravel_index(c, shape)), draw(values)) for c in cells
+    ]
+    draw(st.randoms()).shuffle(entries)
+
+    def formats():
+        return [LevelSpec(k) for k in draw(st.lists(KINDS, min_size=ndim, max_size=ndim))]
+
+    def order():
+        return tuple(draw(st.permutations(range(ndim))))
+
+    t = SparseTensor.from_coo(shape, entries, formats(), order(), fill)
+    outer = formats() if draw(st.booleans()) else None
+    return t, block, outer, order(), formats(), order()
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(walk_cases())
+def test_array_walk_matches_loop_reference(case):
+    t, block, outer, new_order, new_formats, block_perm = case
+    _assert_walk_matches_loop(t)
+    _assert_same_bytes(
+        t.permute_modes(new_order, new_formats),
+        SparseTensor.from_coo(t.shape, _loop_entries(t), new_formats, new_order, t.fill),
+    )
+    blocked = block_tensor(t, block, outer)
+    _assert_same_bytes(blocked, _loop_block_tensor(t, block, outer))
+    _assert_walk_matches_loop(blocked)
+    _assert_same_bytes(
+        blocked.unblock(new_formats),
+        SparseTensor.from_coo(t.shape, _loop_entries(blocked), new_formats, t.mode_order, t.fill),
+    )
+    _assert_same_bytes(blocked.block(block), _loop_block_tensor(blocked, block))
+
+    # the blocked writer reconstruction of the same blocks
+    crds, records = _writer_transcripts(blocked, block_perm)
+    g = DataflowGraph()
+    nodes = {}
+    for d, recs in enumerate(crds):
+        nodes[g.add("write_crd", f"w{d}", tensor="T", level=d)] = SimpleNamespace(records=recs)
+    kinds = [lvl.kind for lvl in blocked.levels[:-1]]
+    params = dict(tensor="T", shape=t.shape, mode_order=t.mode_order, formats=kinds, fill=0.0)
+    vid = g.add("write_val", "wv", block_shape=block, block_perm=block_perm, **params)
+    nodes[vid] = SimpleNamespace(records=[blk for _, blk in records] + [DONE])
+    outputs, _ = engine._finalize(g, nodes)
+    want = SparseTensor.from_coo(
+        t.shape,
+        _loop_expand_blocks(records, t.mode_order, block, block_perm),
+        [LevelSpec(k) for k in kinds] + [LevelSpec(BLOCKED, block)],
+        t.mode_order,
+    )
+    _assert_same_bytes(outputs["T"], want)
