@@ -1,7 +1,7 @@
 """Program text format: AST, parser, canonical printer, validation."""
 
 from .parser import parse_program
-from .printer import render_body, render_program
+from .printer import render_program
 from .program import (
     Access,
     Bin,
@@ -19,6 +19,7 @@ from .program import (
     apply_pointwise,
     apply_pointwise_array,
     normalize,
+    render_body,
     validate_program,
 )
 

@@ -3,39 +3,9 @@
 from __future__ import annotations
 
 from ..tensors import COMPRESSED, COORDINATE, DENSE
-from .program import Access, Bin, Call, EinsumProgram, Literal
+from .program import EinsumProgram, _num
 
 _KIND_NAMES = {DENSE: "dense", COMPRESSED: "compressed", COORDINATE: "coordinate"}
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
-
-
-def _num(v: float) -> str:
-    if v == int(v) and abs(v) < 1e15:
-        return str(int(v))
-    return repr(v)
-
-
-def render_body(node, parent_prec: int = 0) -> str:
-    if isinstance(node, Access):
-        return f"{node.tensor}({', '.join(node.indices)})"
-    if isinstance(node, Literal):
-        return _num(node.value)
-    if isinstance(node, Call):
-        if node.fn == "scale":
-            c, arg = node.args
-            return f"scale({_num(c.value)}, {render_body(arg)})"
-        return f"{node.fn}({render_body(node.args[0])})"
-    if isinstance(node, Bin):
-        prec = _PREC[node.op]
-        lhs = render_body(node.lhs, prec)
-        # operators parse left-associative, so an equal-precedence right
-        # operand always needs parens to reproduce the tree
-        rhs = render_body(node.rhs, prec + 1)
-        text = f"{lhs} {node.op} {rhs}"
-        if prec < parent_prec:
-            return f"({text})"
-        return text
-    raise TypeError(f"not a body node: {node!r}")
 
 
 def render_program(program: EinsumProgram) -> str:
@@ -57,8 +27,7 @@ def render_program(program: EinsumProgram) -> str:
         out.append("")
 
     def stmt(k: int) -> str:
-        ex = program.expressions[k]
-        return f"{render_body(ex.lhs)} = {render_body(ex.body)};"
+        return f"{program.expressions[k]};"
 
     for region in program.regions:
         if region.fused:

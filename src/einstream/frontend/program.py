@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ..errors import ArityMismatch, FrontendError, NonSSA, UnknownTensor
+from ..errors import ArityMismatch, EinstreamError, FrontendError, NonSSA, UnknownTensor
 from ..tensors import COMPRESSED, LevelSpec
 
 POINTWISE_FNS = ("relu", "exp", "gelu", "scale")
@@ -27,40 +27,35 @@ REDUCE_FNS = ("max",)
 # --- body AST -------------------------------------------------------------
 
 
+class _Body:
+    """A body node; prints as ``render_body`` renders it."""
+
+    def __str__(self):
+        return render_body(self)
+
+
 @dataclass(frozen=True)
-class Access:
+class Access(_Body):
     tensor: str
     indices: tuple[str, ...]
 
-    def __str__(self):
-        return f"{self.tensor}({', '.join(self.indices)})"
-
 
 @dataclass(frozen=True)
-class Literal:
+class Literal(_Body):
     value: float
 
-    def __str__(self):
-        return repr(self.value)
-
 
 @dataclass(frozen=True)
-class Call:
+class Call(_Body):
     fn: str
     args: tuple  # Literal first for scale
 
-    def __str__(self):
-        return f"{self.fn}({', '.join(str(a) for a in self.args)})"
-
 
 @dataclass(frozen=True)
-class Bin:
+class Bin(_Body):
     op: str  # one of * / + -
     lhs: object
     rhs: object
-
-    def __str__(self):
-        return f"{self.lhs} {self.op} {self.rhs}"
 
 
 @dataclass(frozen=True)
@@ -70,6 +65,40 @@ class Expression:
 
     def __str__(self):
         return f"{self.lhs} = {self.body}"
+
+
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
+
+
+def _num(v: float) -> str:
+    if v == int(v) and abs(v) < 1e15:
+        return str(int(v))
+    return repr(v)
+
+
+def render_body(node, parent_prec: int = 0) -> str:
+    """Canonical text of a body node, parenthesised only where the parser
+    needs it to rebuild the same tree."""
+    if isinstance(node, Access):
+        return f"{node.tensor}({', '.join(node.indices)})"
+    if isinstance(node, Literal):
+        return _num(node.value)
+    if isinstance(node, Call):
+        if node.fn == "scale":
+            c, arg = node.args
+            return f"scale({_num(c.value)}, {render_body(arg)})"
+        return f"{node.fn}({render_body(node.args[0])})"
+    if isinstance(node, Bin):
+        prec = _PREC[node.op]
+        lhs = render_body(node.lhs, prec)
+        # operators parse left-associative, so an equal-precedence right
+        # operand always needs parens to reproduce the tree
+        rhs = render_body(node.rhs, prec + 1)
+        text = f"{lhs} {node.op} {rhs}"
+        if prec < parent_prec:
+            return f"({text})"
+        return text
+    raise TypeError(f"not a body node: {node!r}")
 
 
 # --- declarations and schedule -------------------------------------------
@@ -309,6 +338,23 @@ class ValidatedProgram:
 
     def role_of(self, name: str) -> str:
         return self.program.decls[name].role or "input"
+
+    def check_inputs(self, inputs: dict) -> dict[str, np.ndarray]:
+        """Each declared input as a float64 array; a missing one or a wrong
+        shape raises ``EinstreamError``."""
+        out = {}
+        for name, decl in self.decls.items():
+            if decl.role != "input":
+                continue
+            if name not in inputs:
+                raise EinstreamError(f"missing input tensor {name}")
+            arr = np.asarray(inputs[name], dtype=np.float64)
+            if arr.shape != self.shape_of(name):
+                raise EinstreamError(
+                    f"input {name}: shape {arr.shape}, declared {self.shape_of(name)}"
+                )
+            out[name] = arr
+        return out
 
 
 def _accesses(node):

@@ -40,11 +40,8 @@ class HeuristicInput:
     rates: dict = field(default_factory=dict)
 
     @classmethod
-    def from_schedule(cls, vp, measured: dict | None = None) -> "HeuristicInput":
-        dens = dict(vp.schedule.densities)
-        if measured:
-            dens.update(measured)
-        return cls(densities=dens, rates=dict(vp.schedule.rates))
+    def from_schedule(cls, vp) -> "HeuristicInput":
+        return cls(densities=dict(vp.schedule.densities), rates=dict(vp.schedule.rates))
 
     def rate(self, ta: str, da: str, tb: str, db: str) -> float:
         return self.rates.get(

@@ -29,7 +29,6 @@ import itertools
 
 import numpy as np
 
-from .errors import EinstreamError
 from .frontend.program import (
     Factor,
     NormExpr,
@@ -121,17 +120,7 @@ def evaluate_program(
     vp: ValidatedProgram, inputs: dict[str, np.ndarray]
 ) -> dict[str, np.ndarray]:
     """Run every expression; returns all assigned tensors as dense arrays."""
-    env: dict[str, np.ndarray] = {}
-    for name, decl in vp.decls.items():
-        if decl.role == "input":
-            if name not in inputs:
-                raise EinstreamError(f"missing input tensor {name}")
-            arr = np.asarray(inputs[name], dtype=np.float64)
-            if arr.shape != vp.shape_of(name):
-                raise EinstreamError(
-                    f"input {name}: shape {arr.shape}, declared {vp.shape_of(name)}"
-                )
-            env[name] = arr
+    env = vp.check_inputs(inputs)
     produced: dict[str, np.ndarray] = {}
     for expr in vp.norm:
         arr = evaluate_expression(expr, env, vp.var_extents)

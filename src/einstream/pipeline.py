@@ -1,4 +1,9 @@
-"""Program-level compilation: schedulable-order search and region execution.
+"""Program-level compilation and execution.
+
+``run_program`` simulates a whole program, one region at a time, in three
+steps: ``plan_region`` (elaborate, choose the order, lower),
+``prepare_region`` (the graph's inputs, from an env of tensors in their
+declared layout) and ``restore`` (an output back to its declared layout).
 
 Not every linear extension of a region's precedence graph can be lowered:
 the builder raises ``UnsupportedSchedule`` for orders that would need
@@ -14,20 +19,29 @@ from __future__ import annotations
 import copy as _copy
 from dataclasses import dataclass, field
 
+from . import sim
 from .errors import UnsatisfiableOrder, UnsupportedSchedule
-from .fusion import map_user_order, plan_copies, region_vars, toposort_vars
+from .fusion import elaborate_region, map_user_order, plan_copies, region_vars
+from .fusion import resolve_cycles, toposort_vars
 from .table import build_region_graph
 from .tensors import SparseTensor
-from .transforms import plan_blocking
+from .transforms import block_input, plan_blocking, region_tensors
+
+
+def store(vp, name, arr, perm=None) -> SparseTensor:
+    """A dense array or a tensor, stored in ``name``'s declared layout; with
+    ``perm``, storage level ``d`` holds declared level ``perm[d]``."""
+    decl = vp.decl(name)
+    mo = decl.mode_order if perm is None else tuple(decl.mode_order[p] for p in perm)
+    formats = [decl.formats[m] for m in mo]
+    if isinstance(arr, SparseTensor):
+        return arr.permute_modes(mo, formats)
+    return SparseTensor.from_dense(arr, formats=formats, mode_order=mo)
 
 
 def copy_tensor(vp, plan, arr) -> SparseTensor:
-    """Host-side permuted copy of an input for a discordant view."""
-    decl = vp.decl(plan.source)
-    src_f = [decl.formats[m] for m in decl.mode_order]
-    mo = tuple(decl.mode_order[p] for p in plan.storage_perm)
-    fmts = [src_f[p] for p in plan.storage_perm]
-    return SparseTensor.from_dense(arr, formats=fmts, mode_order=mo)
+    """Host-side permuted copy of a tensor for a discordant view."""
+    return store(vp, plan.source, arr, plan.storage_perm)
 
 
 @dataclass
@@ -134,3 +148,60 @@ def choose_build_order(vp, ir) -> tuple[str, ...]:
     if not got:
         raise UnsupportedSchedule(f"{where}: no schedulable dataflow order found")
     return got[0]
+
+
+def plan_region(vp, r: int) -> CompiledRegion:
+    """Region ``r`` lowered at its chosen order, with the program's
+    ``parallelize`` and ``block`` directives applied."""
+    ir = resolve_cycles(elaborate_region(vp, r))
+    order = choose_build_order(vp, ir)
+    par = {map_user_order(ir, [n])[0]: f for n, f in vp.schedule.parallelize}
+    return compile_region(vp, ir, order, par=par or None, block=vp.schedule.block)
+
+
+def prepare_region(vp, cr: CompiledRegion, env: dict) -> dict:
+    """The tensors ``cr``'s graph reads: ``env`` holds every tensor written
+    so far in its declared layout; views get their permuted copies, and
+    every input is blocked when the region runs blocked."""
+    plans = {p.alias: p for p in cr.copy_plans}
+    produced = {name for _, name in cr.ir.outputs}
+    tens = {}
+    for name in region_tensors(vp, cr.ir):
+        if name in produced:
+            continue
+        plan = plans.get(name)
+        t = env[name] if plan is None else copy_tensor(vp, plan, env[plan.source])
+        tens[name] = t if cr.block is None else block_input(vp, name, t, cr.block)
+    return tens
+
+
+def restore(vp, name: str, t: SparseTensor) -> SparseTensor:
+    """A simulated output in its declared layout: ``sim.run`` writes in loop
+    order, and blocked regions write blocks."""
+    decl = vp.decl(name)
+    t = t.unblock([decl.formats[m] for m in t.mode_order])
+    return t if t.mode_order == decl.mode_order else store(vp, name, t)
+
+
+@dataclass
+class ProgramRun:
+    outputs: dict  # tensor -> SparseTensor, for each tensor a region stored
+    reports: list  # one SimReport per region
+    orders: list  # the loop order of each region
+
+
+def run_program(vp, inputs: dict, config: sim.SimConfig | None = None) -> ProgramRun:
+    """Simulate every region in turn on dense ``inputs``; later regions read
+    the tensors earlier ones stored.  Intermediates that fusion keeps inside
+    a region are never stored, so they are not in ``outputs``."""
+    config = config or sim.SimConfig()
+    env = {name: store(vp, name, arr) for name, arr in vp.check_inputs(inputs).items()}
+    run = ProgramRun({}, [], [])
+    for r in range(len(vp.regions)):
+        cr = plan_region(vp, r)
+        rep = sim.run(cr.graph, prepare_region(vp, cr, env), config)
+        run.reports.append(rep)
+        run.orders.append(cr.order)
+        for _, name in cr.ir.outputs:
+            env[name] = run.outputs[name] = restore(vp, name, rep.outputs[name])
+    return run

@@ -443,38 +443,3 @@ def block_tensor(
         blocks,
         t.fill,
     )
-
-
-# --- COO text files -------------------------------------------------------
-
-
-def read_coo_text(path) -> tuple[tuple[int, ...], list[tuple[tuple[int, ...], float]]]:
-    """Read the bundled text format: first line extents, then
-    ``c0 c1 ... value`` lines; ``#`` starts a comment."""
-    shape = None
-    entries = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if shape is None:
-                shape = tuple(int(p) for p in parts)
-                continue
-            if len(parts) != len(shape) + 1:
-                raise CoordinateOutOfBounds(
-                    f"line {line!r} does not match rank {len(shape)}"
-                )
-            entries.append((tuple(int(p) for p in parts[:-1]), float(parts[-1])))
-    if shape is None:
-        raise CoordinateOutOfBounds(f"{path}: empty tensor file")
-    return shape, entries
-
-
-def write_coo_text(path, tensor: SparseTensor) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(" ".join(str(s) for s in tensor.shape) + "\n")
-        for coords, val in sorted(tensor.entries()):
-            fh.write(" ".join(str(c) for c in coords) + f" {val!r}\n")
-

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -173,6 +175,20 @@ def test_normalize_rejects_reduction_in_divisor():
     )
     with pytest.raises(FrontendError):
         normalize(p.expressions[0])
+
+
+def test_normalize_error_prints_the_factor_as_parsed():
+    p = parse_program(
+        "index i = 2;\n"
+        + "".join(f"tensor {t}(i): compressed(i) order(i) input;\n" for t in "abc")
+        + "y(i) = relu((a(i) + b(i)) * c(i)) * a(i);\n"
+    )
+    with pytest.raises(
+        FrontendError,
+        match=re.escape("cannot use (a(i) + b(i)) * c(i) as a multiplicative factor"),
+    ):
+        normalize(p.expressions[0])
+    assert str(p.expressions[0]) == "y(i) = relu((a(i) + b(i)) * c(i)) * a(i)"
 
 
 def test_validate_roles_and_inferred_decl():

@@ -4,20 +4,27 @@ and simulation, checked against the dense oracle."""
 from __future__ import annotations
 
 import gc
+import itertools
 
 import numpy as np
 import pytest
 
-from einstream import heuristic, oracle, sim, transforms
-from einstream.errors import ParseError, UnsatisfiableOrder, UnsupportedSchedule
-from einstream.frontend import parse_program, validate_program
-from einstream.fusion import (
-    elaborate_region,
-    map_user_order,
-    nesting_edges,
-    resolve_cycles,
+from einstream import heuristic, oracle, sim
+from einstream.errors import (
+    EinstreamError,
+    ParseError,
+    UnsatisfiableOrder,
+    UnsupportedSchedule,
 )
-from einstream.pipeline import choose_build_order, compile_region, copy_tensor
+from einstream.frontend import parse_program, validate_program
+from einstream.fusion import elaborate_region, nesting_edges, resolve_cycles
+from einstream.pipeline import (
+    choose_build_order,
+    plan_region,
+    prepare_region,
+    run_program,
+    store,
+)
 from einstream.tensors import DENSE, LevelSpec, SparseTensor
 
 SPMV = """
@@ -38,18 +45,38 @@ fuse {{
 {extra}
 """
 
-GCN = """
+GCN_DECLS = """
 index i = 8; index k = 8; index f = 8; index h = 4; index c = 4;
 tensor A(i, k): dense(i) -> compressed(k) order(i, k) input;
 tensor X(k, f): dense(k) -> compressed(f) order(k, f) input;
 tensor W1(f, h): dense(f) -> dense(h) order(f, h) input;
 tensor W2(h, c): dense(h) -> dense(c) order(h, c) input;
-T1(i, f) = A(i, k) * X(k, f);
-H1(i, h) = relu(T1(i, f) * W1(f, h));
-T2(i, h) = A(i, k) * H1(k, h);
-Out(i, c) = T2(i, h) * W2(h, c);
-block(2, 2);
 """
+GCN_EXPRS = (
+    "T1(i, f) = A(i, k) * X(k, f);",
+    "H1(i, h) = relu(T1(i, f) * W1(f, h));",
+    "T2(i, h) = A(i, k) * H1(k, h);",
+    "Out(i, c) = T2(i, h) * W2(h, c);",
+)
+GCN = GCN_DECLS + "\n".join(GCN_EXPRS) + "\nblock(2, 2);\n"
+
+
+def gcn_partition(sizes) -> str:
+    """The GCN with its expressions fused in consecutive groups of ``sizes``."""
+    groups, at = [], 0
+    for n in sizes:
+        groups.append("fuse { " + " ".join(GCN_EXPRS[at:at + n]) + " }")
+        at += n
+    return GCN_DECLS + "\n".join(groups) + "\nblock(2, 2);\n"
+
+
+# every contiguous partition of the GCN's four expressions into regions
+GCN_PARTITIONS = [
+    sizes
+    for n in range(1, 5)
+    for sizes in itertools.product(range(1, 5), repeat=n)
+    if sum(sizes) == 4
+]
 
 COPY = """
 index i = 8; index j = 8;
@@ -99,6 +126,14 @@ ZERO_BLOCKS_INPUTS = {
     "X": -np.array([[1.0, 0, 0, 0], [0, 2, 0, 0], [0, 0, 0, 0], [4, 0, 0, 5]]),
 }
 
+PAIR3 = """
+index i = 4; index j = 3; index k = 5;
+tensor A(i, j, k): dense(i) -> compressed(j) -> compressed(k) order(i, j, k) input;
+tensor B(i, j, k): dense(i) -> compressed(j) -> compressed(k) order(i, j, k) input;
+Y(i, j, k) = A(i, j, k) * B(i, j, k);
+parallelize(i, 2);
+"""
+
 MATMUL = """
 index i = 3; index j = 4; index k = 5;
 tensor A(i, k): dense(i) -> dense(k) order(i, k) input;
@@ -122,53 +157,22 @@ def _inputs(vp, seed=0):
     }
 
 
-def _stored(vp, name, arr):
-    decl = vp.decl(name)
-    return SparseTensor.from_dense(
-        arr, [decl.formats[m] for m in decl.mode_order], decl.mode_order
-    )
+def _env(vp, dense):
+    return {name: store(vp, name, arr) for name, arr in dense.items()}
 
 
-def _prepare(vp, cr, dense):
-    """Host prep of one compiled region: compress, copy, block."""
-    plans = {p.alias: p for p in cr.copy_plans}
-    produced = {name for _, name in cr.ir.outputs}
-    tens = {}
-    for name in transforms.region_tensors(vp, cr.ir):
-        if name in produced:
-            continue
-        if name in plans:
-            tens[name] = copy_tensor(vp, plans[name], dense[plans[name].source])
-        else:
-            tens[name] = _stored(vp, name, dense[name])
-        if cr.block is not None:
-            tens[name] = transforms.block_input(vp, name, tens[name], cr.block)
-    return tens
-
-
-def _compile(vp, r):
-    ir = resolve_cycles(elaborate_region(vp, r))
-    order = choose_build_order(vp, ir)
-    par = {map_user_order(ir, [n])[0]: f for n, f in vp.schedule.parallelize}
-    return compile_region(vp, ir, order, par=par or None, block=vp.schedule.block)
-
-
-def run_program(src, seed=0, inputs=None):
-    """Every region in turn; later regions read earlier outputs densely.
-    ``inputs`` replaces the random inputs drawn from ``seed``."""
+def check_program(src, seed=0, inputs=None, depth=4):
+    """``run_program`` on ``inputs``, or on random inputs drawn from ``seed``;
+    it must store every declared output, and every tensor it stored must
+    equal the oracle's."""
     vp = validate_program(parse_program(src))
-    dense = dict(inputs) if inputs is not None else _inputs(vp, seed)
+    dense = inputs if inputs is not None else _inputs(vp, seed)
     want = oracle.evaluate_program(vp, dense)
-    orders = []
-    for r in range(len(vp.regions)):
-        cr = _compile(vp, r)
-        orders.append(cr.order)
-        rep = sim.run(cr.graph, _prepare(vp, cr, dense), sim.SimConfig())
-        for _, name in cr.ir.outputs:
-            dense[name] = rep.outputs[name].to_dense()
-    for name, arr in want.items():
-        np.testing.assert_allclose(dense[name], arr, rtol=1e-9, atol=1e-12)
-    return vp, orders
+    run = run_program(vp, dense, sim.SimConfig(channel_depth=depth))
+    assert {n for n in want if vp.role_of(n) == "output"} <= set(run.outputs)
+    for name, t in run.outputs.items():
+        np.testing.assert_allclose(t.to_dense(), want[name], rtol=1e-9, atol=1e-12)
+    return run
 
 
 @pytest.mark.parametrize(
@@ -183,14 +187,49 @@ def run_program(src, seed=0, inputs=None):
         (DIVIDE, None),
         (DIVIDE_RELU, DIVIDE_RELU_INPUTS),
         (ZERO_BLOCKS, ZERO_BLOCKS_INPUTS),
+        (SPMV.format(body="y(i) = A(i, k) * x(k);\nparallelize(i, 2);"), None),
+        (PAIR3, None),
+        (SPMM.replace("index k = 5", "index k = 4").format(extra="block(2, 2);"), None),
     ],
     ids=[
         "spmv", "fused_relu", "fused_relu_par2", "gcn_block2", "copy", "softmax", "divide",
-        "divide_relu", "zero_blocks",
+        "divide_relu", "zero_blocks", "spmv_par2", "pair3_par2", "fused_relu_block2",
     ],
 )
 def test_program_matches_oracle(src, inputs):
-    run_program(src, inputs=inputs)
+    check_program(src, inputs=inputs)
+
+
+@pytest.mark.parametrize("sizes", GCN_PARTITIONS, ids=lambda s: "_".join(map(str, s)))
+def test_gcn_partitions_match_oracle(sizes):
+    """Each region stores its last expression's tensor; the intermediates
+    fused inside a region are never stored."""
+    run = check_program(gcn_partition(sizes))
+    ends = itertools.accumulate(sizes)
+    assert set(run.outputs) == {GCN_EXPRS[e - 1].split("(")[0] for e in ends}
+    assert len(run.reports) == len(run.orders) == len(sizes)
+
+
+@pytest.mark.parametrize("evaluate", [oracle.evaluate_program, run_program])
+def test_program_inputs_are_checked(evaluate):
+    vp = validate_program(parse_program(SPMV.format(body="y(i) = A(i, k) * x(k);")))
+    dense = _inputs(vp)
+    with pytest.raises(EinstreamError, match="missing input tensor x"):
+        evaluate(vp, {"A": dense["A"]})
+    with pytest.raises(EinstreamError, match=r"input x: shape \(4,\), declared \(5,\)"):
+        evaluate(vp, {**dense, "x": np.ones(4)})
+
+
+@pytest.mark.parametrize(
+    "sizes, materialized",
+    [((1, 1, 1, 1), ["T1", "H1", "T2"]), ((2, 2), ["H1"])],
+    ids=["unfused", "T1H1_T2Out"],
+)
+def test_estimate_program_counts_region_boundaries(sizes, materialized):
+    vp = validate_program(parse_program(gcn_partition(sizes)))
+    total = heuristic.estimate_program(vp)
+    assert total.materialized == materialized
+    assert total.flops == pytest.approx(sum(total.per_expression.values()))
 
 
 @pytest.mark.parametrize(
@@ -204,8 +243,8 @@ def test_program_matches_oracle(src, inputs):
 )
 def test_sim_run_is_freed_by_refcount(src):
     vp = validate_program(parse_program(src))
-    cr = _compile(vp, 0)
-    tens = _prepare(vp, cr, _inputs(vp))
+    cr = plan_region(vp, 0)
+    tens = prepare_region(vp, cr, _env(vp, _inputs(vp)))
     gc.collect()
     gc.disable()
     try:
@@ -217,7 +256,7 @@ def test_sim_run_is_freed_by_refcount(src):
 
 def test_copy_program_schedules_a_permuted_copy():
     vp = validate_program(parse_program(COPY))
-    (plan,) = _compile(vp, 0).copy_plans
+    (plan,) = plan_region(vp, 0).copy_plans
     assert plan.source in ("A", "C") and plan.alias.startswith(plan.source)
 
 
@@ -231,8 +270,7 @@ def test_nesting_edges():
 
 def test_order_directive_takes_effect():
     src = MATMUL.format(order="order(j, i, k);")
-    vp, orders = run_program(src)
-    assert orders == [("j", "i", "u0")]
+    assert check_program(src).orders == [("j", "i", "u0")]
     vp0 = validate_program(parse_program(MATMUL.format(order="")))
     assert choose_build_order(vp0, elaborate_region(vp0, 0)) == ("i", "j", "u0")
 
@@ -271,9 +309,9 @@ def test_estimate_of_a_permuted_copy_uses_its_source_density():
     keyed by source name must give the same estimate."""
     vp = validate_program(parse_program(COPY))
     dense = _inputs(vp, seed=3)
-    cr = _compile(vp, 0)
+    cr = plan_region(vp, 0)
     assert cr.copy_plans
-    by_alias = heuristic.measured_densities(_prepare(vp, cr, dense))
+    by_alias = heuristic.measured_densities(prepare_region(vp, cr, _env(vp, dense)))
     by_source = {n: np.count_nonzero(a) / a.size for n, a in dense.items()}
     rates = dict(vp.schedule.rates)
     a, _ = heuristic.estimate_region(

@@ -1,9 +1,9 @@
 """Pinned simulator counters: a host-speed change to the engine or to the
 node processes must leave every modelled number bit-identical.
 
-``tests/golden/sim_counters.json`` holds, for every program that
-``test_pipeline.py`` runs and channel depths 1 and 4, each region's
-``counters()``, ``node_cycles`` and ``node_flops``; and the outcome class of
+``tests/golden/sim_counters.json`` holds, for each program in ``PROGRAMS``
+and channel depths 1 and 4, each region's ``counters()``, ``node_cycles``
+and ``node_flops``; and the outcome class of
 every ``schedulable_orders`` order of softmax fused into one region (8x8,
 40 %, seed 2: at depth 4, 17 of its 24 orders emit malformed streams).
 The values were taken before the engine became a ready queue.  Regenerate
@@ -24,7 +24,13 @@ from einstream import oracle, sim
 from einstream.errors import Deadlock, MalformedStream, RepeatUnderflow
 from einstream.frontend import parse_program, validate_program
 from einstream.fusion import elaborate_region, resolve_cycles
-from einstream.pipeline import compile_region, schedulable_orders
+from einstream.pipeline import (
+    compile_region,
+    plan_region,
+    prepare_region,
+    restore,
+    schedulable_orders,
+)
 
 sys.path.insert(0, str(Path(__file__).parent))
 from test_pipeline import (  # noqa: E402
@@ -34,9 +40,8 @@ from test_pipeline import (  # noqa: E402
     SOFTMAX,
     SPMM,
     SPMV,
-    _compile,
+    _env,
     _inputs,
-    _prepare,
 )
 
 FAILURES = (Deadlock, MalformedStream, RepeatUnderflow)
@@ -64,23 +69,24 @@ fuse {
 
 
 def program_counters(src: str, depth: int) -> list[dict]:
-    """Each region's report, in region order; later regions read earlier
-    outputs densely.  A region that fails ends the list with its error
-    class."""
+    """Each region's report, in region order; later regions read the tensors
+    earlier ones stored.  A region that fails ends the list with its error
+    class, which is why this walks the regions itself rather than calling
+    ``run_program``."""
     vp = validate_program(parse_program(src))
-    dense = _inputs(vp)
+    env = _env(vp, _inputs(vp))
     regions = []
     for r in range(len(vp.regions)):
-        cr = _compile(vp, r)
+        cr = plan_region(vp, r)
         try:
             rep = sim.run(
-                cr.graph, _prepare(vp, cr, dense), sim.SimConfig(channel_depth=depth)
+                cr.graph, prepare_region(vp, cr, env), sim.SimConfig(channel_depth=depth)
             )
         except FAILURES as err:
             regions.append({"outcome": type(err).__name__})
             break
         for _, name in cr.ir.outputs:
-            dense[name] = rep.outputs[name].to_dense()
+            env[name] = restore(vp, name, rep.outputs[name])
         regions.append(
             {
                 "counters": rep.counters(),
@@ -96,13 +102,14 @@ def softmax_outcomes(depth: int) -> dict[str, str]:
     vp = validate_program(parse_program(FUSED_SOFTMAX))
     dense = {"S": oracle.random_dense((8, 8), 0.4, np.random.default_rng(2))}
     want = oracle.evaluate_program(vp, dense)["O"]
+    env = _env(vp, dense)
     ir = resolve_cycles(elaborate_region(vp, 0))
     outcomes = {}
     for order in schedulable_orders(vp, ir):
         cr = compile_region(vp, ir, order)
         try:
             rep = sim.run(
-                cr.graph, _prepare(vp, cr, dense), sim.SimConfig(channel_depth=depth)
+                cr.graph, prepare_region(vp, cr, env), sim.SimConfig(channel_depth=depth)
             )
         except FAILURES as err:
             outcome = type(err).__name__

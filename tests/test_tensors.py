@@ -27,8 +27,6 @@ from einstream.tensors import (
     LevelSpec,
     SparseTensor,
     block_tensor,
-    read_coo_text,
-    write_coo_text,
 )
 
 B_ENTRIES = [((0, 0), 2.0), ((0, 2), 3.0), ((1, 1), 4.0)]
@@ -116,24 +114,6 @@ def test_block_requires_divisible_extents():
     t = SparseTensor.from_coo((3, 3), [((0, 0), 1.0)], CSF)
     with pytest.raises(IllegalFormatCombination):
         t.block((2, 2))
-
-
-def test_coo_text_round_trip(tmp_path):
-    t = SparseTensor.from_coo((2, 3), B_ENTRIES, CSF)
-    p = tmp_path / "b.coo"
-    write_coo_text(p, t)
-    shape, entries = read_coo_text(p)
-    assert shape == (2, 3)
-    back = SparseTensor.from_coo(shape, entries, CSF)
-    assert back == t
-
-
-def test_coo_text_comments(tmp_path):
-    p = tmp_path / "c.coo"
-    p.write_text("# header\n2 2\n0 0 1.5  # entry\n\n1 1 2.5\n")
-    shape, entries = read_coo_text(p)
-    assert shape == (2, 2)
-    assert entries == [((0, 0), 1.5), ((1, 1), 2.5)]
 
 
 def _random_tensor(rng, ndim):
