@@ -36,6 +36,7 @@ ser        re-interleaves copy bundles back into one stream
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass, field
 
@@ -193,20 +194,16 @@ class DataflowGraph:
             if e.dst not in succ[e.src]:
                 succ[e.src].add(e.dst)
                 indeg[e.dst] += 1
+        # Kahn's algorithm, always taking the smallest ready id
         ready = sorted(nid for nid, d in indeg.items() if d == 0)
         order = []
         while ready:
-            nid = ready.pop(0)
+            nid = heapq.heappop(ready)
             order.append(nid)
-            added = []
             for m in succ[nid]:
                 indeg[m] -= 1
                 if indeg[m] == 0:
-                    added.append(m)
-            for m in sorted(added):
-                # keep a stable order: insert in sorted position
-                ready.append(m)
-            ready.sort()
+                    heapq.heappush(ready, m)
         if len(order) != len(self.nodes):
             raise GraphError("graph contains a cycle")
         return order

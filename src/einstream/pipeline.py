@@ -16,8 +16,7 @@ as extra precedence edges.
 
 from __future__ import annotations
 
-import copy as _copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import sim
 from .errors import UnsatisfiableOrder, UnsupportedSchedule
@@ -57,11 +56,12 @@ class CompiledRegion:
 def compile_region(vp, ir, order, *, par=None, block=None) -> CompiledRegion:
     """Pin copied views to the order, apply blocking, then lower.
 
-    ``plan_copies`` and ``plan_blocking`` rewrite the region IR in place,
-    so each candidate order works on its own copy.  ``par`` maps index vars
-    to split factors; ``block`` is a block shape such as ``(2, 2)``.
+    ``plan_copies`` rewrites ``views`` and ``plan_blocking`` rewrites
+    ``extents`` in place, so each candidate order works on its own copy of
+    those two; the rest of the IR is shared.  ``par`` maps index vars to
+    split factors; ``block`` is a block shape such as ``(2, 2)``.
     """
-    ir2 = _copy.deepcopy(ir)
+    ir2 = replace(ir, views=list(ir.views), extents=dict(ir.extents))
     plans = plan_copies(ir2, order)
     binfo = plan_blocking(vp, ir2, block) if block is not None else None
     graph, info = build_region_graph(vp, ir2, order, par=par, block=binfo)

@@ -1,39 +1,54 @@
-"""Ready-queue scheduler with cycle/FLOP/byte accounting.
+"""Two-pass simulator with cycle/FLOP/byte accounting.
 
-Nodes run as generators over bounded channels (Kahn-style).  A node runs
-until it blocks: on a recv from an empty channel, or a send into a full
-one.  A push wakes the reader blocked on that channel and a pop wakes a
-writer backpressured on it; ``Deadlock`` means the ready queue is empty
-while nodes are unfinished.
+Nodes are Kahn processes over channels of a fixed depth: a node blocks on
+a recv from an empty channel and on a send into a full one, and
+``Deadlock`` means no node can move while some are unfinished.
 
-The order in which ready nodes run changes no clock, counter or output.
-Each node's process is deterministic in the tokens it reads, and every
-token carries the sender's clock at the send; the reader's clock becomes
-the larger of its own and that time.  So each clock, and every counter,
-is a function of the graph and its inputs alone (Kahn 1974); the schedule
-only decides when the host computes it.
+**Pass 1 may ignore depth.**  Each node is deterministic in the tokens it
+reads (Kahn 1974), so the tokens on every channel are the same under any
+schedule and any depth; depth only decides how far the run gets.  Nor
+does depth move a clock: holding send n back until pickup n - depth
+would only raise the token's time to a pickup made earlier by the same
+reader, whose clock never decreases, so the reader's clock at pickup n is
+already at least that late.  Pass 1 therefore calls each node's function
+(``processes``) once, on the complete token lists of its inputs, and
+frees each stream once all its readers have run.
 
-Channel depth never moves a clock either.  Holding send n back until
-pickup n - depth would only raise the token's time to a pickup made
-earlier by the same reader, and a reader's clock never decreases, so the
-reader's clock at pickup n is already at least that late.
+**Pass 2 decides the outcome.**  A replay walks the recorded traces with
+integer channel occupancies under the scheduler the engine has always
+used: a FIFO ready queue that starts with every node in topological
+order; a node runs until it blocks or finishes; a push wakes the reader
+waiting on that channel and a pop the writer backpressured on it, each
+appended to the queue the moment it happens; a node owed sends from a
+partial send makes them first when it runs again.  The replay alone
+decides whether the run completes, raises ``Deadlock`` (naming what each
+stuck node waits for), or which error comes first: the one a node raised
+in pass 1, once the replay has taken that node up to it, or
+``MalformedStream`` for a token sent after Done.
 
-Per-node local clocks advance one cycle per processed element plus memory
-latency per fiber fetch; the dataflow cycle count is the largest final
-clock.  With a finite bandwidth the report takes the rooflined maximum of
-dataflow cycles and total traffic divided by bandwidth.
+Only a run that completes needs clocks.  A node's clock at trace entry i
+is ``c_i = s_i + max(0, max_{j <= i} (a_j - s_j))``, with ``s`` its own
+clock (the ticks before i) and ``a_j`` the send time of the token popped
+at recv j; one ``np.maximum.accumulate`` per node gives its send times
+and final clock.  The clocks advance one cycle per processed element plus
+memory latency per fiber fetch; the dataflow cycle count is the largest
+final clock.  With a finite bandwidth the report takes the rooflined
+maximum of dataflow cycles and total traffic divided by bandwidth.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import compress, count, repeat
+from operator import is_
 
 import numpy as np
 
 from ..errors import Deadlock, GraphError, MalformedStream, RepeatUnderflow
-from ..graph import DONE, DataflowGraph, Stop
+from ..graph import DONE, DataflowGraph, Stop, node_ports
 from ..tensors import (
     BLOCKED,
     ELEMENT_BYTES,
@@ -42,8 +57,7 @@ from ..tensors import (
     SparseTensor,
     _from_arrays,
 )
-from .channels import Channel
-from .processes import NodeContext, build_process
+from .processes import TICK, NodeRun, node_function
 
 
 @dataclass
@@ -81,127 +95,20 @@ class SimReport:
         }
 
 
-class _Node(NodeContext):
-    """A node's context plus what the scheduler tracks about it."""
-
-    __slots__ = (
-        "nid", "gen", "ins", "outs", "recv_on", "send_on", "send_tok", "queued", "finished"
-    )
-
-    def __init__(self, nid: str):
-        super().__init__()
-        self.nid = nid
-        self.gen = None
-        self.ins: dict[str, Channel] = {}
-        self.outs: dict[str, list[Channel]] = {}  # absent port: sends dropped
-        self.recv_on: Channel | None = None  # empty channel it waits on
-        self.send_on: list[Channel] | None = None  # full channels owed send_tok
-        self.send_tok = None
-        self.queued = True
-        self.finished = False
-
-
-def _step(st: _Node, ready) -> None:
-    """Run one node until it blocks or finishes.  A recv with a token
-    waiting and a send with room are served inline; a send the node still
-    owes from its last block goes first."""
-    st.queued = False
-    gen, ins, outs = st.gen, st.ins, st.outs
-    ch, st.recv_on = st.recv_on, None  # the recv this node is waiting on
-    chans, tok = st.send_on, st.send_tok  # or the channels it owes tok
-    st.send_on = st.send_tok = None
-    while True:
-        resume = None
-        if chans is not None:
-            full = None
-            for c in chans:
-                q = c.queue
-                if len(q) >= c.depth:
-                    if full is None:
-                        full = []
-                    full.append(c)
-                    continue
-                if c.closed:
-                    raise MalformedStream(f"token after Done on {c.label}")
-                q.append((tok, st.clock))
-                if tok is DONE:
-                    c.closed = True
-                r = c.reader
-                if r.recv_on is c and not r.queued:
-                    r.queued = True
-                    ready.append(r)
-            if full is not None:
-                st.send_on, st.send_tok = full, tok
-                return
-        elif ch is not None:
-            q = ch.queue
-            if not q:
-                st.recv_on = ch
-                return
-            resume, t = q.popleft()
-            if t > st.clock:
-                st.clock = t
-            w = ch.writer
-            if w.send_on is not None and not w.queued and ch in w.send_on:
-                w.queued = True
-                ready.append(w)
-        try:
-            eff = gen.send(resume)
-        except StopIteration:
-            st.finished = True
-            return
-        except (MalformedStream, RepeatUnderflow) as err:
-            raise type(err)(f"{st.nid}: {err}") from None
-        if eff[0] == "recv":
-            chans, ch = None, ins.get(eff[1])
-            if ch is None:
-                raise GraphError(f"{st.nid}:{eff[1]} reads an unconnected port")
-        else:  # a port with no channel drops the send
-            ch, chans, tok = None, outs.get(eff[1]), eff[2]
-
-
-def _deadlock(nodes) -> Deadlock:
-    blocked = []
-    for st in nodes:
-        if st.recv_on is not None:
-            blocked.append(f"{st.nid} awaiting {st.recv_on.label}")
-        elif st.send_on is not None:
-            labels = ", ".join(ch.label for ch in st.send_on)
-            blocked.append(f"{st.nid} backpressured on {labels}")
-    return Deadlock("no runnable node; " + "; ".join(blocked))
-
-
 def run(graph: DataflowGraph, tensors: dict, config: SimConfig | None = None) -> SimReport:
     config = config or SimConfig()
-    nodes = {nid: _Node(nid) for nid in graph.validate()}
-    for e in graph.edges:
-        src, dst = nodes[e.src], nodes[e.dst]
-        label = f"{e.src}:{e.src_port}->{e.dst}:{e.dst_port}"
-        ch = Channel(config.channel_depth, label, writer=src, reader=dst)
-        dst.ins[e.dst_port] = ch
-        src.outs.setdefault(e.src_port, []).append(ch)
-    for nid, st in nodes.items():
-        st.gen = build_process(graph.nodes[nid], st, tensors, config.mem_latency)
-
-    ready = deque(nodes.values())
-    try:
-        while ready:
-            _step(ready.popleft(), ready)
-        stuck = [st for st in nodes.values() if not st.finished]
-        if stuck:
-            raise _deadlock(stuck)
-    finally:
-        # free by refcount: channels point back at their nodes, and an
-        # unfinished generator's frame holds its node
-        for st in nodes.values():
-            st.gen = None
-            for ch in st.ins.values():
-                ch.writer = ch.reader = None
-
-    outputs, bytes_written = _finalize(graph, nodes)
-    dataflow = max((st.clock for st in nodes.values()), default=0)
-    node_flops = {nid: st.flops for nid, st in nodes.items() if st.flops is not None}
-    bytes_read = sum(st.bytes_read for st in nodes.values())
+    order = graph.validate()
+    funcs = [node_function(graph.nodes[nid], tensors, config.mem_latency) for nid in order]
+    net = _Net(graph, order)
+    runs, traces, replays, ends = _pass1(net, funcs)
+    _replay(net, replays, ends, config.channel_depth)
+    del replays
+    cycles = _clocks(net, traces)
+    node_flops = {order[i]: r.flops for i, r in enumerate(runs) if r.flops is not None}
+    writers = {nid: r for nid, r in zip(order, runs) if graph.nodes[nid].kind.startswith("write")}
+    outputs, bytes_written = _finalize(graph, writers)
+    dataflow = max(cycles, default=0)
+    bytes_read = sum(r.bytes_read for r in runs)
     total = bytes_read + bytes_written
     memory = math.ceil(total / config.bandwidth) if config.bandwidth else 0
     return SimReport(
@@ -213,8 +120,262 @@ def run(graph: DataflowGraph, tensors: dict, config: SimConfig | None = None) ->
         bytes_written=bytes_written,
         outputs=outputs,
         node_flops=node_flops,
-        node_cycles={nid: st.clock for nid, st in nodes.items()},
+        node_cycles=dict(zip(order, cycles)),
     )
+
+
+class _Net:
+    """The channels between the nodes of ``order``, one per edge.
+
+    A stream is an output port with at least one channel; each of its
+    tokens goes to every one of them.  ``ins[i]`` lists node i's input
+    ports as (port, stream, channel) and ``outs[i]`` its output ports as
+    (port, stream or None), both in ``node_ports`` order, so the position
+    of a port is its byte in node i's trace.  In a replay trace a recv is
+    its channel ``c``, a send ``nch + c`` when its port has the one channel
+    ``c``, and ``2 * nch + g`` when it has the channels ``groups[g]``.
+    """
+
+    def __init__(self, graph: DataflowGraph, order: list):
+        self.order, self.edges = order, graph.edges
+        index = {nid: i for i, nid in enumerate(order)}
+        self.writer, self.reader = [], []
+        feed, chans = {}, {}
+        for c, e in enumerate(graph.edges):
+            self.writer.append(index[e.src])
+            self.reader.append(index[e.dst])
+            feed[e.dst, e.dst_port] = c
+            chans.setdefault((e.src, e.src_port), []).append(c)
+        nch = self.nch = len(graph.edges)
+        self.streams = list(chans.values())  # stream -> its channels
+        sid = {key: s for s, key in enumerate(chans)}
+        carries = [0] * nch  # channel -> its stream
+        self.groups, send = [], []  # send: stream -> its replay send code
+        for s, cs in enumerate(self.streams):
+            for c in cs:
+                carries[c] = s
+            if len(cs) == 1:
+                send.append(nch + cs[0])
+            else:
+                send.append(2 * nch + len(self.groups))
+                self.groups.append(cs)
+        self.wide = 2 * nch + len(self.groups) > 0x100  # codes do not fit a byte
+        self.ins, self.outs, self.codes, self.drops = [], [], [], []
+        for nid in order:
+            node = graph.nodes[nid]
+            in_ports, out_ports = node_ports(node.kind, node.params)
+            if len(in_ports) + len(out_ports) > TICK:
+                raise GraphError(f"{nid} has more than {TICK} ports")
+            ins = [(p, carries[feed[nid, p]], feed[nid, p]) for p in in_ports]
+            outs = [(p, sid.get((nid, p))) for p in out_ports]
+            self.ins.append(ins)
+            self.outs.append(outs)
+            # trace byte -> replay code, and the trace bytes the replay drops:
+            # ticks and sends on ports without a channel
+            codes = [c for _, _, c in ins] + [0 if s is None else send[s] for _, s in outs]
+            drop = [q for q, (_, s) in enumerate(outs, len(ins)) if s is None] + [TICK]
+            self.codes.append(codes)
+            self.drops.append(bytes(drop))
+
+    def label(self, c: int) -> str:
+        e = self.edges[c]
+        return f"{e.src}:{e.src_port}->{e.dst}:{e.dst_port}"
+
+    def replay_ops(self, i: int, trace):
+        """Node i's trace as replay codes."""
+        codes, drop = self.codes[i], self.drops[i]
+        if not self.wide:
+            return trace.translate(bytes(codes).ljust(256, b"\0"), drop)
+        return array("I", map(codes.__getitem__, trace.translate(None, drop)))
+
+
+class _AfterDone(list):
+    """The channels of a port a node sends on after its Done: the end of a
+    replay trace cut at that send."""
+
+
+def _pass1(net: _Net, funcs) -> tuple[list, list, list, list]:
+    """Each node's function once, on whole streams, in topological order,
+    freeing each stream once its readers have run.  Returns the node runs,
+    their traces, the traces as replay codes, and how each replay trace
+    ends: None where the node returns, the error it raised, or an
+    ``_AfterDone``."""
+    n = len(net.order)
+    tokens: dict[int, list] = {}  # stream -> its tokens, until its readers ran
+    readers = [len(cs) for cs in net.streams]
+    runs, traces, replays, ends = [None] * n, [None] * n, [None] * n, [None] * n
+    for i in range(n):
+        ins, outs = net.ins[i], net.outs[i]
+        r = NodeRun({p: tokens[s] for p, s, _ in ins}, [p for p, _ in outs])
+        try:
+            funcs[i](r)
+        except StopIteration:
+            pass  # read past the end of a stream that stopped early
+        except Exception as err:  # noqa: BLE001 - the replay raises it in turn
+            # from the node's frames on: this frame would make a cycle
+            ends[i] = err.with_traceback(err.__traceback__.tb_next)
+        for _, s, _ in ins:
+            readers[s] -= 1
+            if not readers[s]:
+                del tokens[s]
+        trace = r.trace
+        cut = len(trace)
+        for code, (p, s) in enumerate(outs, len(ins)):
+            if s is None:
+                continue
+            tokens[s] = r.outs[p]
+            k = _after_done(r.outs[p])
+            if k is not None:
+                at = -1
+                for _ in range(k + 1):
+                    at = trace.index(code, at + 1)
+                if at < cut:
+                    cut, ends[i] = at, _AfterDone(net.streams[s])
+        r.ins = r.outs = r.trace = None
+        runs[i], traces[i] = r, trace
+        replays[i] = net.replay_ops(i, trace[:cut] if cut < len(trace) else trace)
+    return runs, traces, replays, ends
+
+
+def _after_done(tokens) -> int | None:
+    """Index of the first token after the first Done, or None."""
+    k = next(compress(count(), map(is_, tokens, repeat(DONE))), len(tokens))
+    return k + 1 if k + 1 < len(tokens) else None
+
+
+def _replay(net: _Net, traces, ends, depth: int) -> None:
+    """Run the replay traces on channels of ``depth`` tokens under the
+    ready-queue scheduler, counting tokens only.  Raises the first error a
+    node gets to, or ``Deadlock``."""
+    order, nch = net.order, net.nch
+    nch2 = 2 * nch
+    groups, writer, reader = net.groups, net.writer, net.reader
+    n = len(order)
+    ops = [iter(tr) for tr in traces]
+    occ = [0] * nch  # tokens in each channel
+    waiting = [False] * nch  # its reader waits on it and is not queued
+    blocked = [False] * nch  # its writer is backpressured on it, not queued
+    pending = [-1] * n  # the channel a node waits to recv from
+    owed: list = [None] * n  # the full channels a node still owes a send
+    finished = [False] * n
+    ready = deque(range(n))
+    pop, push = ready.popleft, ready.append
+    while ready:
+        i = pop()
+        c = pending[i]
+        if c >= 0:  # woken by a push: take the token first
+            pending[i] = -1
+            occ[c] -= 1
+            if blocked[c]:
+                w = writer[c]
+                for b in owed[w]:
+                    blocked[b] = False
+                push(w)
+        elif owed[i].__class__ is list:  # woken by a pop: finish the send
+            full = None
+            for c in owed[i]:
+                if occ[c] < depth:
+                    occ[c] += 1
+                    if waiting[c]:
+                        waiting[c] = False
+                        push(reader[c])
+                elif full is None:
+                    full = [c]
+                else:
+                    full.append(c)
+            owed[i] = full
+            if full is not None:
+                for c in full:
+                    blocked[c] = True
+                continue
+        for code in ops[i]:
+            if code < nch:  # recv
+                if occ[code]:
+                    occ[code] -= 1
+                    if blocked[code]:
+                        w = writer[code]
+                        for b in owed[w]:
+                            blocked[b] = False
+                        push(w)
+                    continue
+                pending[i] = code
+                waiting[code] = True
+                break
+            if code < nch2:  # send on a port with one channel
+                c = code - nch
+                if occ[c] < depth:
+                    occ[c] += 1
+                    if waiting[c]:
+                        waiting[c] = False
+                        push(reader[c])
+                    continue
+                owed[i] = [c]
+                blocked[c] = True
+                break
+            full = None  # send on every channel of the port that has room
+            for c in groups[code - nch2]:
+                if occ[c] < depth:
+                    occ[c] += 1
+                    if waiting[c]:
+                        waiting[c] = False
+                        push(reader[c])
+                elif full is None:
+                    full = [c]
+                else:
+                    full.append(c)
+            if full is not None:
+                owed[i] = full
+                for c in full:
+                    blocked[c] = True
+                break
+        else:
+            end = ends[i]
+            if end is None:
+                finished[i] = True
+            elif end.__class__ is _AfterDone:
+                for c in end:
+                    if occ[c] < depth:
+                        raise MalformedStream(f"token after Done on {net.label(c)}")
+                    blocked[c] = True
+                owed[i] = end
+            elif isinstance(end, (MalformedStream, RepeatUnderflow)):
+                raise type(end)(f"{order[i]}: {end}") from None
+            else:
+                raise end
+    if not all(finished):
+        stuck = []
+        for i, nid in enumerate(order):
+            if owed[i] is not None:
+                chans = ", ".join(net.label(c) for c in owed[i])
+                stuck.append(f"{nid} backpressured on {chans}")
+            elif pending[i] >= 0:
+                stuck.append(f"{nid} awaiting {net.label(pending[i])}")
+        raise Deadlock("no runnable node; " + "; ".join(stuck))
+
+
+def _clocks(net: _Net, traces) -> list:
+    """Each node's final clock, in ``net.order``: the max-plus scan of its
+    trace against the send times of the tokens it pops."""
+    times: dict[int, np.ndarray] = {}  # stream -> send time of each token
+    readers = [len(cs) for cs in net.streams]
+    cycles = [0] * len(traces)
+    for i, trace in enumerate(traces):
+        codes = np.frombuffer(trace, dtype=np.uint8)
+        clock = np.cumsum(codes == TICK)
+        wait = np.zeros(len(codes), dtype=np.int64)
+        for code, (_, s, _) in enumerate(net.ins[i]):
+            at = np.flatnonzero(codes == code)
+            wait[at] = times[s][: len(at)] - clock[at]
+            readers[s] -= 1
+            if not readers[s]:
+                del times[s]
+        np.maximum.accumulate(wait, out=wait)
+        clock += wait
+        for code, (_, s) in enumerate(net.outs[i], len(net.ins[i])):
+            if s is not None:
+                times[s] = clock[codes == code]
+        cycles[i] = int(clock[-1]) if len(clock) else 0
+    return cycles
 
 
 # --- result reconstruction ------------------------------------------------
@@ -276,6 +437,11 @@ def _finalize(graph: DataflowGraph, nodes: dict):
             d, pos_path, crd_path = stack.pop()
             node_list = trees[d]
             for q in pos_path:
+                if q >= len(node_list):
+                    raise MalformedStream(
+                        f"writer {name}: level {d} has no fiber under level"
+                        f" {d - 1} coordinates {crd_path}"
+                    )
                 node_list = node_list[q]
             if d == ndim - 1:
                 scoords.extend(crd_path + (crd,) for crd in node_list)

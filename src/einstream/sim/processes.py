@@ -1,14 +1,36 @@
-"""Node behaviors as generators over a per-node context.
+"""Node kinds as plain functions over whole token streams.
 
-A process yields one of two effect tuples and is resumed by the engine:
+Pass 1 of ``engine.run`` calls each node's function once, on the complete
+token lists of its input ports.  A function fills the ``NodeRun`` it is
+given:
 
-    ("recv", port)          -> resumed with the next token on that port
-    ("send", port, token)   -> delivered to every outgoing edge of the port
+* ``outs``: the token list of each output port;
+* ``trace``: one byte per effect, in the order the node would issue them
+  one token at a time: a port's index in ``graph.node_ports`` order
+  (inputs, then outputs) for a recv or a send on it, or ``TICK`` when the
+  node's own clock advances one cycle;
+* ``flops`` (None until the node accounts any, even 0), ``bytes_read``
+  (each address counted once) and, for writers, ``records``.
 
-Everything else a node does is a direct update of the ``NodeContext`` that
-``build_process`` hands it: ``clock`` (one cycle per processed element, plus
-memory latency per fiber fetch), ``add_flops``, ``touch`` (bytes read,
-counted once per distinct key) and ``records`` (a writer's transcript).
+The own clock counts one cycle per processed element plus ``mem_latency``
+cycles per fiber fetch; waiting for tokens is left out, and the engine
+adds it from the arrival times.
+
+Trace contract, which every node kind must meet:
+
+* Read an input port's tokens strictly in order, and record the recv no
+  later than taking the token, so that a read past the end of a stream
+  that stopped early is in the trace.  Such a read raises
+  ``StopIteration`` (``next``) or ends a ``for`` loop over the port; the
+  engine leaves the node waiting there, so whatever the trace holds after
+  it is never replayed.
+* Record a send, then append the token; compute the token first, so an
+  error computing it comes before the send.
+* Raise errors as the node meets them: the engine raises the error once
+  the node has got through every effect recorded before it, so record
+  nothing the node has not done yet.
+* Send Done last on each port, and depend on nothing but the input
+  tokens: not on channel depth, other nodes or the order nodes run in.
 
 Boundary emission uses a single pending stop per producer: a new boundary
 at a deeper level merges into the pending one (same closure point); at the
@@ -19,6 +41,9 @@ and is dropped — no stream ends with a stop right before Done.
 
 from __future__ import annotations
 
+import operator
+from functools import partial
+
 import numpy as np
 
 from ..errors import GraphError, MalformedStream, RepeatUnderflow
@@ -26,26 +51,22 @@ from ..frontend.program import apply_pointwise, apply_pointwise_array
 from ..graph import DONE, NULL, Stop
 from ..tensors import DenseLevel, INDEX_BYTES, ELEMENT_BYTES
 
+TICK = 0xFF  # trace byte: the node's own clock advances one cycle
+S0 = Stop(0)
 
-class NodeContext:
-    """One node's local clock and accounting, updated by its process."""
 
-    __slots__ = ("clock", "flops", "bytes_read", "touched", "records")
+class NodeRun:
+    """What one node's function read, emitted and accounted."""
 
-    def __init__(self):
-        self.clock = 0
-        self.flops = None  # None until the node accounts any, even 0
+    __slots__ = ("ins", "outs", "trace", "flops", "bytes_read", "records")
+
+    def __init__(self, ins: dict, out_ports):
+        self.ins = ins  # input port -> token list
+        self.outs = {p: [] for p in out_ports}
+        self.trace = bytearray()
+        self.flops = None
         self.bytes_read = 0
-        self.touched: set = set()
         self.records: list = []
-
-    def add_flops(self, n: int):
-        self.flops = n if self.flops is None else self.flops + n
-
-    def touch(self, key, nbytes: int):
-        if key not in self.touched:
-            self.touched.add(key)
-            self.bytes_read += nbytes
 
 
 def _merge(pending, level):
@@ -56,7 +77,7 @@ def _merge(pending, level):
 
 
 def _is_boundary(tok):
-    return isinstance(tok, Stop) or tok is DONE
+    return tok.__class__ is Stop or tok is DONE
 
 
 def _zero(tok):
@@ -65,231 +86,263 @@ def _zero(tok):
     return tok == 0.0
 
 
-# --- memory-side processes ------------------------------------------------
+def _distinct_positions(tokens) -> int:
+    """How many distinct positions a ref stream carries."""
+    return sum(1 for tok in set(tokens) if tok.__class__ is int)
 
 
-def proc_root(ctx):
-    yield ("send", "ref", 0)
-    ctx.clock += 1
-    yield ("send", "ref", DONE)
+# --- memory-side nodes ----------------------------------------------------
 
 
-def proc_scan(ctx, tensor, level_idx: int, mem_latency: int, mult=None, stride=None):
+def run_root(run):
+    REF = 0
+    run.trace += bytes((REF, TICK, REF))
+    run.outs["ref"] += [0, DONE]
+
+
+def run_scan(run, tensor, level_idx: int, mem_latency: int, mult=None, stride=None):
     # Dense refs are affine: ref_out = ref_in * mult + crd * stride.  The
     # defaults give in-storage-order nesting; explicit values let a run of
     # dense levels be iterated in any order (each level then contributes
     # its own storage stride exactly once).
+    IN, CRD, REF = 0, 1, 2
     level = tensor.levels[level_idx]
     dense = isinstance(level, DenseLevel)
     if dense:
         mult = level.size if mult is None else mult
         stride = 1 if stride is None else stride
+        size = level.size
+        crds = list(range(size))
+    else:
+        segs, crds = level.segments.tolist(), level.coords.tolist()
+        refs = list(range(len(crds)))  # one int object per position, shared
+    tr = run.trace
+    out_crd, out_ref = run.outs["crd"], run.outs["ref"]
+    crd, ref = out_crd.append, out_ref.append
+    fetch = bytes((TICK,)) * mem_latency
+    elem = bytes((CRD, REF, TICK))
+    stops = bytes((CRD, REF))
+    fetched = set()  # parent positions whose fiber was read
     pending = None
-    while True:
-        tok = yield ("recv", "ref")
+    for tok in run.ins["ref"]:
+        tr.append(IN)
         if tok is DONE:
-            yield ("send", "crd", DONE)
-            yield ("send", "ref", DONE)
-            return
-        if isinstance(tok, Stop):
+            tr += stops
+            crd(DONE)
+            ref(DONE)
+            break
+        if tok.__class__ is Stop:
             pending, flush = _merge(pending, tok.level + 1)
             if flush is not None:
-                yield ("send", "crd", Stop(flush))
-                yield ("send", "ref", Stop(flush))
+                tr += stops
+                crd(Stop(flush))
+                ref(Stop(flush))
             continue
         if pending is not None:
-            yield ("send", "crd", Stop(pending))
-            yield ("send", "ref", Stop(pending))
-            pending = None
+            tr += stops
+            crd(Stop(pending))
+            ref(Stop(pending))
         if tok is not NULL:
-            p = tok
-            ctx.clock += mem_latency
+            tr += fetch
             if dense:
-                for m in range(level.size):
-                    yield ("send", "crd", m)
-                    yield ("send", "ref", p * mult + m * stride)
-                    ctx.clock += 1
+                base = tok * mult
+                tr += elem * size
+                out_crd += crds
+                out_ref += range(base, base + size * stride, stride) if stride else [base] * size
             else:
-                ctx.touch(("seg", level_idx, p), INDEX_BYTES)
-                ctx.touch(("seg", level_idx, p + 1), INDEX_BYTES)
-                start, end = level.segments[p], level.segments[p + 1]
-                for pos in range(start, end):
-                    ctx.touch(("crd", level_idx, pos), INDEX_BYTES)
-                    yield ("send", "crd", int(level.coords[pos]))
-                    yield ("send", "ref", pos)
-                    ctx.clock += 1
-        pending, flush = _merge(pending, 0)
-        assert flush is None
+                start, end = segs[tok], segs[tok + 1]
+                fetched.add(tok)
+                tr += elem * (end - start)
+                out_crd += crds[start:end]
+                out_ref += refs[start:end]
+        pending = 0
+    else:
+        tr.append(IN)
+    if fetched:  # segment bounds p and p + 1, and the coordinates between
+        bounds = fetched | {p + 1 for p in fetched}
+        ncrd = sum(segs[p + 1] - segs[p] for p in fetched)
+        run.bytes_read = INDEX_BYTES * (len(bounds) + ncrd)
 
 
-def proc_vals(ctx, tensor, mem_latency: int):
-    blocked = tensor.is_blocked
-    fill_block = np.zeros(tensor.values.shape[1:]) if blocked else None
-    elem_bytes = ELEMENT_BYTES * (fill_block.size if blocked else 1)
+def run_vals(run, tensor, mem_latency: int):
+    IN, VAL = 0, 1
+    if tensor.is_blocked:
+        fill = np.zeros(tensor.values.shape[1:])
+        values = list(tensor.values)  # one view per block, shared by its reads
+        elem_bytes = ELEMENT_BYTES * fill.size
+    else:
+        fill = tensor.fill
+        values = tensor.values.tolist()
+        elem_bytes = ELEMENT_BYTES
+    tr, out = run.trace, run.outs["val"].append
+    fetch = bytes((IN,)) + bytes((TICK,)) * mem_latency + bytes((VAL, TICK))
+    elem = bytes((IN, VAL, TICK))
+    stop = bytes((IN, VAL))
     fresh = True
-    while True:
-        tok = yield ("recv", "ref")
-        if tok is DONE:
-            yield ("send", "val", DONE)
-            return
-        if isinstance(tok, Stop):
-            yield ("send", "val", tok)
+    refs = run.ins["ref"]
+    for tok in refs:
+        if tok.__class__ is Stop:
+            tr += stop
+            out(tok)
             fresh = True
             continue
+        if tok is DONE:
+            tr += stop
+            out(DONE)
+            break
+        try:
+            val = fill if tok is NULL else values[tok]
+        except Exception:
+            tr.append(IN)  # the recv happened; the lookup failed
+            raise
         if fresh:
-            ctx.clock += mem_latency
+            tr += fetch
             fresh = False
-        if tok is NULL:
-            val = fill_block if blocked else tensor.fill
         else:
-            ctx.touch(("val", tok), elem_bytes)
-            val = tensor.values[tok] if blocked else float(tensor.values[tok])
-        yield ("send", "val", val)
-        ctx.clock += 1
+            tr += elem
+        out(val)
+    else:
+        tr.append(IN)
+    run.bytes_read = elem_bytes * _distinct_positions(refs)
 
 
 # --- stream combinators ---------------------------------------------------
 
 
-def _pair(cport, pport):
-    """Receive one (crd, payload) element or a shared boundary token."""
-    c = yield ("recv", cport)
-    p = yield ("recv", pport)
-    if _is_boundary(c) or _is_boundary(p):
-        if p is not c:
-            raise MalformedStream(f"{cport}/{pport} desynchronized: {c} vs {p}")
-        return c
-    return (c, p)
-
-
-def proc_join(ctx, mode: str):
+def run_join(run, mode: str):
     """Two-finger co-iteration; mode is 'intersect' or 'union'."""
     keep_single = mode == "union"
-    t0 = yield from _pair("crd0", "p0")
-    t1 = yield from _pair("crd1", "p1")
+    ins, tr = run.ins, run.trace
+    oc, o0, o1 = run.outs["crd"].append, run.outs["p0"].append, run.outs["p1"].append
+    crd0, p0n = iter(ins["crd0"]).__next__, iter(ins["p0"]).__next__
+    crd1, p1n = iter(ins["crd1"]).__next__, iter(ins["p1"]).__next__
+    recv0, recv1 = bytes((0, 1)), bytes((2, 3))  # crd0, p0 / crd1, p1
+    send, send_tick = bytes((4, 5, 6)), bytes((4, 5, 6, TICK))  # crd, p0, p1
+    tick = bytes((TICK,))
+    need0 = need1 = True
     while True:
-        b0, b1 = not isinstance(t0, tuple), not isinstance(t1, tuple)
-        if b0 and b1:
-            if t0 is t1:
-                for port in ("crd", "p0", "p1"):
-                    yield ("send", port, t0)
-                if t0 is DONE:
-                    return
-                t0 = yield from _pair("crd0", "p0")
-                t1 = yield from _pair("crd1", "p1")
-            elif t0 is DONE or t1 is DONE:
-                # one input finished: remaining fibers pair with implicit
-                # empty trailing fibers; forward the other side's stops
-                stop = t1 if t0 is DONE else t0
-                for port in ("crd", "p0", "p1"):
-                    yield ("send", port, stop)
-                if t0 is DONE:
-                    t1 = yield from _pair("crd1", "p1")
-                else:
-                    t0 = yield from _pair("crd0", "p0")
+        # each side's next element (c, p), or its boundary token in c
+        if need0:
+            tr += recv0
+            c0 = crd0()
+            p0 = p0n()
+            b0 = c0.__class__ is Stop or c0 is DONE
+            if (b0 or p0.__class__ is Stop or p0 is DONE) and p0 is not c0:
+                raise MalformedStream(f"crd0/p0 desynchronized: {c0} vs {p0}")
+        if need1:
+            tr += recv1
+            c1 = crd1()
+            p1 = p1n()
+            b1 = c1.__class__ is Stop or c1 is DONE
+            if (b1 or p1.__class__ is Stop or p1 is DONE) and p1 is not c1:
+                raise MalformedStream(f"crd1/p1 desynchronized: {c1} vs {p1}")
+        if not b0 and not b1 and c0 == c1:
+            tr += send_tick
+            oc(c0)
+            o0(p0)
+            o1(p1)
+            need0 = need1 = True
+        elif not b0 and (b1 or c0 < c1):  # side 0's element comes first
+            if keep_single:
+                tr += send_tick
+                oc(c0)
+                o0(p0)
+                o1(NULL)
             else:
-                raise MalformedStream(f"join saw {t0} against {t1}")
-        elif not b0 and not b1:
-            c0, p0 = t0
-            c1, p1 = t1
-            if c0 == c1:
-                yield ("send", "crd", c0)
-                yield ("send", "p0", p0)
-                yield ("send", "p1", p1)
-                ctx.clock += 1
-                t0 = yield from _pair("crd0", "p0")
-                t1 = yield from _pair("crd1", "p1")
-            elif c0 < c1:
-                if keep_single:
-                    yield ("send", "crd", c0)
-                    yield ("send", "p0", p0)
-                    yield ("send", "p1", NULL)
-                ctx.clock += 1
-                t0 = yield from _pair("crd0", "p0")
+                tr += tick
+            need0, need1 = True, False
+        elif not b1:  # side 1's element comes first
+            if keep_single:
+                tr += send_tick
+                oc(c1)
+                o0(NULL)
+                o1(p1)
             else:
-                if keep_single:
-                    yield ("send", "crd", c1)
-                    yield ("send", "p0", NULL)
-                    yield ("send", "p1", p1)
-                ctx.clock += 1
-                t1 = yield from _pair("crd1", "p1")
+                tr += tick
+            need0, need1 = False, True
+        elif c0 is c1:
+            tr += send
+            oc(c0)
+            o0(c0)
+            o1(c0)
+            if c0 is DONE:
+                return
+            need0 = need1 = True
+        elif c0 is DONE or c1 is DONE:
+            # one input finished: remaining fibers pair with implicit empty
+            # trailing fibers; forward the other side's stops
+            stop = c1 if c0 is DONE else c0
+            tr += send
+            oc(stop)
+            o0(stop)
+            o1(stop)
+            need0, need1 = c1 is DONE, c0 is DONE
         else:
-            # one side still has elements, the other reached its boundary
-            if b1:
-                c0, p0 = t0
-                if keep_single:
-                    yield ("send", "crd", c0)
-                    yield ("send", "p0", p0)
-                    yield ("send", "p1", NULL)
-                ctx.clock += 1
-                t0 = yield from _pair("crd0", "p0")
-            else:
-                c1, p1 = t1
-                if keep_single:
-                    yield ("send", "crd", c1)
-                    yield ("send", "p0", NULL)
-                    yield ("send", "p1", p1)
-                ctx.clock += 1
-                t1 = yield from _pair("crd1", "p1")
+            raise MalformedStream(f"join saw {c0} against {c1}")
 
 
-def proc_repeat(ctx):
+def run_repeat(run):
+    DATA, CTRL, OUT = 0, 1, 2
+    tr, out = run.trace, run.outs["out"].append
+    data = iter(run.ins["data"]).__next__
+    elem = bytes((CTRL, OUT, TICK))
     cur = None
     have = False
     data_done = False
-
-    def pull():
-        tok = yield ("recv", "data")
-        return tok
-
-    while True:
-        c = yield ("recv", "ctrl")
+    for c in run.ins["ctrl"]:
+        if have and c.__class__ is not Stop and c is not DONE:
+            tr += elem
+            out(cur)
+            continue
+        tr.append(CTRL)
         if c is DONE:
             while not data_done:
-                t = yield from pull()
-                data_done = t is DONE
-            yield ("send", "out", DONE)
+                tr.append(DATA)
+                data_done = data() is DONE
+            tr.append(OUT)
+            out(DONE)
             return
-        if isinstance(c, Stop):
+        if c.__class__ is Stop:
             if c.level == 0:
                 if not have:
                     if data_done:
                         raise RepeatUnderflow("control group after data finished")
-                    t = yield from pull()
-                    if _is_boundary(t):
+                    tr.append(DATA)
+                    if _is_boundary(data()):
                         raise RepeatUnderflow(
                             "data fiber has fewer elements than control has groups"
                         )
-                have = False
-                cur = None
-                yield ("send", "out", Stop(0))
+                tr.append(OUT)
+                out(S0)
             else:
                 # closes the current element and the data fiber underneath
                 while not data_done:
-                    t = yield from pull()
-                    if t is DONE:
+                    tr.append(DATA)
+                    d = data()
+                    if d is DONE:
                         data_done = True
                         break
-                    if isinstance(t, Stop):
-                        if t.level != c.level - 1:
-                            raise MalformedStream(
-                                f"repeat: control {c} against data {t}"
-                            )
+                    if d.__class__ is Stop:
+                        if d.level != c.level - 1:
+                            raise MalformedStream(f"repeat: control {c} against data {d}")
                         break
-                have = False
-                cur = None
-                yield ("send", "out", c)
+                tr.append(OUT)
+                out(c)
+            have = False
+            cur = None
             continue
-        if not have:
-            if data_done:
-                raise RepeatUnderflow("control token after data finished")
-            t = yield from pull()
-            if _is_boundary(t):
-                raise RepeatUnderflow("control group outruns data elements")
-            cur = t
-            have = True
-        yield ("send", "out", cur)
-        ctx.clock += 1
+        if data_done:
+            raise RepeatUnderflow("control token after data finished")
+        tr.append(DATA)
+        cur = data()
+        if _is_boundary(cur):
+            raise RepeatUnderflow("control group outruns data elements")
+        have = True
+        tr.append(OUT)
+        tr.append(TICK)
+        out(cur)
+    else:
+        tr.append(CTRL)
 
 
 # --- compute --------------------------------------------------------------
@@ -328,176 +381,228 @@ def _block_binary(op, a, b, spec):
     raise GraphError(f"unknown alu op {op!r}")
 
 
-def _scalar_binary(op, a, b):
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "max":
-        return a if a >= b else b
-    if op == "div":
-        return 0.0 if a == 0.0 or b == 0.0 else a / b
-    raise GraphError(f"unknown alu op {op!r}")
+_SCALAR = {
+    "add": operator.add,
+    "sub": operator.sub,
+    "mul": operator.mul,
+    "max": lambda a, b: a if a >= b else b,
+    "div": lambda a, b: 0.0 if a == 0.0 or b == 0.0 else a / b,
+}
 
 
-def proc_alu(ctx, op: str, block: dict | None):
-    flops_each = block["flops"] if block else 1
-    while True:
-        a = yield ("recv", "in0")
-        b = yield ("recv", "in1")
-        if _is_boundary(a) or _is_boundary(b):
+def _scalar_op(op):
+    """The scalar function of ``op``; an unknown op raises when applied."""
+
+    def unknown(a, b):
+        raise GraphError(f"unknown alu op {op!r}")
+
+    return _SCALAR.get(op, unknown)
+
+
+def run_alu(run, op: str, block: dict | None):
+    IN0, IN1, OUT = 0, 1, 2
+    tr, out = run.trace, run.outs["out"].append
+    in1 = iter(run.ins["in1"]).__next__
+    fn = partial(_block_binary, op, spec=block) if block else _scalar_op(op)
+    recv = bytes((IN0, IN1))
+    send = bytes((OUT, TICK))
+    elems = 0
+    for a in run.ins["in0"]:
+        tr += recv
+        b = in1()
+        if (
+            a.__class__ is Stop or a is DONE or b.__class__ is Stop or b is DONE
+        ):
             if a is not b:
                 raise MalformedStream(f"alu inputs desynchronized: {a} vs {b}")
-            yield ("send", "out", a)
+            tr.append(OUT)
+            out(a)
             if a is DONE:
-                return
+                break
             continue
         # a union joiner pads the absent side with NULL; it contributes zero
         if a is NULL:
             a = 0.0
         if b is NULL:
             b = 0.0
-        out = _block_binary(op, a, b, block) if block else _scalar_binary(op, a, b)
-        yield ("send", "out", out)
-        ctx.clock += 1
-        ctx.add_flops(flops_each)
+        out(fn(a, b))
+        tr += send
+        elems += 1
+    else:
+        tr.append(IN0)
+    if elems:
+        run.flops = elems * (block["flops"] if block else 1)
 
 
-def proc_map(ctx, fn):
-    while True:
-        tok = yield ("recv", "in")
-        if tok is DONE:
-            yield ("send", "out", DONE)
-            return
-        if isinstance(tok, Stop):
-            yield ("send", "out", tok)
-            continue
-        if isinstance(tok, np.ndarray):
-            yield ("send", "out", apply_pointwise_array(fn, tok))
-            n = int(np.count_nonzero(tok))
-        else:
-            yield ("send", "out", apply_pointwise(fn, tok))
-            n = 1
-        ctx.clock += 1
-        ctx.add_flops(n)
-
-
-def proc_reduce(ctx, op: str, intra: tuple, zero_shape):
-    acc = None
-    count = 0
-
-    def finish():
-        nonlocal acc, count
-        out = acc
-        flops = 0
-        if out is None:
-            out = np.zeros(zero_shape) if zero_shape else 0.0
-        if intra and isinstance(out, np.ndarray):
-            before = out.size
-            out = out.max(axis=intra) if op == "max" else out.sum(axis=intra)
-            after = out.size if isinstance(out, np.ndarray) else 1
-            flops += before - after
-        acc = None
-        count = 0
-        return out, flops
-
-    while True:
-        tok = yield ("recv", "in")
-        if isinstance(tok, Stop) or tok is DONE:
-            out, extra = finish()
-            yield ("send", "out", out)
-            ctx.clock += 1
-            if extra:
-                ctx.add_flops(extra)
+def run_map(run, fn):
+    IN, OUT = 0, 1
+    tr, out = run.trace, run.outs["out"].append
+    stop, elem = bytes((IN, OUT)), bytes((IN, OUT, TICK))
+    flops = None
+    for tok in run.ins["in"]:
+        if tok.__class__ is Stop or tok is DONE:
+            tr += stop
+            out(tok)
             if tok is DONE:
-                yield ("send", "out", DONE)
-                return
-            if tok.level > 0:
-                yield ("send", "out", Stop(tok.level - 1))
+                break
             continue
+        try:
+            if isinstance(tok, np.ndarray):
+                v = apply_pointwise_array(fn, tok)
+                n = int(np.count_nonzero(tok))
+            else:
+                v = apply_pointwise(fn, tok)
+                n = 1
+        except Exception:
+            tr.append(IN)  # the recv happened; applying fn failed
+            raise
+        tr += elem
+        out(v)
+        flops = n if flops is None else flops + n
+    else:
+        tr.append(IN)
+    run.flops = flops
+
+
+def run_reduce(run, op: str, intra: tuple, zero_shape):
+    IN, OUT = 0, 1
+    tr, out = run.trace, run.outs["out"].append
+    fold = _scalar_op("max" if op == "max" else "add")
+    elem = bytes((IN, TICK))
+    acc = None
+    flops = None
+    for tok in run.ins["in"]:
+        if tok.__class__ is Stop or tok is DONE:
+            tr.append(IN)
+            v = acc
+            if v is None:
+                v = np.zeros(zero_shape) if zero_shape else 0.0
+            extra = 0
+            if intra and isinstance(v, np.ndarray):
+                before = v.size
+                v = v.max(axis=intra) if op == "max" else v.sum(axis=intra)
+                extra = before - (v.size if isinstance(v, np.ndarray) else 1)
+            acc = None
+            tr.append(OUT)
+            tr.append(TICK)
+            out(v)
+            if extra:
+                flops = extra if flops is None else flops + extra
+            if tok is DONE:
+                tr.append(OUT)
+                out(DONE)
+                break
+            if tok.level > 0:
+                tr.append(OUT)
+                out(Stop(tok.level - 1))
+            continue
+        tr += elem
         if acc is None:
             acc = tok
+            continue
+        if isinstance(tok, np.ndarray):
+            acc = np.maximum(acc, tok) if op == "max" else acc + tok
+            n = int(tok.size)
         else:
-            if isinstance(tok, np.ndarray):
-                acc = np.maximum(acc, tok) if op == "max" else acc + tok
-                ctx.add_flops(int(tok.size))
-            else:
-                acc = _scalar_binary("max" if op == "max" else "add", acc, tok)
-                ctx.add_flops(1)
-        count += 1
-        ctx.clock += 1
+            acc = fold(acc, tok)
+            n = 1
+        flops = n if flops is None else flops + n
+    else:
+        tr.append(IN)
+    run.flops = flops
 
 
-def proc_red1(ctx):
+def run_red1(run):
     """Coordinate-keyed reduction across sibling fibers of one level."""
+    CRD, VAL, OCRD, OVAL = 0, 1, 2, 3
+    tr = run.trace
+    oc, ov = run.outs["crd"].append, run.outs["val"].append
+    val = iter(run.ins["val"]).__next__
+    recv = bytes((CRD, VAL))
+    tick = bytes((TICK,))
+    send = bytes((OCRD, OVAL))
+    emit = bytes((OCRD, OVAL, TICK))
     table: dict[int, object] = {}
-
-    def emit():
-        for crd in sorted(table):
-            yield ("send", "crd", crd)
-            yield ("send", "val", table[crd])
-            ctx.clock += 1
-        table.clear()
-
-    while True:
-        c = yield ("recv", "crd")
-        if _is_boundary(c):
-            v = yield ("recv", "val")
+    flops = None
+    for c in run.ins["crd"]:
+        tr += recv
+        v = val()
+        if c.__class__ is Stop or c is DONE:
             if v is not c:
                 raise MalformedStream(f"red1 inputs desynchronized: {c} vs {v}")
-            if c is DONE:
-                yield from emit()
-                yield ("send", "crd", DONE)
-                yield ("send", "val", DONE)
-                return
-            if c.level == 0:
+            if c is not DONE and c.level == 0:
                 continue  # fiber boundary inside the merge scope
-            yield from emit()
-            yield ("send", "crd", Stop(c.level - 1))
-            yield ("send", "val", Stop(c.level - 1))
+            tr += emit * len(table)
+            for crd in sorted(table):
+                oc(crd)
+                ov(table[crd])
+            table.clear()
+            stop = DONE if c is DONE else Stop(c.level - 1)
+            tr += send
+            oc(stop)
+            ov(stop)
+            if c is DONE:
+                break
             continue
-        v = yield ("recv", "val")
-        if _is_boundary(v):
+        if v.__class__ is Stop or v is DONE:
             raise MalformedStream("red1 value stream desynchronized")
         if c in table:
-            prev = table[c]
-            table[c] = prev + v
-            ctx.add_flops(int(v.size) if isinstance(v, np.ndarray) else 1)
+            table[c] = table[c] + v
+            n = int(v.size) if isinstance(v, np.ndarray) else 1
+            flops = n if flops is None else flops + n
         else:
             table[c] = v
-        ctx.clock += 1
+        tr += tick
+    else:
+        tr.append(CRD)
+    run.flops = flops
 
 
-def proc_crddrop_inner(ctx):
+def run_crddrop_inner(run):
     """Innermost stage: drops (coordinate, value) pairs with zero value."""
-    while True:
-        c = yield ("recv", "outer")
-        v = yield ("recv", "inner")
-        if _is_boundary(c) or _is_boundary(v):
+    OUTER, INNER, OOUT, OIN = 0, 1, 2, 3
+    tr = run.trace
+    oo, oi = run.outs["outer"].append, run.outs["inner"].append
+    inner = iter(run.ins["inner"]).__next__
+    recv = bytes((OUTER, INNER))
+    send = bytes((OOUT, OIN))
+    tick_send = bytes((TICK, OOUT, OIN))
+    tick = bytes((TICK,))
+    for c in run.ins["outer"]:
+        tr += recv
+        v = inner()
+        if c.__class__ is Stop or c is DONE or v.__class__ is Stop or v is DONE:
             if c is not v:
                 raise MalformedStream(f"crddrop pair desynchronized: {c} vs {v}")
-            yield ("send", "outer", c)
-            yield ("send", "inner", c)
+            tr += send
+            oo(c)
+            oi(c)
             if c is DONE:
-                return
+                break
             continue
-        ctx.clock += 1
         if _zero(v):
+            tr += tick
             continue
-        yield ("send", "outer", c)
-        yield ("send", "inner", v)
+        tr += tick_send
+        oo(c)
+        oi(v)
+    else:
+        tr.append(OUTER)
 
 
-def proc_crddrop_outer(ctx):
+def run_crddrop_outer(run):
     """Outer stage: drops coordinates whose inner group came out empty."""
+    OUTER, INNER, OOUT, OIN = 0, 1, 2, 3
+    tr = run.trace
+    oo, oi = run.outs["outer"].append, run.outs["inner"].append
+    outer = iter(run.ins["outer"]).__next__
     pend_in = pend_out = None
     cur = None
     emitted = False
 
     def take_outer(expect_stop=None):
-        tok = yield ("recv", "outer")
+        tr.append(OUTER)
+        tok = outer()
         if expect_stop is None:
             if _is_boundary(tok):
                 raise MalformedStream(f"crddrop outer stream early boundary {tok}")
@@ -507,91 +612,115 @@ def proc_crddrop_outer(ctx):
                 raise MalformedStream(f"crddrop expected {want}, got {tok}")
         return tok
 
-    while True:
-        t = yield ("recv", "inner")
-        if t is DONE:
+    for tok in run.ins["inner"]:
+        tr.append(INNER)
+        if tok is DONE:
             # remaining outer coordinates belong to trailing empty groups
             while True:
-                tok = yield ("recv", "outer")
-                if tok is DONE:
+                tr.append(OUTER)
+                if outer() is DONE:
                     break
-            yield ("send", "outer", DONE)
-            yield ("send", "inner", DONE)
-            return
-        if isinstance(t, Stop):
+            tr += bytes((OOUT, OIN))
+            oo(DONE)
+            oi(DONE)
+            break
+        if tok.__class__ is Stop:
             if cur is None:
-                cur = yield from take_outer()
-            if t.level == 0:
+                cur = take_outer()
+            if tok.level == 0:
                 if emitted:
                     pend_in, flush = _merge(pend_in, 0)
                     assert flush is None
             else:
-                yield from take_outer(expect_stop=t.level - 1)
-                pend_in, flush = _merge(pend_in, t.level)
+                take_outer(expect_stop=tok.level - 1)
+                pend_in, flush = _merge(pend_in, tok.level)
                 if flush is not None:
-                    yield ("send", "inner", Stop(flush))
-                pend_out, flush = _merge(pend_out, t.level - 1)
+                    tr.append(OIN)
+                    oi(Stop(flush))
+                pend_out, flush = _merge(pend_out, tok.level - 1)
                 if flush is not None:
-                    yield ("send", "outer", Stop(flush))
+                    tr.append(OOUT)
+                    oo(Stop(flush))
             cur = None
             emitted = False
             continue
         if cur is None:
-            cur = yield from take_outer()
+            cur = take_outer()
         if not emitted:
             if pend_out is not None:
-                yield ("send", "outer", Stop(pend_out))
+                tr.append(OOUT)
+                oo(Stop(pend_out))
                 pend_out = None
             if pend_in is not None:
-                yield ("send", "inner", Stop(pend_in))
+                tr.append(OIN)
+                oi(Stop(pend_in))
                 pend_in = None
-            yield ("send", "outer", cur)
-            ctx.clock += 1
+            tr.append(OOUT)
+            tr.append(TICK)
+            oo(cur)
             emitted = True
-        yield ("send", "inner", t)
-        ctx.clock += 1
+        tr.append(OIN)
+        tr.append(TICK)
+        oi(tok)
+    else:
+        tr.append(INNER)
 
 
 # --- sinks and parallel plumbing -----------------------------------------
 
 
-def proc_write(ctx, port: str):
-    while True:
-        tok = yield ("recv", port)
-        ctx.records.append(tok)
+def run_write(run, port: str):
+    IN = 0
+    tokens = run.ins[port]
+    tr = run.trace
+    for k, tok in enumerate(tokens):
         if tok is DONE:
+            tr.append(IN)
+            run.records = tokens if k + 1 == len(tokens) else tokens[: k + 1]
             return
-        if not isinstance(tok, Stop):
-            ctx.clock += 1
+        tr.append(IN)
+        if tok.__class__ is not Stop:
+            tr.append(TICK)
+    tr.append(IN)
+    run.records = tokens
 
 
-def proc_par(ctx, factor: int, nstreams: int):
+def run_par(run, factor: int, nstreams: int):
+    """Splits a bundle round-robin: port ``in{i}`` is code i, ``out{k}_{i}``
+    code nstreams * (k + 1) + i."""
+    n = nstreams
+    tr = run.trace
+    take = [iter(run.ins[f"in{i}"]).__next__ for i in range(n)]
+    outs = [run.outs[f"out{k}_{i}"].append for k in range(factor) for i in range(n)]
     rr = 0
     while True:
         toks = []
-        for i in range(nstreams):
-            toks.append((yield ("recv", f"in{i}")))
+        for i in range(n):
+            tr.append(i)
+            toks.append(take[i]())
         head = toks[0]
         if _is_boundary(head):
             for tok in toks[1:]:
                 if tok is not head:
                     raise MalformedStream("split bundle desynchronized")
-            for k in range(factor):
-                for i in range(nstreams):
-                    yield ("send", f"out{k}_{i}", head)
+            for j in range(factor * n):
+                tr.append(n + j)
+                outs[j](head)
             rr = 0
             if head is DONE:
                 return
             continue
         for i, tok in enumerate(toks):
-            yield ("send", f"out{rr}_{i}", tok)
-        ctx.clock += 1
+            tr.append(n * (rr + 1) + i)
+            outs[rr * n + i](tok)
+        tr.append(TICK)
         rr = (rr + 1) % factor
 
 
-def proc_ser(ctx, factor: int, depths: tuple):
+def run_ser(run, factor: int, depths: tuple):
     """Inverse-interleaves round-robin copies back into one bundle.
 
+    Port ``in{k}_{i}`` is code k * n + i and ``out{i}`` code factor * n + i.
     depths[i] is stream i's nesting below the split level: a depth-0
     stream carries one token per split-level element, a depth-d stream a
     d-level group.  Stream 0 must be depth 0; it drives control.  The rest
@@ -606,32 +735,41 @@ def proc_ser(ctx, factor: int, depths: tuple):
     """
     n = len(depths)
     dmax = max(depths)
+    rec = run.trace.append
+    take_in = [
+        [iter(run.ins[f"in{k}_{i}"]).__next__ for i in range(n)] for k in range(factor)
+    ]
+    outs = [run.outs[f"out{i}"].append for i in range(n)]
+    out_code = factor * n
     by_depth: dict[int, list[int]] = {}
     for i in range(1, n):
         by_depth.setdefault(depths[i], []).append(i)
     held: dict[tuple[int, int], object] = {}
     pend: list = [None] * n
-    rr = 0
 
     def take(k, i):
         if (k, i) in held:
             return held.pop((k, i))
-        tok = yield ("recv", f"in{k}_{i}")
-        return tok
+        rec(k * n + i)
+        return take_in[k][i]()
+
+    def send(i, tok):
+        rec(out_code + i)
+        outs[i](tok)
 
     def flush(i):
         if pend[i] is not None:
-            yield ("send", f"out{i}", Stop(pend[i]))
+            send(i, Stop(pend[i]))
             pend[i] = None
 
-    def put_sep(k, i, tok):
+    def put_sep(i, tok):
         """Forward a group separator; the split-element one is deferred so
         it can merge with the enclosing boundary or the next copy."""
-        yield from flush(i)
+        flush(i)
         if tok.level == depths[i] - 1:
             pend[i] = tok.level
         else:
-            yield ("send", f"out{i}", tok)
+            send(i, tok)
 
     def group(k, t, group):
         """Forward one depth-t group of copy k.  Returns the level the
@@ -643,10 +781,8 @@ def proc_ser(ctx, factor: int, depths: tuple):
         while True:
             close = "none"
             for i in streams:
-                tok = yield from take(k, i)
-                if tok is DONE or (
-                    isinstance(tok, Stop) and tok.level >= depths[i]
-                ):
+                tok = take(k, i)
+                if tok is DONE or (isinstance(tok, Stop) and tok.level >= depths[i]):
                     held[(k, i)] = tok  # enclosing boundary, bundle-level
                     # the copy's trailing separator was folded into this
                     # boundary; restore it so a following copy's group (or
@@ -655,12 +791,12 @@ def proc_ser(ctx, factor: int, depths: tuple):
                     mine = 0
                 elif isinstance(tok, Stop):
                     mine = depths[i] - tok.level
-                    yield from put_sep(k, i, tok)
+                    put_sep(i, tok)
                 else:
                     mine = "none"
-                    yield from flush(i)
-                    yield ("send", f"out{i}", tok)
-                    ctx.clock += 1
+                    flush(i)
+                    send(i, tok)
+                    rec(TICK)
                 if i == streams[0]:
                     close = mine
                 elif close != mine:
@@ -671,12 +807,12 @@ def proc_ser(ctx, factor: int, depths: tuple):
             if close != "none":
                 return close
             if t < dmax:
-                sub = yield from group(k, t + 1, group)
+                sub = group(k, t + 1, group)
                 if sub <= t:
                     # nested levels closed through here; collect our own
                     # separators and hand the close upward
                     for i in streams:
-                        tok = yield from take(k, i)
+                        tok = take(k, i)
                         if sub == 0 and (
                             tok is DONE
                             or (isinstance(tok, Stop) and tok.level >= depths[i])
@@ -688,7 +824,7 @@ def proc_ser(ctx, factor: int, depths: tuple):
                             and isinstance(tok, Stop)
                             and depths[i] - tok.level == sub
                         ):
-                            yield from put_sep(k, i, tok)
+                            put_sep(i, tok)
                         else:
                             raise MalformedStream(
                                 f"merge bundle desynchronized at depth {t}: "
@@ -700,8 +836,9 @@ def proc_ser(ctx, factor: int, depths: tuple):
     # (e.g. values that survive with no nesting); they ride along with the
     # control stream instead of forming groups
     zero = tuple(by_depth.get(0, ()))
+    rr = 0
     while True:
-        t0 = yield from take(rr, 0)
+        t0 = take(rr, 0)
         if _is_boundary(t0):
             lvl = None if t0 is DONE else t0.level
             for k in range(factor):
@@ -709,7 +846,7 @@ def proc_ser(ctx, factor: int, depths: tuple):
                     if k == rr and i == 0:
                         continue
                     want = DONE if t0 is DONE else Stop(lvl + depths[i])
-                    tok = yield from take(k, i)
+                    tok = take(k, i)
                     if tok is not want:
                         raise MalformedStream(
                             f"merge bundle desynchronized: copy {k} stream {i}"
@@ -717,69 +854,75 @@ def proc_ser(ctx, factor: int, depths: tuple):
                         )
             for i in range(n):
                 pend[i] = None  # absorbed into the enclosing boundary
-                yield ("send", f"out{i}", t0 if t0 is DONE else Stop(lvl + depths[i]))
+                send(i, t0 if t0 is DONE else Stop(lvl + depths[i]))
             rr = 0
             if t0 is DONE:
                 return
             continue
-        yield ("send", "out0", t0)
-        ctx.clock += 1
+        send(0, t0)
+        rec(TICK)
         for i in zero:
-            tok = yield from take(rr, i)
+            tok = take(rr, i)
             if tok is DONE or isinstance(tok, Stop):
                 raise MalformedStream(
                     f"merge bundle desynchronized: stream {i} gave {tok}"
                     " alongside a split-level element"
                 )
-            yield ("send", f"out{i}", tok)
-            ctx.clock += 1
+            send(i, tok)
+            rec(TICK)
         if dmax >= 1:
-            yield from group(rr, 1, group)
+            group(rr, 1, group)
         rr = (rr + 1) % factor
 
 
 # --- factory --------------------------------------------------------------
 
 
-def build_process(node, ctx: NodeContext, tensors: dict, mem_latency: int):
-    """The generator that runs ``node``, updating ``ctx`` as it goes."""
+def node_function(node, tensors: dict, mem_latency: int):
+    """``node``'s pass-1 function, ``fn(run)``.  Its parameters and tensors
+    are looked up here, so a missing one raises before any node runs."""
     kind, p = node.kind, node.params
     if kind == "root":
-        return proc_root(ctx)
+        return run_root
     if kind == "scan":
-        return proc_scan(
-            ctx,
-            tensors[p["tensor"]],
-            p["level"],
-            mem_latency,
-            p.get("mult"),
-            p.get("stride"),
+        return partial(
+            run_scan,
+            tensor=tensors[p["tensor"]],
+            level_idx=p["level"],
+            mem_latency=mem_latency,
+            mult=p.get("mult"),
+            stride=p.get("stride"),
         )
     if kind == "vals":
-        return proc_vals(ctx, tensors[p["tensor"]], mem_latency)
+        return partial(run_vals, tensor=tensors[p["tensor"]], mem_latency=mem_latency)
     if kind in ("intersect", "union"):
-        return proc_join(ctx, kind)
+        return partial(run_join, mode=kind)
     if kind == "repeat":
-        return proc_repeat(ctx)
+        return run_repeat
     if kind == "alu":
-        return proc_alu(ctx, p["op"], p.get("block"))
+        return partial(run_alu, op=p["op"], block=p.get("block"))
     if kind == "map":
-        return proc_map(ctx, p["fn"])
+        return partial(run_map, fn=p["fn"])
     if kind == "reduce":
-        return proc_reduce(ctx, p["op"], tuple(p.get("intra", ())), p.get("zero_shape"))
+        return partial(
+            run_reduce,
+            op=p["op"],
+            intra=tuple(p.get("intra", ())),
+            zero_shape=p.get("zero_shape"),
+        )
     if kind == "red1":
-        return proc_red1(ctx)
+        return run_red1
     if kind == "crddrop":
         if p.get("stage") == "inner":
-            return proc_crddrop_inner(ctx)
-        return proc_crddrop_outer(ctx)
+            return run_crddrop_inner
+        return run_crddrop_outer
     if kind == "write_crd":
-        return proc_write(ctx, "crd")
+        return partial(run_write, port="crd")
     if kind == "write_val":
-        return proc_write(ctx, "val")
+        return partial(run_write, port="val")
     if kind == "par":
-        return proc_par(ctx, p["factor"], p["nstreams"])
+        return partial(run_par, factor=p["factor"], nstreams=p["nstreams"])
     if kind == "ser":
         depths = tuple(p.get("depths") or (0,) * p["nstreams"])
-        return proc_ser(ctx, p["factor"], depths)
-    raise GraphError(f"no process for node kind {kind!r}")
+        return partial(run_ser, factor=p["factor"], depths=depths)
+    raise GraphError(f"no function for node kind {kind!r}")

@@ -3,6 +3,7 @@ and simulation, checked against the dense oracle."""
 
 from __future__ import annotations
 
+import copy
 import gc
 import itertools
 
@@ -20,9 +21,11 @@ from einstream.frontend import parse_program, validate_program
 from einstream.fusion import elaborate_region, nesting_edges, resolve_cycles
 from einstream.pipeline import (
     choose_build_order,
+    compile_region,
     plan_region,
     prepare_region,
     run_program,
+    schedulable_orders,
     store,
 )
 from einstream.tensors import DENSE, LevelSpec, SparseTensor
@@ -252,6 +255,25 @@ def test_sim_run_is_freed_by_refcount(src):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize(
+    "src", [COPY, GCN, SPMM.format(extra="")], ids=["copy", "gcn_block2", "fused_relu"]
+)
+def test_compile_region_leaves_the_callers_ir_alone(src):
+    """Permuted copies and blocking rewrite views and extents on the
+    compiled region's own copy of the IR, whatever the order."""
+    vp = validate_program(parse_program(src))
+    for r in range(len(vp.regions)):
+        ir = resolve_cycles(elaborate_region(vp, r))
+        snapshot = copy.deepcopy(ir)
+        for order in schedulable_orders(vp, ir):
+            for block in (None, (2, 2)):
+                try:
+                    compile_region(vp, ir, order, block=block)
+                except Exception:  # noqa: BLE001 - refused or failed, the IR must hold
+                    pass
+                assert ir == snapshot, (r, order, block)
 
 
 def test_copy_program_schedules_a_permuted_copy():

@@ -1,0 +1,244 @@
+"""The two-pass engine against the generator engine it replaced.
+
+``sim_reference.run`` resumes generator processes under the ready-queue
+scheduler over bounded channels.  ``sim.run`` must agree with it on the
+outcome (the class and message of the error, or success), on
+``counters()``, ``node_cycles`` and ``node_flops``, and on the bytes of
+every output: for every program of ``test_pipeline`` at every schedulable
+order of every region and at several channel depths, and for programs
+drawn by ``test_oracle``'s strategy.
+"""
+
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+
+from einstream import sim
+from einstream.sim import engine
+from einstream.errors import EinstreamError, UnsupportedSchedule
+from einstream.frontend import parse_program, validate_program
+from einstream.fusion import elaborate_region, map_user_order, resolve_cycles
+from einstream.graph import DONE, DataflowGraph
+from einstream.tensors import COMPRESSED, LevelSpec, SparseTensor
+from einstream.pipeline import (
+    compile_region,
+    plan_region,
+    prepare_region,
+    restore,
+    schedulable_orders,
+)
+
+sys.path.insert(0, str(Path(__file__).parent))
+import sim_reference  # noqa: E402
+from test_oracle import programs  # noqa: E402
+from test_sim_golden import FUSED_SOFTMAX  # noqa: E402
+from test_pipeline import (  # noqa: E402
+    COPY,
+    DIVIDE,
+    DIVIDE_RELU,
+    DIVIDE_RELU_INPUTS,
+    GCN,
+    GCN_PARTITIONS,
+    MATMUL,
+    PAIR3,
+    SOFTMAX,
+    SPMM,
+    SPMV,
+    ZERO_BLOCKS,
+    ZERO_BLOCKS_INPUTS,
+    _env,
+    _inputs,
+    gcn_partition,
+)
+
+DEPTHS = (1, 2, 4, 10**6)
+PROGRAMS = {
+    "spmv": (SPMV.format(body="y(i) = A(i, k) * x(k);"), None),
+    "fused_relu": (SPMM.format(extra=""), None),
+    "fused_relu_par2": (SPMM.format(extra="parallelize(i, 2);"), None),
+    "gcn_block2": (GCN, None),
+    "copy": (COPY, None),
+    "softmax": (SOFTMAX, None),
+    "divide": (DIVIDE, None),
+    "divide_relu": (DIVIDE_RELU, DIVIDE_RELU_INPUTS),
+    "zero_blocks": (ZERO_BLOCKS, ZERO_BLOCKS_INPUTS),
+    "spmv_par2": (SPMV.format(body="y(i) = A(i, k) * x(k);\nparallelize(i, 2);"), None),
+    "pair3_par2": (PAIR3, None),
+    "fused_relu_block2": (
+        SPMM.replace("index k = 5", "index k = 4").format(extra="block(2, 2);"),
+        None,
+    ),
+    "matmul": (MATMUL.format(order=""), None),
+    "fused_softmax": (FUSED_SOFTMAX, None),  # most orders emit malformed streams
+    **{
+        "gcn_" + "_".join(map(str, sizes)): (gcn_partition(sizes), None)
+        for sizes in GCN_PARTITIONS
+    },
+}
+
+
+def _tensor_bytes(t) -> tuple:
+    levels = tuple(
+        (lvl.kind, getattr(lvl, "segments", b"").tobytes() if hasattr(lvl, "segments") else b"",
+         lvl.coords.tobytes() if hasattr(lvl, "coords") else b"")
+        for lvl in t.levels
+    )
+    return (t.shape, t.mode_order, t.fill, levels, t.values.tobytes())
+
+
+def _result(engine, graph, tensors, depth):
+    try:
+        rep = engine(graph, tensors, sim.SimConfig(channel_depth=depth))
+    except Exception as err:  # the outcome is compared, whatever it is
+        return (type(err).__name__, str(err)), None
+    outputs = {name: _tensor_bytes(t) for name, t in rep.outputs.items()}
+    return ("ok", rep.counters(), rep.node_cycles, rep.node_flops, outputs), rep
+
+
+def assert_engines_agree(graph, tensors):
+    """Both engines at every depth; returns the report at the default
+    depth, or None when that run failed."""
+    reports = {}
+    for depth in DEPTHS:
+        want, _ = _result(sim_reference.run, graph, tensors, depth)
+        got, reports[depth] = _result(sim.run, graph, tensors, depth)
+        assert got == want, f"depth {depth}"
+    return reports[sim.SimConfig().channel_depth]
+
+
+def _regions(vp, dense):
+    """Each region's compiled variants at every schedulable order, with the
+    program's par and block where the lowering accepts them, on the
+    tensors the regions before it stored at their chosen order."""
+    env = _env(vp, dense)
+    for r in range(len(vp.regions)):
+        ir = resolve_cycles(elaborate_region(vp, r))
+        par = {map_user_order(ir, [n])[0]: f for n, f in vp.schedule.parallelize} or None
+        for order in schedulable_orders(vp, ir):
+            try:
+                cr = compile_region(vp, ir, order, par=par, block=vp.schedule.block)
+            except UnsupportedSchedule:
+                continue
+            yield (r, order), cr.graph, prepare_region(vp, cr, env)
+        cr = plan_region(vp, r)
+        try:
+            rep = sim.run(cr.graph, prepare_region(vp, cr, env), sim.SimConfig())
+        except EinstreamError:
+            return  # later regions have no inputs
+        for _, name in cr.ir.outputs:
+            env[name] = restore(vp, name, rep.outputs[name])
+
+
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+def test_engines_agree_on_every_order_and_depth(name):
+    src, inputs = PROGRAMS[name]
+    vp = validate_program(parse_program(src))
+    cases = 0
+    for where, graph, tensors in _regions(vp, inputs if inputs is not None else _inputs(vp)):
+        try:
+            assert_engines_agree(graph, tensors)
+        except AssertionError as err:
+            raise AssertionError(f"{name} region/order {where}: {err}") from None
+        cases += 1
+    assert cases
+
+
+@settings(
+    derandomize=True,
+    max_examples=100,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(programs())
+def test_engines_agree_on_generated_programs(case):
+    vp, dense = case
+    env = _env(vp, dense)
+    for r in range(len(vp.regions)):
+        try:
+            cr = plan_region(vp, r)
+        except EinstreamError:
+            return  # not every drawn region can be lowered
+        rep = assert_engines_agree(cr.graph, prepare_region(vp, cr, env))
+        if rep is None:
+            return  # later regions have no inputs
+        for _, name in cr.ir.outputs:
+            env[name] = restore(vp, name, rep.outputs[name])
+
+
+def _racing_adders(names) -> DataflowGraph:
+    """One value stream read by several adders, each pairing it with its
+    own fiber total: every adder fails, and the schedule decides which
+    failure the run reports."""
+    g = DataflowGraph()
+    g.connect(g.add("root"), "ref", g.add("scan", "scan_c", tensor="c", level=0), "ref", "ref")
+    g.connect("scan_c", "ref", g.add("vals", "vals_c", tensor="c"), "ref", "ref")
+    for name in names:
+        total = g.add("reduce", f"total_{name}", op="sum")
+        add = g.add("alu", f"add_{name}", op="add")
+        g.connect("vals_c", "val", add, "in0", "val")
+        g.connect("vals_c", "val", total, "in", "val")
+        g.connect(total, "out", add, "in1", "val")
+    return g
+
+
+# 45 adders make 137 channels: the replay codes no longer fit a byte
+MANY = tuple(f"n{k:02d}" for k in range(45))
+
+
+@pytest.mark.parametrize(
+    "names", [("a", "b"), ("b", "a"), ("x", "a", "m"), MANY], ids=["ab", "ba", "xam", "many"]
+)
+@pytest.mark.parametrize("depth", [1, 2, 4, 8])
+def test_engines_agree_on_which_error_comes_first(names, depth):
+    c = SparseTensor.from_dense(np.arange(1.0, 9.0), [LevelSpec(COMPRESSED)])
+    graph = _racing_adders(names)
+    assert engine._Net(graph, graph.validate()).wide == (names is MANY)
+    want, _ = _result(sim_reference.run, graph, {"c": c}, depth)
+    got, _ = _result(sim.run, graph, {"c": c}, depth)
+    assert got == want
+
+
+def _root_sending_after_done(tokens):
+    """A root that breaks the stream grammar with ``tokens``, as a pass-1
+    function and as a reference generator."""
+
+    def fn(run):
+        for tok in tokens:
+            run.trace.append(0)  # a send on port 0, "ref"
+            run.outs["ref"].append(tok)
+
+    def gen(ctx):
+        for tok in tokens:
+            yield ("send", "ref", tok)
+
+    return fn, gen
+
+
+@pytest.mark.parametrize("tokens", [(0, DONE, 0), (0, DONE, 0, DONE)], ids=["trailing", "two_done"])
+@pytest.mark.parametrize("readers", [1, 2])
+@pytest.mark.parametrize("depth", [1, 2, 4])
+def test_engines_agree_on_a_send_after_done(monkeypatch, tokens, readers, depth):
+    fn, gen = _root_sending_after_done(tokens)
+    real_fn, real_gen = engine.node_function, sim_reference.build_process
+    monkeypatch.setattr(
+        engine, "node_function",
+        lambda node, t, lat: fn if node.kind == "root" else real_fn(node, t, lat),
+    )
+    monkeypatch.setattr(
+        sim_reference, "build_process",
+        lambda node, ctx, t, lat: gen(ctx) if node.kind == "root" else real_gen(node, ctx, t, lat),
+    )
+    g = DataflowGraph()
+    g.add("root")
+    for k in range(readers):
+        g.connect("root", "ref", g.add("scan", f"scan_{k}", tensor="c", level=0), "ref", "ref")
+    c = SparseTensor.from_dense(np.array([1.0, 0.0, 3.0]), [LevelSpec(COMPRESSED)])
+    want, _ = _result(sim_reference.run, g, {"c": c}, depth)
+    got, _ = _result(sim.run, g, {"c": c}, depth)
+    assert got == want

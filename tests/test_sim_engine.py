@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -181,24 +182,48 @@ def test_malformed_stream_names_the_node():
 
 
 def test_token_after_done_names_the_channel(monkeypatch):
-    def root_sending_past_done(ctx):
-        yield ("send", "ref", 0)
-        yield ("send", "ref", DONE)
-        yield ("send", "ref", 0)
+    def root_sending_past_done(run):
+        rec, out = run.trace.append, run.outs["ref"].append
+        for tok in (0, DONE, 0):
+            rec(0)  # a send on port 0, "ref"
+            out(tok)
 
-    real = engine.build_process
+    real = engine.node_function
 
-    def build(node, ctx, tensors, mem_latency):
+    def build(node, tensors, mem_latency):
         if node.kind == "root":
-            return root_sending_past_done(ctx)
-        return real(node, ctx, tensors, mem_latency)
+            return root_sending_past_done
+        return real(node, tensors, mem_latency)
 
-    monkeypatch.setattr(engine, "build_process", build)
+    monkeypatch.setattr(engine, "node_function", build)
     g = DataflowGraph()
     g.connect(g.add("root"), "ref", g.add("scan", "scan_c0", tensor="c", level=0), "ref", "ref")
     c = SparseTensor.from_dense(np.array([1.0, 0.0, 3.0]), [LevelSpec(COMPRESSED)])
     with pytest.raises(MalformedStream, match="^token after Done on root:ref->scan_c0:ref$"):
         run(g, {"c": c}, SimConfig())
+
+
+def test_writer_levels_that_do_not_nest_are_malformed():
+    # two outer coordinates but one inner fiber: coordinate 1 has no fiber
+    g = DataflowGraph()
+    g.add("write_crd", "w_i", tensor="Y", level=0)
+    g.add("write_crd", "w_j", tensor="Y", level=1)
+    g.add("write_val", "w_v", tensor="Y", shape=[2, 2], mode_order=[0, 1],
+          formats=["compressed", "compressed"], fill=0.0)
+    records = {
+        "w_i": SimpleNamespace(records=[0, 1, DONE]),
+        "w_j": SimpleNamespace(records=[1, DONE]),
+        "w_v": SimpleNamespace(records=[2.0, DONE]),
+    }
+    with pytest.raises(MalformedStream, match=r"^writer Y: level 1 has no fiber"):
+        engine._finalize(g, records)
+
+
+def test_a_node_with_more_ports_than_a_trace_byte_names_is_refused():
+    g = DataflowGraph()
+    g.connect(g.add("root"), "ref", g.add("par", "split", factor=255, nstreams=1), "in0", "ref")
+    with pytest.raises(GraphError, match="^split has more than 255 ports$"):
+        run(g, {}, SimConfig())
 
 
 def test_graph_json_round_trip():

@@ -6,21 +6,62 @@ import numpy as np
 import pytest
 
 from einstream.errors import MalformedStream, RepeatUnderflow
-from einstream.graph import DONE, NULL, Stop
-from einstream.sim import drive
+from einstream.graph import DONE, NULL, Stop, node_ports
 from einstream.sim.processes import (
-    proc_alu,
-    proc_crddrop_inner,
-    proc_crddrop_outer,
-    proc_join,
-    proc_map,
-    proc_red1,
-    proc_reduce,
-    proc_repeat,
-    proc_scan,
-    proc_vals,
+    TICK,
+    NodeRun,
+    run_alu,
+    run_crddrop_inner,
+    run_crddrop_outer,
+    run_join,
+    run_map,
+    run_red1,
+    run_reduce,
+    run_repeat,
+    run_scan,
+    run_vals,
 )
 from einstream.tensors import COMPRESSED, DENSE, LevelSpec, SparseTensor
+
+KIND = {
+    run_scan: "scan",
+    run_vals: "vals",
+    run_join: "intersect",
+    run_repeat: "repeat",
+    run_alu: "alu",
+    run_map: "map",
+    run_reduce: "reduce",
+    run_red1: "red1",
+    run_crddrop_inner: "crddrop",
+    run_crddrop_outer: "crddrop",
+}
+
+
+def drive(fn, inputs: dict[str, list], *args) -> dict:
+    """Run node function ``fn(run, *args)`` on scripted token lists.
+
+    Returns output port -> emitted tokens, plus the node's ``clock`` (its
+    ticks), ``flops`` (None if it accounted none) and ``bytes_read``.  A
+    read past the end of a scripted list fails the test.  Tokens have no
+    arrival time here, so the clock counts only the node's own work and
+    latency.
+    """
+    ins, outs = node_ports(KIND[fn], {})
+    run = NodeRun(inputs, outs)
+    try:
+        fn(run, *args)
+    except StopIteration:
+        raise AssertionError("node read past its scripted input") from None
+    for code, port in enumerate(ins):
+        if run.trace.count(code) > len(inputs[port]):
+            raise AssertionError(f"node read past scripted input {port!r}")
+    return {
+        **run.outs,
+        "clock": run.trace.count(TICK),
+        "flops": run.flops,
+        "bytes_read": run.bytes_read,
+    }
+
 
 S0, S1 = Stop(0), Stop(1)
 
@@ -31,13 +72,13 @@ B = SparseTensor.from_dense(
 
 
 def test_scan_top_level():
-    out = drive(proc_scan, {"ref": [0, DONE]}, B, 0, 0)
+    out = drive(run_scan, {"ref": [0, DONE]}, B, 0, 0)
     assert out["crd"] == [0, 1, DONE]
     assert out["ref"] == [0, 1, DONE]
 
 
 def test_scan_inner_level_merges_boundaries():
-    out = drive(proc_scan, {"ref": [0, 1, DONE]}, B, 1, 0)
+    out = drive(run_scan, {"ref": [0, 1, DONE]}, B, 1, 0)
     assert out["crd"] == [0, 2, S0, 1, DONE]
     assert out["ref"] == [0, 1, S0, 2, DONE]
 
@@ -47,28 +88,28 @@ def test_scan_empty_fiber_shows_adjacent_stops():
         np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 2.0]]),
         [LevelSpec(DENSE), LevelSpec(COMPRESSED)],
     )
-    out = drive(proc_scan, {"ref": [0, 1, 2, DONE]}, t, 1, 0)
+    out = drive(run_scan, {"ref": [0, 1, 2, DONE]}, t, 1, 0)
     assert out["crd"] == [0, S0, S0, 1, DONE]
 
 
 def test_scan_null_ref_is_empty_fiber():
-    out = drive(proc_scan, {"ref": [0, NULL, DONE]}, B, 1, 0)
+    out = drive(run_scan, {"ref": [0, NULL, DONE]}, B, 1, 0)
     assert out["crd"] == [0, 2, S0, DONE]
 
 
 def test_scan_forwards_parent_stops_one_deeper():
-    out = drive(proc_scan, {"ref": [0, S0, 1, DONE]}, B, 1, 0)
+    out = drive(run_scan, {"ref": [0, S0, 1, DONE]}, B, 1, 0)
     assert out["crd"] == [0, 2, S1, 1, DONE]
 
 
 def test_vals_lookup_and_null_fill():
-    out = drive(proc_vals, {"ref": [0, 1, S0, NULL, DONE]}, B, 0)
+    out = drive(run_vals, {"ref": [0, 1, S0, NULL, DONE]}, B, 0)
     assert out["val"] == [2.0, 3.0, S0, 0.0, DONE]
 
 
 def test_repeat_basic():
     out = drive(
-        proc_repeat,
+        run_repeat,
         {"data": [10, 20, DONE], "ctrl": [5, 6, S0, 7, DONE]},
     )
     assert out["out"] == [10, 10, S0, 20, DONE]
@@ -76,7 +117,7 @@ def test_repeat_basic():
 
 def test_repeat_skips_element_for_empty_control_group():
     out = drive(
-        proc_repeat,
+        run_repeat,
         {"data": [10, 20, 30, DONE], "ctrl": [5, S0, S0, 7, DONE]},
     )
     assert out["out"] == [10, S0, S0, 30, DONE]
@@ -84,7 +125,7 @@ def test_repeat_skips_element_for_empty_control_group():
 
 def test_repeat_control_stop_consumes_data_fiber():
     out = drive(
-        proc_repeat,
+        run_repeat,
         {"data": [10, S0, 20, DONE], "ctrl": [1, 2, S1, 3, DONE]},
     )
     assert out["out"] == [10, 10, S1, 20, DONE]
@@ -92,12 +133,12 @@ def test_repeat_control_stop_consumes_data_fiber():
 
 def test_repeat_underflow():
     with pytest.raises(RepeatUnderflow):
-        drive(proc_repeat, {"data": [10, DONE], "ctrl": [5, S0, 6, DONE]})
+        drive(run_repeat, {"data": [10, DONE], "ctrl": [5, S0, 6, DONE]})
 
 
 def test_intersect_two_fibers():
     out = drive(
-        proc_join,
+        run_join,
         {
             "crd0": [0, 2, 3, S0, 1, DONE],
             "p0": ["a0", "a1", "a2", S0, "a3", DONE],
@@ -113,7 +154,7 @@ def test_intersect_two_fibers():
 
 def test_intersect_empty_result_fiber():
     out = drive(
-        proc_join,
+        run_join,
         {
             "crd0": [0, S0, 1, DONE],
             "p0": ["a0", S0, "a1", DONE],
@@ -127,7 +168,7 @@ def test_intersect_empty_result_fiber():
 
 def test_union_pads_missing_side_with_null():
     out = drive(
-        proc_join,
+        run_join,
         {
             "crd0": [0, 2, S0, 1, DONE],
             "p0": ["a0", "a1", S0, "a2", DONE],
@@ -143,7 +184,7 @@ def test_union_pads_missing_side_with_null():
 
 def test_union_drains_after_one_side_finishes():
     out = drive(
-        proc_join,
+        run_join,
         {
             "crd0": [5, DONE],
             "p0": ["a0", DONE],
@@ -159,7 +200,7 @@ def test_union_drains_after_one_side_finishes():
 
 def test_alu_mul_and_stop_sync():
     out = drive(
-        proc_alu,
+        run_alu,
         {"in0": [2.0, S0, 3.0, DONE], "in1": [4.0, S0, 5.0, DONE]},
         "mul",
         None,
@@ -168,13 +209,13 @@ def test_alu_mul_and_stop_sync():
 
 
 def test_alu_div_zero_numerator_is_zero():
-    out = drive(proc_alu, {"in0": [0.0, DONE], "in1": [0.0, DONE]}, "div", None)
+    out = drive(run_alu, {"in0": [0.0, DONE], "in1": [0.0, DONE]}, "div", None)
     assert out["out"] == [0.0, DONE]
 
 
 def test_alu_div_by_a_zero_divisor_is_zero():
     # a stored divisor can map to 0, e.g. relu of a negative entry
-    out = drive(proc_alu, {"in0": [6.0, 2.0, DONE], "in1": [3.0, 0.0, DONE]}, "div", None)
+    out = drive(run_alu, {"in0": [6.0, 2.0, DONE], "in1": [3.0, 0.0, DONE]}, "div", None)
     assert out["out"] == [2.0, 0.0, DONE]
 
 
@@ -182,14 +223,14 @@ def test_alu_block_div_is_zero_where_either_side_is_zero():
     spec = {"mode": "ew", "out_ndim": 2, "bmap0": (0, 1), "bmap1": (0, 1), "flops": 4}
     a = np.array([[6.0, 0.0], [2.0, 1.0]])
     d = np.array([[3.0, 5.0], [0.0, 0.0]])
-    out = drive(proc_alu, {"in0": [a, DONE], "in1": [d, DONE]}, "div", spec)
+    out = drive(run_alu, {"in0": [a, DONE], "in1": [d, DONE]}, "div", spec)
     np.testing.assert_array_equal(out["out"][0], [[2.0, 0.0], [0.0, 0.0]])
 
 
 def test_alu_detects_desync():
     with pytest.raises(MalformedStream):
         drive(
-            proc_alu,
+            run_alu,
             {"in0": [1.0, 2.0, DONE], "in1": [1.0, S0, 2.0, DONE]},
             "add",
             None,
@@ -197,14 +238,14 @@ def test_alu_detects_desync():
 
 
 def test_map_stored_entry_semantics():
-    out = drive(proc_map, {"in": [0.0, 1.0, DONE]}, "exp")
+    out = drive(run_map, {"in": [0.0, 1.0, DONE]}, "exp")
     assert out["out"][0] == 0.0
     assert out["out"][1] == pytest.approx(np.e)
 
 
 def test_reduce_sum_per_fiber():
     out = drive(
-        proc_reduce,
+        run_reduce,
         {"in": [1.0, 2.0, S0, 5.0, S1, 7.0, DONE]},
         "sum",
         (),
@@ -214,18 +255,18 @@ def test_reduce_sum_per_fiber():
 
 
 def test_reduce_empty_fiber_emits_fill():
-    out = drive(proc_reduce, {"in": [S0, 4.0, DONE]}, "sum", (), None)
+    out = drive(run_reduce, {"in": [S0, 4.0, DONE]}, "sum", (), None)
     assert out["out"] == [0.0, 4.0, DONE]
 
 
 def test_reduce_max_keeps_negative_values():
-    out = drive(proc_reduce, {"in": [-5.0, -2.0, DONE]}, "max", (), None)
+    out = drive(run_reduce, {"in": [-5.0, -2.0, DONE]}, "max", (), None)
     assert out["out"] == [-2.0, DONE]
 
 
 def test_red1_merges_sibling_fibers():
     out = drive(
-        proc_red1,
+        run_red1,
         {
             "crd": [0, 2, S0, 1, 2, S1, 0, DONE],
             "val": [1.0, 2.0, S0, 3.0, 4.0, S1, 5.0, DONE],
@@ -237,7 +278,7 @@ def test_red1_merges_sibling_fibers():
 
 def test_crddrop_inner_drops_zero_values():
     out = drive(
-        proc_crddrop_inner,
+        run_crddrop_inner,
         {
             "outer": [0, 1, 2, S0, 3, DONE],
             "inner": [1.0, 0.0, 2.0, S0, 0.0, DONE],
@@ -250,7 +291,7 @@ def test_crddrop_inner_drops_zero_values():
 def test_crddrop_outer_drops_coordinate_of_empty_group():
     # rows 0 and 1; row 1's inner group was emptied upstream
     out = drive(
-        proc_crddrop_outer,
+        run_crddrop_outer,
         {"outer": [0, 1, DONE], "inner": [5, S0, DONE]},
     )
     assert out["outer"] == [0, DONE]
@@ -259,7 +300,7 @@ def test_crddrop_outer_drops_coordinate_of_empty_group():
 
 def test_crddrop_outer_keeps_separators_between_kept_groups():
     out = drive(
-        proc_crddrop_outer,
+        run_crddrop_outer,
         {"outer": [0, 1, 2, DONE], "inner": [5, S0, S0, 6, DONE]},
     )
     assert out["outer"] == [0, 2, DONE]
@@ -268,7 +309,7 @@ def test_crddrop_outer_keeps_separators_between_kept_groups():
 
 def test_crddrop_outer_forwards_higher_stops():
     out = drive(
-        proc_crddrop_outer,
+        run_crddrop_outer,
         {"outer": [0, S0, 1, DONE], "inner": [5, S1, 6, DONE]},
     )
     assert out["outer"] == [0, S0, 1, DONE]
@@ -279,7 +320,7 @@ def test_crddrop_outer_absorbs_boundary_of_dropped_trailing_group():
     # second enclosure's only group is empty: its coordinate disappears and
     # the enclosure boundary survives as the merged stop
     out = drive(
-        proc_crddrop_outer,
+        run_crddrop_outer,
         {"outer": [0, S0, 1, S0, 2, DONE], "inner": [5, S1, S1, 6, DONE]},
     )
     assert out["outer"] == [0, S0, S0, 2, DONE]
@@ -290,7 +331,7 @@ def test_crddrop_outer_absorbs_boundary_of_dropped_trailing_group():
 
 
 def test_scan_charges_latency_per_fiber_and_a_tick_per_coordinate():
-    out = drive(proc_scan, {"ref": [0, 1, DONE]}, B, 1, 4)
+    out = drive(run_scan, {"ref": [0, 1, DONE]}, B, 1, 4)
     assert out["clock"] == (4 + 2) + (4 + 1)
     # segments 0..2 and coordinates 0..2, 4 bytes each
     assert out["bytes_read"] == 24
@@ -298,21 +339,21 @@ def test_scan_charges_latency_per_fiber_and_a_tick_per_coordinate():
 
 
 def test_scan_touches_each_address_once():
-    out = drive(proc_scan, {"ref": [0, 0, DONE]}, B, 1, 4)
+    out = drive(run_scan, {"ref": [0, 0, DONE]}, B, 1, 4)
     assert out["crd"] == [0, 2, S0, 0, 2, DONE]
     assert out["clock"] == 2 * (4 + 2)
     assert out["bytes_read"] == 16  # segments 0, 1 and coordinates 0, 1
 
 
 def test_vals_latency_per_fiber_and_value_bytes():
-    out = drive(proc_vals, {"ref": [0, 1, S0, NULL, DONE]}, B, 3)
+    out = drive(run_vals, {"ref": [0, 1, S0, NULL, DONE]}, B, 3)
     assert out["clock"] == (3 + 2) + (3 + 1)
     assert out["bytes_read"] == 16  # the fill value is not read
 
 
 def test_alu_counts_one_flop_and_tick_per_element():
     out = drive(
-        proc_alu,
+        run_alu,
         {"in0": [2.0, S0, 3.0, NULL, DONE], "in1": [4.0, S0, 5.0, 1.0, DONE]},
         "mul",
         None,
@@ -321,10 +362,10 @@ def test_alu_counts_one_flop_and_tick_per_element():
 
 
 def test_alu_without_elements_accounts_no_flops():
-    out = drive(proc_alu, {"in0": [S0, DONE], "in1": [S0, DONE]}, "add", None)
+    out = drive(run_alu, {"in0": [S0, DONE], "in1": [S0, DONE]}, "add", None)
     assert (out["clock"], out["flops"]) == (0, None)
 
 
 def test_map_on_an_empty_block_accounts_zero_flops():
-    out = drive(proc_map, {"in": [np.zeros((2, 2)), DONE]}, "relu")
+    out = drive(run_map, {"in": [np.zeros((2, 2)), DONE]}, "relu")
     assert (out["clock"], out["flops"]) == (1, 0)
