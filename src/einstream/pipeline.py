@@ -61,6 +61,10 @@ def compile_region(vp, ir, order, *, par=None, block=None) -> CompiledRegion:
     those two; the rest of the IR is shared.  ``par`` maps index vars to
     split factors; ``block`` is a block shape such as ``(2, 2)``.
     """
+    if block is not None and ir.copies:
+        raise UnsupportedSchedule(
+            "blocking combined with permuted input copies is not supported"
+        )
     ir2 = replace(ir, views=list(ir.views), extents=dict(ir.extents))
     plans = plan_copies(ir2, order)
     binfo = plan_blocking(vp, ir2, block) if block is not None else None

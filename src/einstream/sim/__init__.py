@@ -4,11 +4,13 @@
 (``processes``) calls each node's function once, in topological order, on
 whole token streams: that is the run with unbounded channels, and by
 Kahn's determinacy it gives every token, clock and counter of a run at
-any depth that completes.  Pass 2 (``engine``) replays the recorded
-effect traces on channels of the configured depth, counting tokens only,
-under the ready-queue scheduler; it alone decides whether the run
-completes, deadlocks, or which error it raises first.  A new node kind
-meets the trace contract in ``processes``.
+any depth that completes.  Pass 2 (``engine``) decides the outcome at
+the configured depth.  When no node raised and the graph is large enough
+to pay for numpy, a check over the recorded effect traces can prove that
+the run completes.  Otherwise a replay of the traces under the
+ready-queue scheduler, counting tokens only, decides whether the run
+completes, deadlocks, or which error it raises first; only the replay
+raises.  A new node kind meets the trace contract in ``processes``.
 """
 
 from .engine import SimConfig, SimReport, run

@@ -859,10 +859,6 @@ def build_region_graph(
             raise UnsupportedSchedule(f"unknown parallelized index {v!r}")
         if par[v] < 2:
             raise UnsupportedSchedule("split factor must be at least 2")
-    if block and ir.copies:
-        raise UnsupportedSchedule(
-            "blocking combined with permuted input copies is not supported"
-        )
     g = DataflowGraph()
     b = _Builder(g, vp, ir, order, block)
     for op_idx, name in ir.outputs:

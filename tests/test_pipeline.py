@@ -282,6 +282,18 @@ def test_copy_program_schedules_a_permuted_copy():
     assert plan.source in ("A", "C") and plan.alias.startswith(plan.source)
 
 
+def test_blocking_a_region_with_a_permuted_copy_is_refused():
+    vp = validate_program(parse_program(COPY + "block(2, 2);\n"))
+    ir = resolve_cycles(elaborate_region(vp, 0))
+    orders = schedulable_orders(vp, ir)
+    assert orders
+    for order in orders:
+        with pytest.raises(UnsupportedSchedule, match="permuted input copies"):
+            compile_region(vp, ir, order, block=(2, 2))
+    with pytest.raises(UnsupportedSchedule, match="permuted input copies"):
+        run_program(vp, _inputs(vp))
+
+
 def test_nesting_edges():
     assert nesting_edges(("i", "k"), (DENSE, "compressed")) == {("i", "k")}
     assert nesting_edges(("i", "k"), ("compressed", DENSE)) == set()

@@ -6,7 +6,8 @@ outcome (the class and message of the error, or success), on
 ``counters()``, ``node_cycles`` and ``node_flops``, and on the bytes of
 every output: for every program of ``test_pipeline`` at every schedulable
 order of every region and at several channel depths, and for programs
-drawn by ``test_oracle``'s strategy.
+drawn by ``test_oracle``'s strategy; and again with the interleaving check
+tried on every run, however small the graph.
 """
 
 from __future__ import annotations
@@ -169,6 +170,33 @@ def test_engines_agree_on_generated_programs(case):
             return  # later regions have no inputs
         for _, name in cr.ir.outputs:
             env[name] = restore(vp, name, rep.outputs[name])
+
+
+@pytest.fixture
+def forced_check(monkeypatch):
+    """The interleaving check tried on every run, however small; returns
+    what it decided on each."""
+    decided = []
+    certify = engine._certify
+
+    def spy(*args):
+        decided.append(certify(*args))
+        return decided[-1]
+
+    monkeypatch.setattr(engine, "_CERTIFY_OPS", 0)
+    monkeypatch.setattr(engine, "_certify", spy)
+    return decided
+
+
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+def test_forced_check_agrees_on_every_order_and_depth(forced_check, name):
+    test_engines_agree_on_every_order_and_depth(name)
+    assert True in forced_check
+
+
+def test_forced_check_agrees_on_generated_programs(forced_check):
+    test_engines_agree_on_generated_programs()
+    assert True in forced_check and False in forced_check
 
 
 def _racing_adders(names) -> DataflowGraph:

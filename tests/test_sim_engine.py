@@ -1,17 +1,25 @@
-"""End-to-end engine tests on a hand-built sparse matrix-vector graph."""
+"""End-to-end engine tests on a hand-built sparse matrix-vector graph,
+and the interleaving check on compiled programs."""
 
 from __future__ import annotations
 
 import json
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from einstream.errors import Deadlock, GraphError, MalformedStream
+from einstream.frontend import parse_program, validate_program
 from einstream.graph import DONE, DataflowGraph
+from einstream.pipeline import run_program
 from einstream.sim import SimConfig, engine, run
 from einstream.tensors import COMPRESSED, LevelSpec, SparseTensor
+
+sys.path.insert(0, str(Path(__file__).parent))
+from test_pipeline import SPMM, _inputs, check_program  # noqa: E402
 
 CC = [LevelSpec(COMPRESSED), LevelSpec(COMPRESSED)]
 
@@ -201,6 +209,86 @@ def test_token_after_done_names_the_channel(monkeypatch):
     c = SparseTensor.from_dense(np.array([1.0, 0.0, 3.0]), [LevelSpec(COMPRESSED)])
     with pytest.raises(MalformedStream, match="^token after Done on root:ref->scan_c0:ref$"):
         run(g, {"c": c}, SimConfig())
+
+
+@pytest.fixture
+def checks(monkeypatch):
+    """What the interleaving check decided on each run, and how many
+    replays ran."""
+    log = SimpleNamespace(certified=[], replays=0)
+    certify, replay = engine._certify, engine._replay
+
+    def spy_certify(*args):
+        log.certified.append(certify(*args))
+        return log.certified[-1]
+
+    def spy_replay(*args):
+        log.replays += 1
+        return replay(*args)
+
+    monkeypatch.setattr(engine, "_certify", spy_certify)
+    monkeypatch.setattr(engine, "_replay", spy_replay)
+    return log
+
+
+def test_check_declines_a_reconvergent_fan_out_at_depth_1(monkeypatch, checks):
+    # ls_A_i feeds both rep_X_i:ctrl and cd_Y_i:outer; at depth 1 the drop's
+    # channel fills before the repeat can take its next coordinate
+    vp = validate_program(parse_program(SPMM.format(extra="")))
+    inputs = _inputs(vp)
+    with pytest.raises(Deadlock) as unchecked:
+        run_program(vp, inputs, SimConfig(channel_depth=1))
+    monkeypatch.setattr(engine, "_CERTIFY_OPS", 0)
+    with pytest.raises(Deadlock) as checked:
+        run_program(vp, inputs, SimConfig(channel_depth=1))
+    assert checks.certified == [False] and checks.replays == 2
+    msg = str(checked.value)
+    assert msg == str(unchecked.value)
+    assert "ls_A_i backpressured on ls_A_i:crd->cd_Y_i:outer" in msg
+    assert "rep_X_i awaiting ls_A_i:crd->rep_X_i:ctrl" in msg
+
+
+def test_check_accepts_fused_relu_at_32_without_a_replay(checks):
+    sizes = "index i = 32; index k = 32; index j = 32;"
+    check_program(SPMM.format(extra="").replace("index i = 6; index k = 5; index j = 4;", sizes))
+    assert checks.certified == [True] and checks.replays == 0
+
+
+def test_check_declines_a_read_past_the_end_of_a_stream(monkeypatch, checks):
+    def root_without_done(run):
+        run.trace.append(0)  # a send on port 0, "ref"
+        run.outs["ref"].append(0)
+
+    real = engine.node_function
+    monkeypatch.setattr(
+        engine, "node_function",
+        lambda node, t, lat: root_without_done if node.kind == "root" else real(node, t, lat),
+    )
+    monkeypatch.setattr(engine, "_CERTIFY_OPS", 0)
+    g = DataflowGraph()
+    g.connect(g.add("root"), "ref", g.add("scan", "scan_c0", tensor="c", level=0), "ref", "ref")
+    c = SparseTensor.from_dense(np.array([1.0, 0.0, 3.0]), [LevelSpec(COMPRESSED)])
+    with pytest.raises(Deadlock, match="^no runnable node; scan_c0 awaiting root:ref->scan_c0:ref$"):
+        run(g, {"c": c}, SimConfig())
+    assert checks.certified == [False] and checks.replays == 1
+
+
+def test_check_declines_a_reader_that_leaves_its_stream_full(monkeypatch, checks):
+    # the root sends 0 and Done; a scan that reads neither leaves the
+    # root waiting for room at depth 1
+    real = engine.node_function
+    monkeypatch.setattr(
+        engine, "node_function",
+        lambda node, t, lat: (lambda run: None) if node.kind == "scan" else real(node, t, lat),
+    )
+    monkeypatch.setattr(engine, "_CERTIFY_OPS", 0)
+    g = DataflowGraph()
+    g.connect(g.add("root"), "ref", g.add("scan", "scan_c0", tensor="c", level=0), "ref", "ref")
+    c = SparseTensor.from_dense(np.array([1.0, 0.0, 3.0]), [LevelSpec(COMPRESSED)])
+    with pytest.raises(Deadlock, match="^no runnable node; root backpressured on root:ref->scan_c0:ref$"):
+        run(g, {"c": c}, SimConfig(channel_depth=1))
+    assert run(g, {"c": c}, SimConfig(channel_depth=2)).cycles == 1
+    assert checks.certified == [False, True] and checks.replays == 1
 
 
 def test_writer_levels_that_do_not_nest_are_malformed():
