@@ -14,6 +14,30 @@ already at least that late.  Pass 1 therefore calls each node's function
 (``processes``) once, on the complete token lists of its inputs, and
 frees each stream once all its readers have run.
 
+*Two implementations of pass 1.*  ``_pass1`` calls the loop functions of
+``processes``, one Python step per token.  ``arrays.pass1`` computes each
+node's outputs, trace and counters over whole arrays instead; its traces
+are byte-equal to the loops', so the rest of the run cannot tell them
+apart.  It covers root, scan, vals, intersect, union, repeat, scalar alu,
+map, red1, both crddrop stages and the writers, on the happy path only:
+blocked payloads, ``reduce``, ``par``, ``ser`` and substituted node
+functions have no array function, and any input off the path (a stream
+without its one Done at the end, boundaries that disagree, stop levels
+that do not match, a NULL where the loop would raise, an op it does not
+implement) makes it decline.  Then the whole run goes through
+``_pass1``, which alone raises errors and records error traces.
+
+*The array gate.*  numpy's per-call cost loses on short streams, so the
+array pass is tried only when the tensors a run reads store at least
+``_ARRAY_ENTRIES`` entries, a size known before pass 1.  On fused
+``relu(A*X+b)`` (2-vCPU VM, best of 15 alternating ``sim.run``s, array
+pass forced on vs forced off) the array pass took 7.24 vs 6.29 ms at 307
+entries (16³), 6.83 vs 6.42 at 480 (20³), 10.2 vs 11.1 at 691 (24³) and
+14.3 vs 17.3 at 1229 (32³); the gate sits at 600.  At 128³ (10,649
+entries) pass 1 falls from 64 to 16 ms.  Stored entries miss
+recomputation: the fused GCN at 16/16/8/8 stores 275 entries, stays on
+the loops, and would run in 0.75 of the time on arrays.
+
 **Pass 2 decides the outcome**, either by a check that proves the run
 completes or by a replay.
 
@@ -68,7 +92,6 @@ maximum of dataflow cycles and total traffic divided by bandwidth.
 from __future__ import annotations
 
 import math
-from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import compress, count, repeat
@@ -86,6 +109,7 @@ from ..tensors import (
     SparseTensor,
     _from_arrays,
 )
+from . import arrays
 from .processes import TICK, NodeRun, node_function
 
 
@@ -128,13 +152,28 @@ class SimReport:
 # small graphs numpy's per-call overhead makes it cost more than the replay.
 _CERTIFY_OPS = 1000
 
+# Stored entries of the tensors a run reads below which pass 1 runs as
+# loops: on short streams numpy's per-call overhead costs more than the
+# loops it replaces (see "The array gate" above).
+_ARRAY_ENTRIES = 600
+
+
+def _stored_entries(graph: DataflowGraph, order: list, tensors: dict) -> int:
+    """Stored entries of the tensors the scans and vals of ``order`` read."""
+    nodes = [graph.nodes[nid] for nid in order]
+    read = {node.params["tensor"] for node in nodes if node.kind in ("scan", "vals")}
+    return sum(tensors[name].values.size for name in read)
+
 
 def run(graph: DataflowGraph, tensors: dict, config: SimConfig | None = None) -> SimReport:
     config = config or SimConfig()
     order = graph.validate()
     funcs = [node_function(graph.nodes[nid], tensors, config.mem_latency) for nid in order]
     net = _Net(graph, order)
-    runs, traces, ends = _pass1(net, funcs)
+    passed = None
+    if _stored_entries(graph, order, tensors) >= _ARRAY_ENTRIES:
+        passed = arrays.pass1(net, funcs)
+    runs, traces, ends = passed or _pass1(net, funcs)
     depth = config.channel_depth
     checkable = all(end is None for end in ends) and (
         sum(map(len, traces)) - sum(map(bytearray.count, traces, repeat(TICK)))
@@ -232,7 +271,7 @@ class _Net:
         codes, drop = self.codes[i], self.drops[i]
         if not self.wide:
             return trace.translate(bytes(codes).ljust(256, b"\0"), drop)
-        return array("I", map(codes.__getitem__, trace.translate(None, drop)))
+        return np.asarray(codes)[np.frombuffer(trace.translate(None, drop), np.uint8)].tolist()
 
 
 class _AfterDone(list):

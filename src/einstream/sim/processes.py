@@ -32,6 +32,13 @@ Trace contract, which every node kind must meet:
 * Send Done last on each port, and depend on nothing but the input
   tokens: not on channel depth, other nodes or the order nodes run in.
 
+``arrays`` implements root, scan, vals, the joins, repeat, scalar alu,
+map, red1, crddrop and the writers a second time, over whole arrays, for
+long runs; there each kind must give this module's trace bytes, outputs,
+``flops`` and ``bytes_read`` on the happy path and decline everywhere
+else (``tests/test_sim_arrays.py``).  A change to one of those loops
+changes its array function too.
+
 Boundary emission uses a single pending stop per producer: a new boundary
 at a deeper level merges into the pending one (same closure point); at the
 same or a shallower level the pending stop is flushed first (a visible

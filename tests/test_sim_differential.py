@@ -7,7 +7,8 @@ outcome (the class and message of the error, or success), on
 every output: for every program of ``test_pipeline`` at every schedulable
 order of every region and at several channel depths, and for programs
 drawn by ``test_oracle``'s strategy; and again with the interleaving check
-tried on every run, however small the graph.
+tried on every run, however small the graph, and with the array pass 1
+tried on every run, however few entries its tensors store.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from einstream import sim
-from einstream.sim import engine
+from einstream.sim import arrays, engine
 from einstream.errors import EinstreamError, UnsupportedSchedule
 from einstream.frontend import parse_program, validate_program
 from einstream.fusion import elaborate_region, map_user_order, resolve_cycles
@@ -197,6 +198,39 @@ def test_forced_check_agrees_on_every_order_and_depth(forced_check, name):
 def test_forced_check_agrees_on_generated_programs(forced_check):
     test_engines_agree_on_generated_programs()
     assert True in forced_check and False in forced_check
+
+
+@pytest.fixture
+def forced_arrays(monkeypatch):
+    """The array pass 1 tried on every run, however small; returns whether
+    it was taken on each run it was tried on."""
+    taken = []
+    pass1 = arrays.pass1
+
+    def spy(*args):
+        got = pass1(*args)
+        taken.append(got is not None)
+        return got
+
+    monkeypatch.setattr(engine, "_ARRAY_ENTRIES", 0)
+    monkeypatch.setattr(arrays, "pass1", spy)
+    return taken
+
+
+# the programs with a region free of reduce, par/ser and blocked payloads;
+# every other program stays on the loop pass
+ARRAY_PROGRAMS = {"copy", "divide", "divide_relu", "fused_relu", "matmul", "softmax"}
+
+
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+def test_forced_arrays_agree_on_every_order_and_depth(forced_arrays, name):
+    test_engines_agree_on_every_order_and_depth(name)
+    assert (True in forced_arrays) == (name in ARRAY_PROGRAMS)
+
+
+def test_forced_arrays_agree_on_generated_programs(forced_arrays):
+    test_engines_agree_on_generated_programs()
+    assert True in forced_arrays and False in forced_arrays
 
 
 def _racing_adders(names) -> DataflowGraph:

@@ -1,5 +1,5 @@
 """End-to-end engine tests on a hand-built sparse matrix-vector graph,
-and the interleaving check on compiled programs."""
+and, on compiled programs, the interleaving check and which pass 1 runs."""
 
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from einstream.errors import Deadlock, GraphError, MalformedStream
 from einstream.frontend import parse_program, validate_program
 from einstream.graph import DONE, DataflowGraph
 from einstream.pipeline import run_program
-from einstream.sim import SimConfig, engine, run
+from einstream.sim import SimConfig, arrays, engine, run
 from einstream.tensors import COMPRESSED, LevelSpec, SparseTensor
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -252,6 +252,26 @@ def test_check_accepts_fused_relu_at_32_without_a_replay(checks):
     sizes = "index i = 32; index k = 32; index j = 32;"
     check_program(SPMM.format(extra="").replace("index i = 6; index k = 5; index j = 4;", sizes))
     assert checks.certified == [True] and checks.replays == 0
+
+
+def test_fused_relu_at_32_takes_the_array_pass_without_the_loop_pass(monkeypatch):
+    calls = SimpleNamespace(arrays=[], loop=0)
+    pass1, loop_pass1 = arrays.pass1, engine._pass1
+
+    def spy_arrays(*args):
+        got = pass1(*args)
+        calls.arrays.append(got is not None)
+        return got
+
+    def spy_loop(*args):
+        calls.loop += 1
+        return loop_pass1(*args)
+
+    monkeypatch.setattr(arrays, "pass1", spy_arrays)
+    monkeypatch.setattr(engine, "_pass1", spy_loop)
+    sizes = "index i = 32; index k = 32; index j = 32;"
+    check_program(SPMM.format(extra="").replace("index i = 6; index k = 5; index j = 4;", sizes))
+    assert calls.arrays == [True] and calls.loop == 0
 
 
 def test_check_declines_a_read_past_the_end_of_a_stream(monkeypatch, checks):
