@@ -72,17 +72,20 @@ def compile_region(vp, ir, order, *, par=None, block=None) -> CompiledRegion:
     return CompiledRegion(tuple(order), graph, info, plans, ir2, binfo)
 
 
+# build attempts after which schedulable_orders stops searching
+_PROBE_LIMIT = 2000
+
+
 class _Prune(Exception):
     def __init__(self, depth: int):
         self.depth = depth
 
 
-def schedulable_orders(vp, ir, cap: int = 24, extra_edges=(),
-                       probe_limit: int = 2000):
+def schedulable_orders(vp, ir, cap: int = 24, extra_edges=()):
     """First ``cap`` lexicographic POG extensions the lowering accepts.
 
     A build failure at row k rules out every extension sharing that
-    (k+1)-prefix; the search backtracks straight past them.  ``probe_limit``
+    (k+1)-prefix; the search backtracks straight past them.  ``_PROBE_LIMIT``
     bounds the number of build attempts as a safety stop.
     """
     vs = region_vars(ir)
@@ -98,7 +101,7 @@ def schedulable_orders(vp, ir, cap: int = 24, extra_edges=(),
 
     def dfs():
         nonlocal probes
-        if len(good) >= cap or probes >= probe_limit:
+        if len(good) >= cap or probes >= _PROBE_LIMIT:
             return
         if len(chosen) == len(vs):
             probes += 1
@@ -124,7 +127,7 @@ def schedulable_orders(vp, ir, cap: int = 24, extra_edges=(),
                 continue  # this prefix is doomed; try the next sibling
             chosen.pop()
             used.remove(v)
-            if len(good) >= cap or probes >= probe_limit:
+            if len(good) >= cap or probes >= _PROBE_LIMIT:
                 return
 
     dfs()

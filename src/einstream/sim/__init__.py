@@ -12,15 +12,13 @@ ready-queue scheduler, counting tokens only, decides whether the run
 completes, deadlocks, or which error it raises first; only the replay
 raises.  A new node kind meets the trace contract in ``processes``.
 
-Pass 1 has two implementations with byte-equal traces: the loops of
-``processes``, one Python step per token, and the whole-array functions
-of ``arrays`` for long runs.  ``run`` takes the array pass only when every
-node has an array function and the tensors it reads store at least
-``engine._ARRAY_ENTRIES`` entries.  The array pass covers the happy path
-only: wherever a node would raise or its input leaves that path, it
-declines, and the whole run goes through the loop pass instead.  Pass 2
-therefore sees the same traces, and reports the same outcome, message,
-counters and outputs, either way.
+Pass 1 runs one of two sets of node functions with byte-equal traces:
+the whole-array functions of ``arrays`` whenever every node has one, the
+loops of ``processes``, one Python step per token, otherwise.  The array
+functions cover the happy path only: wherever a node would raise or its
+input leaves that path, one declines, and the whole run goes through the
+loops instead.  Pass 2 therefore sees the same traces, and reports the
+same outcome, message, counters and outputs, either way.
 """
 
 from .engine import SimConfig, SimReport, run

@@ -1,8 +1,9 @@
-"""Pass 1 over whole arrays: the node kinds of long scalar runs.
+"""Node functions over whole arrays: the node kinds of scalar runs.
 
-``engine._pass1`` calls each node's loop function (``processes``) once
-per run and that function takes one Python step per token.  This module
-is a second implementation of the same pass for long runs.  A stream is a
+Each loop function of ``processes`` takes one Python step per token.
+This module implements the same node kinds a second time, and
+``engine._pass1`` runs these instead whenever every node of a run has
+one.  Here a stream is a
 ``Stream``: an int8 ``code`` per token (``ELEM``, ``END`` for Done, or k
 for ``Stop(k)``), a ``val`` payload (int64 coordinates and positions, or
 float64 values; arbitrary at boundaries) and a ``null`` mask where a union padded
@@ -17,18 +18,18 @@ record error traces.  An array function raises ``Decline`` instead, before
 its first output, wherever its input leaves the path it implements: a
 stream without exactly one Done, at its end; two inputs that must agree on
 their boundaries and do not; stop levels that do not match; a NULL where
-its loop would raise; an op it does not implement.  ``pass1`` then returns
-None and the engine runs the loop pass over the whole run, so the replay,
-check, clocks and ``_finalize`` see the loop pass's traces either way.
-Blocked payloads, ``reduce``, ``par``, ``ser`` and any node function that
-is not one of ``processes``'s loops have no array function: a run with
-one of them stays on the loop pass from the start.
+its loop would raise; an op it does not implement.  The engine then runs
+the whole run again on the loop functions, so the replay, check, clocks
+and ``_finalize`` see the loops' traces either way.  Blocked payloads,
+``reduce``, ``par``, ``ser`` and any node function that is not one of
+``processes``'s loops have no array function: a run with one of them
+runs on the loops from the start.
 
 Bit-exactness: ``red1`` adds each coordinate's values in arrival order (a
-left fold, one numpy add per rank), never pairwise; ``max`` is
-``a if a >= b else b`` (``np.where``, not ``np.maximum``, for -0.0 and
-NaN); ``div`` is 0 where either side is 0; numpy's floating-point warnings
-are silenced where Python floats would give inf or nan silently.
+left fold, one numpy add per rank), never pairwise; ``alu`` applies
+``processes.ARRAY_OPS``, whose ``div`` is 0 where either side is 0;
+numpy's floating-point warnings are silenced where Python floats would
+give inf or nan silently.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from ..frontend.program import apply_pointwise_array
 from ..graph import DONE, NULL, Stop
 from ..tensors import ELEMENT_BYTES, INDEX_BYTES, DenseLevel
 from . import processes as loop
-from .processes import TICK, NodeRun
+from .processes import TICK
 
 ELEM, END = -1, -2  # token codes of an element and of Done; Stop(k) is k
 _KEY_LIMIT = 2**62  # (fiber, coordinate) sort keys must stay below this
@@ -403,20 +404,6 @@ def repeat(run):
 # --- compute --------------------------------------------------------------
 
 
-def _max(a, b):
-    return np.where(a >= b, a, b)
-
-
-def _div(a, b):
-    out = np.zeros(len(a))
-    nz = (a != 0.0) & (b != 0.0)
-    out[nz] = a[nz] / b[nz]
-    return out
-
-
-_OPS = {"add": np.add, "sub": np.subtract, "mul": np.multiply, "max": _max, "div": _div}
-
-
 def alu(run, op: str):
     IN0, IN1, OUT = 0, 1, 2
     a, b = run.ins["in0"], run.ins["in1"]
@@ -431,7 +418,7 @@ def alu(run, op: str):
     if b.null is not None:
         y = np.where(b.null, 0.0, y)
     with np.errstate(all="ignore"):
-        out = _OPS[op](x, y)
+        out = loop.ARRAY_OPS[op](x, y)
     run.outs["out"] = Stream(a.code, out, None)
     elem = a.code == ELEM
     run.trace = _weave((bytes((IN0, IN1, OUT)), bytes((IN0, IN1, OUT, TICK))), elem.view(np.uint8))
@@ -646,7 +633,7 @@ def write(run, port: str):
     run.records = to_tokens(s)
 
 
-# --- factory and pass -----------------------------------------------------
+# --- factory --------------------------------------------------------------
 
 
 def _scan(tensor, level_idx, mem_latency, mult, stride):
@@ -662,7 +649,7 @@ def _vals(tensor, mem_latency):
 
 
 def _alu(op, block):
-    return None if block or op not in _OPS else partial(alu, op=op)
+    return None if block or op not in loop.ARRAY_OPS else partial(alu, op=op)
 
 
 def _map(fn):
@@ -692,34 +679,3 @@ def array_function(fn):
     base, kw = (fn.func, fn.keywords) if isinstance(fn, partial) else (fn, {})
     make = _FROM_LOOP.get(base)
     return None if make is None else make(**kw)
-
-
-def pass1(net, funcs):
-    """``engine._pass1`` over streams, from the loop functions ``funcs``:
-    the node runs and traces, or None when a node has no array function or
-    one declines.  No node raises or sends after Done on this path."""
-    afuncs = [array_function(fn) for fn in funcs]
-    if any(fn is None for fn in afuncs):
-        return None
-    n = len(net.order)
-    streams: dict[int, Stream] = {}  # stream -> its tokens, until its readers ran
-    readers = [len(cs) for cs in net.streams]
-    runs, traces = [None] * n, [None] * n
-    for i in range(n):
-        ins, outs = net.ins[i], net.outs[i]
-        r = NodeRun({p: streams[s] for p, s, _ in ins}, [p for p, _ in outs])
-        try:
-            afuncs[i](r)
-        except Decline:
-            return None
-        for _, s, _ in ins:
-            readers[s] -= 1
-            if not readers[s]:
-                del streams[s]
-        for p, s in outs:
-            if s is not None:
-                streams[s] = r.outs[p]
-        traces[i] = r.trace
-        r.ins = r.outs = r.trace = None
-        runs[i] = r
-    return runs, traces, [None] * n

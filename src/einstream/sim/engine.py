@@ -12,48 +12,47 @@ would only raise the token's time to a pickup made earlier by the same
 reader, whose clock never decreases, so the reader's clock at pickup n is
 already at least that late.  Pass 1 therefore calls each node's function
 (``processes``) once, on the complete token lists of its inputs, and
-frees each stream once all its readers have run.
+frees each stream once all its readers have run.  Each function sends
+Done last on every port, as the trace contract in ``processes`` asks;
+the engine relies on that and does not check it.
 
-*Two implementations of pass 1.*  ``_pass1`` calls the loop functions of
-``processes``, one Python step per token.  ``arrays.pass1`` computes each
-node's outputs, trace and counters over whole arrays instead; its traces
-are byte-equal to the loops', so the rest of the run cannot tell them
-apart.  It covers root, scan, vals, intersect, union, repeat, scalar alu,
-map, red1, both crddrop stages and the writers, on the happy path only:
-blocked payloads, ``reduce``, ``par``, ``ser`` and substituted node
-functions have no array function, and any input off the path (a stream
-without its one Done at the end, boundaries that disagree, stop levels
-that do not match, a NULL where the loop would raise, an op it does not
-implement) makes it decline.  Then the whole run goes through
-``_pass1``, which alone raises errors and records error traces.
-
-*The array gate.*  numpy's per-call cost loses on short streams, so the
-array pass is tried only when the tensors a run reads store at least
-``_ARRAY_ENTRIES`` entries, a size known before pass 1.  On fused
-``relu(A*X+b)`` (2-vCPU VM, best of 15 alternating ``sim.run``s, array
-pass forced on vs forced off) the array pass took 7.24 vs 6.29 ms at 307
-entries (16³), 6.83 vs 6.42 at 480 (20³), 10.2 vs 11.1 at 691 (24³) and
-14.3 vs 17.3 at 1229 (32³); the gate sits at 600.  At 128³ (10,649
-entries) pass 1 falls from 64 to 16 ms.  Stored entries miss
-recomputation: the fused GCN at 16/16/8/8 stores 275 entries, stays on
-the loops, and would run in 0.75 of the time on arrays.
+*Two sets of node functions.*  ``_pass1`` runs either the loop
+functions of ``processes``, one Python step per token, or the array
+functions of ``arrays``, which compute each node's outputs, trace and
+counters over whole arrays; their traces are byte-equal, so the rest of
+the run cannot tell them apart.  ``run`` tries the array functions
+whenever every node has one: root, scan, vals, intersect, union, repeat,
+scalar alu, map, red1, both crddrop stages and the writers.  Blocked
+payloads, ``reduce``, ``par``, ``ser`` and substituted node functions
+have none.  Array functions cover the happy path only; any input off it
+(a stream without its one Done at the end, boundaries that disagree,
+stop levels that do not match, a NULL where the loop would raise, an op
+it does not implement) makes one raise ``arrays.Decline``, and the whole
+run restarts on the loop functions, which alone raise errors and record
+error traces.  There is no size gate: on short streams numpy's per-call
+cost can exceed the loops it replaces, but stored entries do not say
+where.  Over the orders of fused ``relu(A*X+b)`` at 16³ (about 300
+entries; 2-vCPU VM, sum of the best of 7 ``sim.run``s per order at depths
+1 and 4) the arrays took 12.8 ms against the loops' 9.2, and over those
+of the fused GCN at 16/16/8/8 (275 entries) 38.5 against 39.9; at 128³
+(10,649 entries) pass 1 falls from 64 to 16 ms.
 
 **Pass 2 decides the outcome**, either by a check that proves the run
 completes or by a replay.
 
-*The check* (``_certify``) is tried when no node raised or sent after its
-Done.  It looks for one interleaving of every node's whole trace, recvs
-and sends only, in which each recv comes after the send of its token and
-each send of token k + depth after the recv of token k on every channel
-of its stream.  Such an interleaving is an execution on channels of that
-depth in which every node runs to its end.  A depth-d channel is a Kahn
-channel plus a reverse channel of d credits, so the bounded network is a
-Kahn network too, and how far each node gets is the same under every
-schedule that runs until no node can move.  The ready-queue replay is
-such a schedule, so it would complete as well: an accepted run skips it.
-The check builds one interleaving only (sinks by pass-1 clock, every
-other node as late as its readers allow), so it may decline a run that
-completes, mostly at depths 1 and 2; the replay then decides.
+*The check* (``_certify``) is tried when no node raised.  It looks for
+one interleaving of every node's whole trace, recvs and sends only, in
+which each recv comes after the send of its token and each send of token
+k + depth after the recv of token k on every channel of its stream.
+Such an interleaving is an execution on channels of that depth in which
+every node runs to its end.  A depth-d channel is a Kahn channel plus a
+reverse channel of d credits, so the bounded network is a Kahn network
+too, and how far each node gets is the same under every schedule that
+runs until no node can move.  The ready-queue replay is such a schedule,
+so it would complete as well: an accepted run skips it.  The check
+builds one interleaving only (sinks by pass-1 clock, every other node as
+late as its readers allow), so it may decline a run that completes,
+mostly at depths 1 and 2; the replay then decides.
 
 *The replay* (``_replay``) walks the traces with integer channel
 occupancies under the scheduler the engine has always used: a FIFO ready
@@ -62,11 +61,9 @@ until it blocks or finishes; a push wakes the reader waiting on that
 channel and a pop the writer backpressured on it, each appended to the
 queue the moment it happens; a node owed sends from a partial send makes
 them first when it runs again.  Only the replay raises: ``Deadlock``,
-naming what each stuck node waits for; the error a node raised in pass 1,
-once the replay has taken that node up to it, so that the ready-queue
-order decides which of several errors comes first; and
-``MalformedStream`` for a token sent after Done, once the send finds
-room.
+naming what each stuck node waits for; and the error a node raised in
+pass 1, once the replay has taken that node up to it, so that the
+ready-queue order decides which of several errors comes first.
 
 *The size gate.*  The check costs a few dozen numpy calls per node
 whatever its trace length, the replay one Python step per recv or send.
@@ -94,8 +91,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import compress, count, repeat
-from operator import is_
+from itertools import repeat
 
 import numpy as np
 
@@ -152,28 +148,16 @@ class SimReport:
 # small graphs numpy's per-call overhead makes it cost more than the replay.
 _CERTIFY_OPS = 1000
 
-# Stored entries of the tensors a run reads below which pass 1 runs as
-# loops: on short streams numpy's per-call overhead costs more than the
-# loops it replaces (see "The array gate" above).
-_ARRAY_ENTRIES = 600
-
-
-def _stored_entries(graph: DataflowGraph, order: list, tensors: dict) -> int:
-    """Stored entries of the tensors the scans and vals of ``order`` read."""
-    nodes = [graph.nodes[nid] for nid in order]
-    read = {node.params["tensor"] for node in nodes if node.kind in ("scan", "vals")}
-    return sum(tensors[name].values.size for name in read)
-
-
 def run(graph: DataflowGraph, tensors: dict, config: SimConfig | None = None) -> SimReport:
     config = config or SimConfig()
     order = graph.validate()
     funcs = [node_function(graph.nodes[nid], tensors, config.mem_latency) for nid in order]
     net = _Net(graph, order)
-    passed = None
-    if _stored_entries(graph, order, tensors) >= _ARRAY_ENTRIES:
-        passed = arrays.pass1(net, funcs)
-    runs, traces, ends = passed or _pass1(net, funcs)
+    afuncs = [arrays.array_function(fn) for fn in funcs]
+    try:
+        runs, traces, ends = _pass1(net, afuncs if all(afuncs) else funcs)
+    except arrays.Decline:  # an input off the array path: the run on the loops
+        runs, traces, ends = _pass1(net, funcs)
     depth = config.channel_depth
     checkable = all(end is None for end in ends) and (
         sum(map(len, traces)) - sum(map(bytearray.count, traces, repeat(TICK)))
@@ -264,70 +248,47 @@ class _Net:
         e = self.edges[c]
         return f"{e.src}:{e.src_port}->{e.dst}:{e.dst_port}"
 
-    def replay_ops(self, i: int, trace, end):
-        """Node i's trace as replay codes, cut at its send after Done."""
-        if end.__class__ is _AfterDone:
-            trace = trace[: end.at]
+    def replay_ops(self, i: int, trace):
+        """Node i's trace as replay codes."""
         codes, drop = self.codes[i], self.drops[i]
         if not self.wide:
             return trace.translate(bytes(codes).ljust(256, b"\0"), drop)
         return np.asarray(codes)[np.frombuffer(trace.translate(None, drop), np.uint8)].tolist()
 
 
-class _AfterDone(list):
-    """The channels of a port a node sends on after its Done, and ``at``,
-    that send's position in the node's trace: the replay trace ends there."""
-
-    def __init__(self, chans, at: int):
-        super().__init__(chans)
-        self.at = at
-
-
 def _pass1(net: _Net, funcs) -> tuple[list, list, list]:
     """Each node's function once, on whole streams, in topological order,
-    freeing each stream once its readers have run.  Returns the node runs,
-    their traces, and how each replay trace ends: None where the node
-    returns, the error it raised, or an ``_AfterDone``."""
+    freeing each stream once its readers have run: ``funcs`` are either
+    the loop functions of ``processes``, on token lists, or the array
+    functions of ``arrays``, on ``arrays.Stream``s.  Returns the node runs,
+    their traces, and the error each node raised, or None.  An array
+    function's ``arrays.Decline`` propagates."""
     n = len(net.order)
-    tokens: dict[int, list] = {}  # stream -> its tokens, until its readers ran
+    streams: dict = {}  # stream -> its tokens, until its readers ran
     readers = [len(cs) for cs in net.streams]
     runs, traces, ends = [None] * n, [None] * n, [None] * n
     for i in range(n):
         ins, outs = net.ins[i], net.outs[i]
-        r = NodeRun({p: tokens[s] for p, s, _ in ins}, [p for p, _ in outs])
+        r = NodeRun({p: streams[s] for p, s, _ in ins}, [p for p, _ in outs])
         try:
             funcs[i](r)
         except StopIteration:
             pass  # read past the end of a stream that stopped early
+        except arrays.Decline:
+            raise
         except Exception as err:  # noqa: BLE001 - the replay raises it in turn
             # from the node's frames on: this frame would make a cycle
             ends[i] = err.with_traceback(err.__traceback__.tb_next)
         for _, s, _ in ins:
             readers[s] -= 1
             if not readers[s]:
-                del tokens[s]
-        trace = r.trace
-        cut = len(trace)
-        for code, (p, s) in enumerate(outs, len(ins)):
-            if s is None:
-                continue
-            tokens[s] = r.outs[p]
-            k = _after_done(r.outs[p])
-            if k is not None:
-                at = -1
-                for _ in range(k + 1):
-                    at = trace.index(code, at + 1)
-                if at < cut:
-                    cut, ends[i] = at, _AfterDone(net.streams[s], at)
+                del streams[s]
+        for p, s in outs:
+            if s is not None:
+                streams[s] = r.outs[p]
+        runs[i], traces[i] = r, r.trace
         r.ins = r.outs = r.trace = None
-        runs[i], traces[i] = r, trace
     return runs, traces, ends
-
-
-def _after_done(tokens) -> int | None:
-    """Index of the first token after the first Done, or None."""
-    k = next(compress(count(), map(is_, tokens, repeat(DONE))), len(tokens))
-    return k + 1 if k + 1 < len(tokens) else None
 
 
 def _replay(net: _Net, traces, ends, depth: int) -> None:
@@ -338,7 +299,7 @@ def _replay(net: _Net, traces, ends, depth: int) -> None:
     nch2 = 2 * nch
     groups, writer, reader = net.groups, net.writer, net.reader
     n = len(order)
-    ops = [iter(net.replay_ops(i, tr, end)) for i, (tr, end) in enumerate(zip(traces, ends))]
+    ops = [iter(net.replay_ops(i, tr)) for i, tr in enumerate(traces)]
     occ = [0] * nch  # tokens in each channel
     waiting = [False] * nch  # its reader waits on it and is not queued
     blocked = [False] * nch  # its writer is backpressured on it, not queued
@@ -358,7 +319,7 @@ def _replay(net: _Net, traces, ends, depth: int) -> None:
                 for b in owed[w]:
                     blocked[b] = False
                 push(w)
-        elif owed[i].__class__ is list:  # woken by a pop: finish the send
+        elif owed[i] is not None:  # woken by a pop: finish the send
             full = None
             for c in owed[i]:
                 if occ[c] < depth:
@@ -419,12 +380,6 @@ def _replay(net: _Net, traces, ends, depth: int) -> None:
             end = ends[i]
             if end is None:
                 finished[i] = True
-            elif end.__class__ is _AfterDone:
-                for c in end:
-                    if occ[c] < depth:
-                        raise MalformedStream(f"token after Done on {net.label(c)}")
-                    blocked[c] = True
-                owed[i] = end
             elif isinstance(end, (MalformedStream, RepeatUnderflow)):
                 raise type(end)(f"{order[i]}: {end}") from None
             else:

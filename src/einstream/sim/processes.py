@@ -29,15 +29,19 @@ Trace contract, which every node kind must meet:
 * Raise errors as the node meets them: the engine raises the error once
   the node has got through every effect recorded before it, so record
   nothing the node has not done yet.
-* Send Done last on each port, and depend on nothing but the input
-  tokens: not on channel depth, other nodes or the order nodes run in.
+* Send Done last on each port, and nothing after it, even after an
+  error; the engine does not check this at run time, and
+  ``tests/test_sim_differential.py`` checks it on every compiled program.
+* Depend on nothing but the input tokens: not on channel depth, other
+  nodes or the order nodes run in.
 
 ``arrays`` implements root, scan, vals, the joins, repeat, scalar alu,
-map, red1, crddrop and the writers a second time, over whole arrays, for
-long runs; there each kind must give this module's trace bytes, outputs,
-``flops`` and ``bytes_read`` on the happy path and decline everywhere
-else (``tests/test_sim_arrays.py``).  A change to one of those loops
-changes its array function too.
+map, red1, crddrop and the writers a second time, over whole arrays; the
+engine runs those wherever every node of a run has one.  There each kind
+must give this module's trace bytes, outputs, ``flops`` and
+``bytes_read`` on the happy path and decline everywhere else
+(``tests/test_sim_arrays.py``).  A change to one of those loops changes
+its array function too.
 
 Boundary emission uses a single pending stop per producer: a new boundary
 at a deeper level merges into the pending one (same closure point); at the
@@ -355,6 +359,20 @@ def run_repeat(run):
 # --- compute --------------------------------------------------------------
 
 
+def _div(a, b):
+    """``a / b`` where both sides are nonzero, else 0 (as the oracle),
+    broadcast."""
+    a, b = np.broadcast_arrays(a, b)
+    out = np.zeros(a.shape)
+    nz = (a != 0) & (b != 0)
+    out[nz] = a[nz] / b[nz]
+    return out
+
+
+# the alu ops over arrays: block payloads here, whole streams in ``arrays``
+ARRAY_OPS = {"add": np.add, "sub": np.subtract, "mul": np.multiply, "div": _div}
+
+
 def _block_binary(op, a, b, spec):
     if spec["mode"] == "einsum":
         return np.einsum(spec["expr"], a, b)
@@ -370,22 +388,9 @@ def _block_binary(op, a, b, spec):
             shape[outpos] = x.shape[axis]
         return x.reshape(shape)
 
-    aa, bb = lift(a, spec["bmap0"]), lift(b, spec["bmap1"])
-    if op == "add":
-        return aa + bb
-    if op == "sub":
-        return aa - bb
-    if op == "mul":
-        return aa * bb
-    if op == "max":
-        return np.maximum(aa, bb)
-    if op == "div":
-        aa, bb = np.broadcast_arrays(aa, bb)
-        out = np.zeros(aa.shape)
-        nz = (aa != 0) & (bb != 0)  # as the oracle: 0 unless both are nonzero
-        out[nz] = aa[nz] / bb[nz]
-        return out
-    raise GraphError(f"unknown alu op {op!r}")
+    if op not in ARRAY_OPS:
+        raise GraphError(f"unknown alu op {op!r}")
+    return ARRAY_OPS[op](lift(a, spec["bmap0"]), lift(b, spec["bmap1"]))
 
 
 _SCALAR = {
@@ -678,18 +683,16 @@ def run_crddrop_outer(run):
 
 def run_write(run, port: str):
     IN = 0
-    tokens = run.ins[port]
     tr = run.trace
-    for k, tok in enumerate(tokens):
-        if tok is DONE:
-            tr.append(IN)
-            run.records = tokens if k + 1 == len(tokens) else tokens[: k + 1]
-            return
+    for tok in run.ins[port]:
         tr.append(IN)
+        if tok is DONE:
+            break
         if tok.__class__ is not Stop:
             tr.append(TICK)
-    tr.append(IN)
-    run.records = tokens
+    else:
+        tr.append(IN)
+    run.records = run.ins[port]
 
 
 def run_par(run, factor: int, nstreams: int):

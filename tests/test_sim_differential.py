@@ -7,8 +7,10 @@ outcome (the class and message of the error, or success), on
 every output: for every program of ``test_pipeline`` at every schedulable
 order of every region and at several channel depths, and for programs
 drawn by ``test_oracle``'s strategy; and again with the interleaving check
-tried on every run, however small the graph, and with the array pass 1
-tried on every run, however few entries its tensors store.
+tried on every run, however small the graph, with the array pass 1
+watched to run exactly where its functions cover the region, and with
+pass 1 on the loop functions where it would run on the array functions.  Pass 1 on either
+set of functions must also end every stream with its one Done.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from hypothesis import HealthCheck, given, settings
 
 from einstream import sim
 from einstream.sim import arrays, engine
+from einstream.sim.processes import node_function
 from einstream.errors import EinstreamError, UnsupportedSchedule
 from einstream.frontend import parse_program, validate_program
 from einstream.fusion import elaborate_region, map_user_order, resolve_cycles
@@ -200,25 +203,53 @@ def test_forced_check_agrees_on_generated_programs(forced_check):
     assert True in forced_check and False in forced_check
 
 
+def _on_arrays(funcs) -> bool:
+    """Whether pass-1 functions ``funcs`` are the array functions."""
+    return all(getattr(fn, "func", fn).__module__ == arrays.__name__ for fn in funcs)
+
+
+@pytest.fixture
+def forced_loops(monkeypatch):
+    """Pass 1 on the loop functions on every run, through the restart a
+    declining array function causes; returns, per pass 1 that starts,
+    whether it was on the array functions."""
+    started = []
+    pass1 = engine._pass1
+
+    def spy(net, funcs):
+        started.append(_on_arrays(funcs))
+        if started[-1]:
+            raise arrays.Decline("array functions disabled")
+        return pass1(net, funcs)
+
+    monkeypatch.setattr(engine, "_pass1", spy)
+    return started
+
+
 @pytest.fixture
 def forced_arrays(monkeypatch):
-    """The array pass 1 tried on every run, however small; returns whether
-    it was taken on each run it was tried on."""
+    """The array pass 1, which every run tries however small, watched;
+    returns whether it was taken on each run: True where pass 1 ran to its
+    end on the array functions, False where it ran on the loops."""
     taken = []
-    pass1 = arrays.pass1
+    pass1 = engine._pass1
 
-    def spy(*args):
-        got = pass1(*args)
-        taken.append(got is not None)
+    def spy(net, funcs):
+        on_arrays = _on_arrays(funcs)
+        if not on_arrays:
+            taken.append(False)
+        got = pass1(net, funcs)
+        if on_arrays:
+            taken.append(True)
         return got
 
-    monkeypatch.setattr(engine, "_ARRAY_ENTRIES", 0)
-    monkeypatch.setattr(arrays, "pass1", spy)
+    monkeypatch.setattr(engine, "_pass1", spy)
     return taken
 
 
-# the programs with a region free of reduce, par/ser and blocked payloads;
-# every other program stays on the loop pass
+# the programs with a region free of reduce, par/ser and blocked payloads,
+# whose runs start on the array functions; every other program runs on
+# the loops from the start
 ARRAY_PROGRAMS = {"copy", "divide", "divide_relu", "fused_relu", "matmul", "softmax"}
 
 
@@ -231,6 +262,70 @@ def test_forced_arrays_agree_on_every_order_and_depth(forced_arrays, name):
 def test_forced_arrays_agree_on_generated_programs(forced_arrays):
     test_engines_agree_on_generated_programs()
     assert True in forced_arrays and False in forced_arrays
+
+
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+def test_forced_loops_agree_on_every_order_and_depth(forced_loops, name):
+    test_engines_agree_on_every_order_and_depth(name)
+    assert (True in forced_loops) == (name in ARRAY_PROGRAMS)
+
+
+def test_forced_loops_agree_on_generated_programs(forced_loops):
+    test_engines_agree_on_generated_programs()
+    assert True in forced_loops and False in forced_loops
+
+
+def _pass1_streams(graph, tensors, on_arrays: bool):
+    """Pass 1 of ``graph`` on the loop or the array functions: every output
+    stream of every node that ran, as a token list, and whether a node
+    raised or declined; None when some node has no array function."""
+    order = graph.validate()
+    funcs = [node_function(graph.nodes[nid], tensors, 4) for nid in order]
+    if on_arrays:
+        funcs = [arrays.array_function(fn) for fn in funcs]
+        if not all(funcs):
+            return None
+    streams = []
+
+    def keeping_outputs(fn):
+        def run(r):
+            try:
+                fn(r)
+            finally:
+                streams.extend(r.outs.values())
+
+        return run
+
+    try:
+        _, _, ends = engine._pass1(engine._Net(graph, order), list(map(keeping_outputs, funcs)))
+        raised = any(end is not None for end in ends)
+    except arrays.Decline:
+        raised = True  # the nodes after the declining one never ran
+    tokens = [arrays.to_tokens(t) if isinstance(t, arrays.Stream) else t for t in streams]
+    return tokens, raised
+
+
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+def test_every_stream_ends_with_its_one_done(name):
+    """The trace contract's "Send Done last", on the loop functions and on
+    the array functions: in a pass 1 where no node raised, every output
+    stream holds one Done, as its last token; where one raised, no stream
+    carries a token after a Done.  Pass 1 does not see the channel depth,
+    so one run per order stands for every depth."""
+    src, inputs = PROGRAMS[name]
+    vp = validate_program(parse_program(src))
+    cases = 0
+    for where, graph, tensors in _regions(vp, inputs if inputs is not None else _inputs(vp)):
+        for on_arrays in (False, True):
+            got = _pass1_streams(graph, tensors, on_arrays)
+            if got is None:
+                continue
+            streams, raised = got
+            for tokens in streams:
+                done = [k for k, tok in enumerate(tokens) if tok is DONE]
+                assert done == [len(tokens) - 1] or (raised and not done), (where, on_arrays)
+            cases += 1
+    assert cases
 
 
 def _racing_adders(names) -> DataflowGraph:
@@ -263,44 +358,4 @@ def test_engines_agree_on_which_error_comes_first(names, depth):
     assert engine._Net(graph, graph.validate()).wide == (names is MANY)
     want, _ = _result(sim_reference.run, graph, {"c": c}, depth)
     got, _ = _result(sim.run, graph, {"c": c}, depth)
-    assert got == want
-
-
-def _root_sending_after_done(tokens):
-    """A root that breaks the stream grammar with ``tokens``, as a pass-1
-    function and as a reference generator."""
-
-    def fn(run):
-        for tok in tokens:
-            run.trace.append(0)  # a send on port 0, "ref"
-            run.outs["ref"].append(tok)
-
-    def gen(ctx):
-        for tok in tokens:
-            yield ("send", "ref", tok)
-
-    return fn, gen
-
-
-@pytest.mark.parametrize("tokens", [(0, DONE, 0), (0, DONE, 0, DONE)], ids=["trailing", "two_done"])
-@pytest.mark.parametrize("readers", [1, 2])
-@pytest.mark.parametrize("depth", [1, 2, 4])
-def test_engines_agree_on_a_send_after_done(monkeypatch, tokens, readers, depth):
-    fn, gen = _root_sending_after_done(tokens)
-    real_fn, real_gen = engine.node_function, sim_reference.build_process
-    monkeypatch.setattr(
-        engine, "node_function",
-        lambda node, t, lat: fn if node.kind == "root" else real_fn(node, t, lat),
-    )
-    monkeypatch.setattr(
-        sim_reference, "build_process",
-        lambda node, ctx, t, lat: gen(ctx) if node.kind == "root" else real_gen(node, ctx, t, lat),
-    )
-    g = DataflowGraph()
-    g.add("root")
-    for k in range(readers):
-        g.connect("root", "ref", g.add("scan", f"scan_{k}", tensor="c", level=0), "ref", "ref")
-    c = SparseTensor.from_dense(np.array([1.0, 0.0, 3.0]), [LevelSpec(COMPRESSED)])
-    want, _ = _result(sim_reference.run, g, {"c": c}, depth)
-    got, _ = _result(sim.run, g, {"c": c}, depth)
     assert got == want

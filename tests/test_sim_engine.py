@@ -15,11 +15,12 @@ from einstream.errors import Deadlock, GraphError, MalformedStream
 from einstream.frontend import parse_program, validate_program
 from einstream.graph import DONE, DataflowGraph
 from einstream.pipeline import run_program
-from einstream.sim import SimConfig, arrays, engine, run
+from einstream.sim import SimConfig, engine, run
 from einstream.tensors import COMPRESSED, LevelSpec, SparseTensor
 
 sys.path.insert(0, str(Path(__file__).parent))
 from test_pipeline import SPMM, _inputs, check_program  # noqa: E402
+from test_sim_differential import _on_arrays  # noqa: E402
 
 CC = [LevelSpec(COMPRESSED), LevelSpec(COMPRESSED)]
 
@@ -189,28 +190,6 @@ def test_malformed_stream_names_the_node():
         run(g, tensors, SimConfig(channel_depth=4))
 
 
-def test_token_after_done_names_the_channel(monkeypatch):
-    def root_sending_past_done(run):
-        rec, out = run.trace.append, run.outs["ref"].append
-        for tok in (0, DONE, 0):
-            rec(0)  # a send on port 0, "ref"
-            out(tok)
-
-    real = engine.node_function
-
-    def build(node, tensors, mem_latency):
-        if node.kind == "root":
-            return root_sending_past_done
-        return real(node, tensors, mem_latency)
-
-    monkeypatch.setattr(engine, "node_function", build)
-    g = DataflowGraph()
-    g.connect(g.add("root"), "ref", g.add("scan", "scan_c0", tensor="c", level=0), "ref", "ref")
-    c = SparseTensor.from_dense(np.array([1.0, 0.0, 3.0]), [LevelSpec(COMPRESSED)])
-    with pytest.raises(MalformedStream, match="^token after Done on root:ref->scan_c0:ref$"):
-        run(g, {"c": c}, SimConfig())
-
-
 @pytest.fixture
 def checks(monkeypatch):
     """What the interleaving check decided on each run, and how many
@@ -254,24 +233,35 @@ def test_check_accepts_fused_relu_at_32_without_a_replay(checks):
     assert checks.certified == [True] and checks.replays == 0
 
 
-def test_fused_relu_at_32_takes_the_array_pass_without_the_loop_pass(monkeypatch):
-    calls = SimpleNamespace(arrays=[], loop=0)
-    pass1, loop_pass1 = arrays.pass1, engine._pass1
+@pytest.fixture
+def passes(monkeypatch):
+    """Per pass 1 that runs: True on the array functions, False on the
+    loop functions."""
+    log = []
+    pass1 = engine._pass1
 
-    def spy_arrays(*args):
-        got = pass1(*args)
-        calls.arrays.append(got is not None)
-        return got
+    def spy(net, funcs):
+        log.append(_on_arrays(funcs))
+        return pass1(net, funcs)
 
-    def spy_loop(*args):
-        calls.loop += 1
-        return loop_pass1(*args)
+    monkeypatch.setattr(engine, "_pass1", spy)
+    return log
 
-    monkeypatch.setattr(arrays, "pass1", spy_arrays)
-    monkeypatch.setattr(engine, "_pass1", spy_loop)
+
+def test_fused_relu_at_32_takes_the_array_pass_without_the_loop_pass(passes):
     sizes = "index i = 32; index k = 32; index j = 32;"
     check_program(SPMM.format(extra="").replace("index i = 6; index k = 5; index j = 4;", sizes))
-    assert calls.arrays == [True] and calls.loop == 0
+    assert passes == [True]
+
+
+def test_a_run_on_few_stored_entries_takes_the_array_pass(passes):
+    # fused relu at 6x5x4 stores well under 600 entries; no size keeps a
+    # run whose every node has an array function on the loops
+    vp = validate_program(parse_program(SPMM.format(extra="")))
+    inputs = _inputs(vp)
+    assert sum(map(np.count_nonzero, inputs.values())) < 600
+    check_program(SPMM.format(extra=""), inputs=inputs)
+    assert passes == [True]
 
 
 def test_check_declines_a_read_past_the_end_of_a_stream(monkeypatch, checks):
