@@ -261,14 +261,15 @@ class _Parser:
         self.regions.append(region)
 
     def directive(self):
-        name = self.next().text
+        tok = self.next()
+        name = tok.text
         self.expect("(")
         if name == "parallelize":
             var = self.ident()
             self.expect(",")
             factor = self.integer()
-            if factor < 1:
-                self.fail("parallelize factor must be >= 1")
+            if factor < 2:
+                self.fail("parallelize factor must be at least 2", tok)
             self.schedule.parallelize.append((var, factor))
         elif name == "block":
             b1 = self.integer()

@@ -228,19 +228,10 @@ def _as_factor(node) -> tuple[Factor | None, float]:
     """A multiplicative atom: access with optional inner maps, or a scalar."""
     if isinstance(node, Literal):
         return None, float(node.value)
-    maps = []
-    while isinstance(node, Call) and node.fn in POINTWISE_FNS:
-        if node.fn == "scale":
-            c, node = node.args
-            maps.append(("scale", c.value))
-        else:
-            fn = node.fn
-            (node,) = node.args
-            maps.append(fn)
+    maps, node = _peel_outer(node)
     if not isinstance(node, Access):
         raise FrontendError(f"cannot use {node} as a multiplicative factor")
-    maps.reverse()
-    return Factor(node, tuple(maps)), 1.0
+    return Factor(node, maps), 1.0
 
 
 def _mul_chain(node):

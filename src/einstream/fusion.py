@@ -40,7 +40,8 @@ def var_key(name: str):
 
 @dataclass(frozen=True)
 class View:
-    tensor: str
+    tensor: str  # the tensor streamed: ``source``, or a permuted copy of it
+    source: str  # the declared tensor it reads
     vars: tuple[str, ...]  # per storage level, outer to inner
     formats: tuple[str, ...]  # level kinds per storage level
     maps: tuple = ()  # pointwise chain on this operand's values
@@ -126,7 +127,7 @@ class _Elaborator:
             idx = self._view_cache[key]
         else:
             idx = len(self.ir.views)
-            self.ir.views.append(View(access.tensor, vars_storage, formats))
+            self.ir.views.append(View(access.tensor, access.tensor, vars_storage, formats))
             self._view_cache[key] = idx
         return Operand("view", idx, maps)
 
@@ -344,32 +345,22 @@ def region_vars(ir: RegionIR) -> list[str]:
     return sorted(ir.extents, key=var_key)
 
 
-def toposort_vars(ir: RegionIR, edges=None):
-    """One valid order, or None if the precedence graph has a cycle."""
-    edges = ir.edges if edges is None else edges
-    vs = region_vars(ir)
-    indeg = {v: 0 for v in vs}
-    succ = {v: [] for v in vs}
-    for a, b in sorted(edges):
-        if a in indeg and b in indeg:
-            succ[a].append(b)
-            indeg[b] += 1
-    ready = sorted((v for v in vs if indeg[v] == 0), key=var_key)
-    out = []
-    while ready:
-        v = ready.pop(0)
-        out.append(v)
-        for w in succ[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                ready.append(w)
-        ready.sort(key=var_key)
-    return out if len(out) == len(vs) else None
+def is_acyclic(ir: RegionIR, edges=None) -> bool:
+    """Whether the precedence edges among the region vars admit an order."""
+    live = set(ir.extents)
+    edges = {(a, b) for a, b in (ir.edges if edges is None else edges) if a in live and b in live}
+    while live:
+        free = live - {b for _, b in edges}
+        if not free:
+            return False
+        live -= free
+        edges = {(a, b) for a, b in edges if a in live}
+    return True
 
 
 def resolve_cycles(ir: RegionIR) -> RegionIR:
     """Break precedence cycles by scheduling permuted input copies."""
-    while toposort_vars(ir) is None:
+    while not is_acyclic(ir):
         producer = _producer_edges(ir)
         for idx in range(len(ir.views)):
             if idx in ir.copies:
@@ -378,7 +369,7 @@ def resolve_cycles(ir: RegionIR) -> RegionIR:
             for jdx, other in enumerate(ir.views):
                 if jdx != idx and jdx not in ir.copies:
                     trial |= nesting_edges(other.vars, other.formats)
-            if toposort_vars(ir, trial) is not None:
+            if is_acyclic(ir, trial):
                 ir.copies[idx] = True
                 ir.edges = trial
                 break
@@ -392,7 +383,6 @@ def resolve_cycles(ir: RegionIR) -> RegionIR:
 
 @dataclass(frozen=True)
 class CopyPlan:
-    view_index: int
     alias: str
     source: str
     storage_perm: tuple[int, ...]  # alias level d reads source level perm[d]
@@ -412,11 +402,12 @@ def plan_copies(ir: RegionIR, order) -> list[CopyPlan]:
         alias = f"{view.tensor}__perm{n}"
         ir.views[idx] = View(
             alias,
+            view.tensor,
             tuple(view.vars[d] for d in perm),
             tuple(view.formats[d] for d in perm),
             view.maps,
         )
-        plans.append(CopyPlan(idx, alias, view.tensor, perm))
+        plans.append(CopyPlan(alias, view.tensor, perm))
     return plans
 
 

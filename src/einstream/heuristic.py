@@ -140,21 +140,15 @@ class _Stream:
         return t
 
 
-def _source_name(name: str) -> str:
-    """Copied views are aliased <tensor>__perm<n>; model them as the source."""
-    base, sep, tail = name.rpartition("__perm")
-    return base if sep and tail.isdigit() else name
-
-
-def _density(hin: HeuristicInput, name: str) -> float:
+def _density(hin: HeuristicInput, view) -> float:
     """A view's density: its own entry (a measured copy) first, then the
     source tensor's."""
     d = hin.densities
-    return d.get(name, d.get(_source_name(name), 1.0))
+    return d.get(view.tensor, d.get(view.source, 1.0))
 
 
 def _dim_at(vp, view, v: str) -> str | None:
-    decl = vp.decl(_source_name(view.tensor))
+    decl = vp.decl(view.source)
     for lvl, var in enumerate(view.vars):
         if var == v:
             return decl.dims[decl.mode_order[lvl]]
@@ -205,7 +199,7 @@ class _Estimator:
 
     def view_stream(self, idx: int) -> _Stream:
         view = self.ir.views[idx]
-        rho = _density(self.hin, view.tensor)
+        rho = _density(self.hin, view)
         exts = [self.ir.extents[v] for v in view.vars]
         marg = level_marginals(exts, view.formats, rho)
         return _Stream({v: m for v, m in zip(view.vars, marg)})
@@ -309,7 +303,7 @@ def estimate_region(vp, ir, order, hin: HeuristicInput) -> tuple[CostEstimate, d
         slots, meta = storage_stats(storage_exts, fmts, rho)
         cost.bytes_written += slots * ELEMENT_BYTES + meta * INDEX_BYTES
     for view in ir.views:
-        rho = _density(hin, view.tensor)
+        rho = _density(hin, view)
         exts = [ir.extents[v] for v in view.vars]
         slots, meta = storage_stats(exts, view.formats, rho)
         cost.bytes_read += slots * ELEMENT_BYTES + meta * INDEX_BYTES

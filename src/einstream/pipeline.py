@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 from . import sim
 from .errors import UnsatisfiableOrder, UnsupportedSchedule
 from .fusion import elaborate_region, map_user_order, plan_copies, region_vars
-from .fusion import resolve_cycles, toposort_vars
+from .fusion import is_acyclic, resolve_cycles
 from .table import build_region_graph
 from .tensors import SparseTensor
 from .transforms import block_input, plan_blocking, region_tensors
@@ -149,7 +149,7 @@ def choose_build_order(vp, ir) -> tuple[str, ...]:
         except UnsatisfiableOrder as e:
             raise UnsatisfiableOrder(f"{where}: {e}") from None
         extra = set(zip(mapped, mapped[1:]))
-        if toposort_vars(ir, ir.edges | extra) is None:
+        if not is_acyclic(ir, ir.edges | extra):
             raise UnsatisfiableOrder(f"{where} conflicts with storage nesting")
     got = schedulable_orders(vp, ir, cap=1, extra_edges=extra)
     if not got:

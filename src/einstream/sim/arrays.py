@@ -1,9 +1,8 @@
 """Node functions over whole arrays: the node kinds of scalar runs.
 
 Each loop function of ``processes`` takes one Python step per token.
-This module implements the same node kinds a second time, and
-``engine._pass1`` runs these instead whenever every node of a run has
-one.  Here a stream is a
+This module implements most node kinds a second time; ``engine`` says
+which kinds have one here and when they run.  Here a stream is a
 ``Stream``: an int8 ``code`` per token (``ELEM``, ``END`` for Done, or k
 for ``Stop(k)``), a ``val`` payload (int64 coordinates and positions, or
 float64 values; arbitrary at boundaries) and a ``null`` mask where a union padded
@@ -18,12 +17,8 @@ record error traces.  An array function raises ``Decline`` instead, before
 its first output, wherever its input leaves the path it implements: a
 stream without exactly one Done, at its end; two inputs that must agree on
 their boundaries and do not; stop levels that do not match; a NULL where
-its loop would raise; an op it does not implement.  The engine then runs
-the whole run again on the loop functions, so the replay, check, clocks
-and ``_finalize`` see the loops' traces either way.  Blocked payloads,
-``reduce``, ``par``, ``ser`` and any node function that is not one of
-``processes``'s loops have no array function: a run with one of them
-runs on the loops from the start.
+its loop would raise.  The engine then runs the whole run again on the
+loop functions.
 
 Bit-exactness: ``red1`` adds each coordinate's values in arrival order (a
 left fold, one numpy add per rank), never pairwise; ``alu`` applies
@@ -34,7 +29,6 @@ give inf or nan silently.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -42,8 +36,7 @@ import numpy as np
 from ..frontend.program import apply_pointwise_array
 from ..graph import DONE, NULL, Stop
 from ..tensors import ELEMENT_BYTES, INDEX_BYTES, DenseLevel
-from . import processes as loop
-from .processes import TICK
+from .processes import ARRAY_OPS, TICK
 
 ELEM, END = -1, -2  # token codes of an element and of Done; Stop(k) is k
 _KEY_LIMIT = 2**62  # (fiber, coordinate) sort keys must stay below this
@@ -418,7 +411,7 @@ def alu(run, op: str):
     if b.null is not None:
         y = np.where(b.null, 0.0, y)
     with np.errstate(all="ignore"):
-        out = loop.ARRAY_OPS[op](x, y)
+        out = ARRAY_OPS[op](x, y)
     run.outs["out"] = Stream(a.code, out, None)
     elem = a.code == ELEM
     run.trace = _weave((bytes((IN0, IN1, OUT)), bytes((IN0, IN1, OUT, TICK))), elem.view(np.uint8))
@@ -631,51 +624,3 @@ def write(run, port: str):
     _check(s)
     run.trace = _weave((bytes((0,)), bytes((0, TICK))), (s.code == ELEM).view(np.uint8))
     run.records = to_tokens(s)
-
-
-# --- factory --------------------------------------------------------------
-
-
-def _scan(tensor, level_idx, mem_latency, mult, stride):
-    if tensor.is_blocked:
-        return None
-    return partial(
-        scan, tensor=tensor, level_idx=level_idx, mem_latency=mem_latency, mult=mult, stride=stride
-    )
-
-
-def _vals(tensor, mem_latency):
-    return None if tensor.is_blocked else partial(vals, tensor=tensor, mem_latency=mem_latency)
-
-
-def _alu(op, block):
-    return None if block or op not in loop.ARRAY_OPS else partial(alu, op=op)
-
-
-def _map(fn):
-    known = isinstance(fn, tuple) or fn in ("relu", "exp", "gelu")
-    return partial(map_, fn=fn) if known else None
-
-
-# loop function -> its array function, from the loop's parameters (None
-# where the parameters are off the array path)
-_FROM_LOOP = {
-    loop.run_root: lambda: root,
-    loop.run_scan: _scan,
-    loop.run_vals: _vals,
-    loop.run_join: lambda mode: partial(join, mode=mode),
-    loop.run_repeat: lambda: repeat,
-    loop.run_alu: _alu,
-    loop.run_map: _map,
-    loop.run_red1: lambda: red1,
-    loop.run_crddrop_inner: lambda: crddrop_inner,
-    loop.run_crddrop_outer: lambda: crddrop_outer,
-    loop.run_write: lambda port: partial(write, port=port),
-}
-
-
-def array_function(fn):
-    """The array function of loop node function ``fn``, or None."""
-    base, kw = (fn.func, fn.keywords) if isinstance(fn, partial) else (fn, {})
-    make = _FROM_LOOP.get(base)
-    return None if make is None else make(**kw)

@@ -16,20 +16,20 @@ frees each stream once all its readers have run.  Each function sends
 Done last on every port, as the trace contract in ``processes`` asks;
 the engine relies on that and does not check it.
 
-*Two sets of node functions.*  ``_pass1`` runs either the loop
-functions of ``processes``, one Python step per token, or the array
-functions of ``arrays``, which compute each node's outputs, trace and
-counters over whole arrays; their traces are byte-equal, so the rest of
-the run cannot tell them apart.  ``run`` tries the array functions
-whenever every node has one: root, scan, vals, intersect, union, repeat,
-scalar alu, map, red1, both crddrop stages and the writers.  Blocked
-payloads, ``reduce``, ``par``, ``ser`` and substituted node functions
-have none.  Array functions cover the happy path only; any input off it
-(a stream without its one Done at the end, boundaries that disagree,
-stop levels that do not match, a NULL where the loop would raise, an op
-it does not implement) makes one raise ``arrays.Decline``, and the whole
-run restarts on the loop functions, which alone raise errors and record
-error traces.  There is no size gate: on short streams numpy's per-call
+*Which functions run a node.*  ``_node_functions`` reads a node's kind
+and params once and builds its two pass-1 functions: its loop in
+``processes``, one Python step per token, and its array function in
+``arrays``, which computes the outputs, trace and counters over whole
+arrays.  Their traces are byte-equal, so the rest of the run cannot tell
+them apart.  Every kind has a loop; blocked tensors, an alu with a
+``block`` spec or an op outside ``processes.ARRAY_OPS``, an unknown map
+fn, ``reduce``, ``par`` and ``ser`` have no array function.  ``run``
+takes the array functions when every node has one, else the loops.
+Array functions cover the happy path only; any input off it (a stream
+without its one Done at the end, boundaries that disagree, stop levels
+that do not match, a NULL where the loop would raise) makes one raise
+``arrays.Decline``, and the whole run restarts on the loops, which alone
+raise errors and record error traces.  There is no size gate: on short streams numpy's per-call
 cost can exceed the loops it replaces, but stored entries do not say
 where.  Over the orders of fused ``relu(A*X+b)`` at 16³ (about 300
 entries; 2-vCPU VM, sum of the best of 7 ``sim.run``s per order at depths
@@ -91,6 +91,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import repeat
 
 import numpy as np
@@ -106,7 +107,8 @@ from ..tensors import (
     _from_arrays,
 )
 from . import arrays
-from .processes import TICK, NodeRun, node_function
+from . import processes as loop
+from .processes import TICK, NodeRun
 
 
 @dataclass
@@ -151,9 +153,9 @@ _CERTIFY_OPS = 1000
 def run(graph: DataflowGraph, tensors: dict, config: SimConfig | None = None) -> SimReport:
     config = config or SimConfig()
     order = graph.validate()
-    funcs = [node_function(graph.nodes[nid], tensors, config.mem_latency) for nid in order]
+    pairs = [_node_functions(graph.nodes[nid], tensors, config.mem_latency) for nid in order]
     net = _Net(graph, order)
-    afuncs = [arrays.array_function(fn) for fn in funcs]
+    funcs, afuncs = [fn for fn, _ in pairs], [afn for _, afn in pairs]
     try:
         runs, traces, ends = _pass1(net, afuncs if all(afuncs) else funcs)
     except arrays.Decline:  # an input off the array path: the run on the loops
@@ -189,6 +191,53 @@ def run(graph: DataflowGraph, tensors: dict, config: SimConfig | None = None) ->
         node_flops=node_flops,
         node_cycles=dict(zip(order, cycles)),
     )
+
+
+def _node_functions(node, tensors: dict, mem_latency: int):
+    """``node``'s pass-1 functions ``(loop, array)``: its loop in
+    ``processes`` and its array function in ``arrays``, or None where it
+    has none.  Parameters and tensors are looked up here, so a missing one
+    raises before any node runs."""
+    kind, p = node.kind, node.params
+    if kind == "root":
+        return loop.run_root, arrays.root
+    if kind in ("scan", "vals"):
+        t = tensors[p["tensor"]]
+        kw = {"tensor": t, "mem_latency": mem_latency}
+        if kind == "scan":
+            kw.update(level_idx=p["level"], mult=p.get("mult"), stride=p.get("stride"))
+        fn, afn = (loop.run_scan, arrays.scan) if kind == "scan" else (loop.run_vals, arrays.vals)
+        return partial(fn, **kw), None if t.is_blocked else partial(afn, **kw)
+    if kind in ("intersect", "union"):
+        return partial(loop.run_join, mode=kind), partial(arrays.join, mode=kind)
+    if kind == "repeat":
+        return loop.run_repeat, arrays.repeat
+    if kind == "alu":
+        op, block = p["op"], p.get("block")
+        afn = None if block or op not in loop.ARRAY_OPS else partial(arrays.alu, op=op)
+        return partial(loop.run_alu, op=op, block=block), afn
+    if kind == "map":
+        fn = p["fn"]
+        known = isinstance(fn, tuple) or fn in ("relu", "exp", "gelu")
+        return partial(loop.run_map, fn=fn), partial(arrays.map_, fn=fn) if known else None
+    if kind == "reduce":
+        kw = {"op": p["op"], "intra": tuple(p.get("intra", ())), "zero_shape": p.get("zero_shape")}
+        return partial(loop.run_reduce, **kw), None
+    if kind == "red1":
+        return loop.run_red1, arrays.red1
+    if kind == "crddrop":
+        if p.get("stage") == "inner":
+            return loop.run_crddrop_inner, arrays.crddrop_inner
+        return loop.run_crddrop_outer, arrays.crddrop_outer
+    if kind in ("write_crd", "write_val"):
+        port = kind[len("write_"):]
+        return partial(loop.run_write, port=port), partial(arrays.write, port=port)
+    if kind == "par":
+        return partial(loop.run_par, factor=p["factor"], nstreams=p["nstreams"]), None
+    if kind == "ser":
+        depths = tuple(p.get("depths") or (0,) * p["nstreams"])
+        return partial(loop.run_ser, factor=p["factor"], depths=depths), None
+    raise GraphError(f"no function for node kind {kind!r}")
 
 
 class _Net:

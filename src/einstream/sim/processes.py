@@ -35,13 +35,11 @@ Trace contract, which every node kind must meet:
 * Depend on nothing but the input tokens: not on channel depth, other
   nodes or the order nodes run in.
 
-``arrays`` implements root, scan, vals, the joins, repeat, scalar alu,
-map, red1, crddrop and the writers a second time, over whole arrays; the
-engine runs those wherever every node of a run has one.  There each kind
-must give this module's trace bytes, outputs, ``flops`` and
-``bytes_read`` on the happy path and decline everywhere else
-(``tests/test_sim_arrays.py``).  A change to one of those loops changes
-its array function too.
+Most kinds have a second implementation over whole arrays in ``arrays``
+(``engine`` says which run).  It must give this module's trace bytes,
+outputs, ``flops`` and ``bytes_read`` on the happy path and decline
+everywhere else (``tests/test_sim_arrays.py``), so a change to one of
+those loops changes its array function too.
 
 Boundary emission uses a single pending stop per producer: a new boundary
 at a deeper level merges into the pending one (same closure point); at the
@@ -883,56 +881,3 @@ def run_ser(run, factor: int, depths: tuple):
         if dmax >= 1:
             group(rr, 1, group)
         rr = (rr + 1) % factor
-
-
-# --- factory --------------------------------------------------------------
-
-
-def node_function(node, tensors: dict, mem_latency: int):
-    """``node``'s pass-1 function, ``fn(run)``.  Its parameters and tensors
-    are looked up here, so a missing one raises before any node runs."""
-    kind, p = node.kind, node.params
-    if kind == "root":
-        return run_root
-    if kind == "scan":
-        return partial(
-            run_scan,
-            tensor=tensors[p["tensor"]],
-            level_idx=p["level"],
-            mem_latency=mem_latency,
-            mult=p.get("mult"),
-            stride=p.get("stride"),
-        )
-    if kind == "vals":
-        return partial(run_vals, tensor=tensors[p["tensor"]], mem_latency=mem_latency)
-    if kind in ("intersect", "union"):
-        return partial(run_join, mode=kind)
-    if kind == "repeat":
-        return run_repeat
-    if kind == "alu":
-        return partial(run_alu, op=p["op"], block=p.get("block"))
-    if kind == "map":
-        return partial(run_map, fn=p["fn"])
-    if kind == "reduce":
-        return partial(
-            run_reduce,
-            op=p["op"],
-            intra=tuple(p.get("intra", ())),
-            zero_shape=p.get("zero_shape"),
-        )
-    if kind == "red1":
-        return run_red1
-    if kind == "crddrop":
-        if p.get("stage") == "inner":
-            return run_crddrop_inner
-        return run_crddrop_outer
-    if kind == "write_crd":
-        return partial(run_write, port="crd")
-    if kind == "write_val":
-        return partial(run_write, port="val")
-    if kind == "par":
-        return partial(run_par, factor=p["factor"], nstreams=p["nstreams"])
-    if kind == "ser":
-        depths = tuple(p.get("depths") or (0,) * p["nstreams"])
-        return partial(run_ser, factor=p["factor"], depths=depths)
-    raise GraphError(f"no function for node kind {kind!r}")

@@ -96,6 +96,14 @@ def test_parse_error_reports_position():
     assert err.value.line == 1 and err.value.col == 11
 
 
+@pytest.mark.parametrize("factor", [0, 1])
+def test_parse_rejects_a_parallelize_factor_below_2_at_the_directive(factor):
+    src = f"index i = 4;\n  parallelize(i, {factor});\n"
+    with pytest.raises(ParseError, match="parallelize factor must be at least 2") as err:
+        parse_program(src)
+    assert (err.value.line, err.value.col) == (2, 3)
+
+
 def test_parse_rejects_unknown_level_kind():
     with pytest.raises(ParseError):
         parse_program("index i = 2;\ntensor A(i): banded(i) order(i);\n")

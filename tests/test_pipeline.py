@@ -359,6 +359,16 @@ def test_estimate_of_a_permuted_copy_uses_its_source_density():
     )
 
 
+def test_estimate_of_a_tensor_named_like_a_copy_reads_its_own_declaration():
+    # no B is declared: the alias spelling alone must not send the
+    # estimator to another tensor's declaration
+    vp = validate_program(parse_program(SPMV.replace("A(", "B__perm0(").format(
+        body="y(i) = B__perm0(i, k) * x(k);\nrate(B__perm0.k, x.k, 0.5);"
+    )))
+    est = heuristic.estimate_program(vp)
+    assert est.flops > 0 and est.bytes_read > 0
+
+
 def test_measured_density_ignores_dense_padding():
     arr = np.zeros((4, 4))
     arr[1, 2] = arr[3, 0] = 1.0
@@ -369,3 +379,42 @@ def test_measured_density_ignores_dense_padding():
         "P": 2 / 16,
         "B": 8 / 16,  # two stored 2x2 blocks
     }
+
+
+# the fully fused attention of layerbench's order_sweep workload, q = k = 8, d = 4
+ATTENTION = """
+index i = 8; index j = 8; index d = 4;
+tensor M(i, j): dense(i) -> compressed(j) order(i, j) input;
+tensor Q(i, d): dense(i) -> dense(d) order(i, d) input;
+tensor K(j, d): dense(j) -> dense(d) order(j, d) input;
+tensor V(j, d): dense(j) -> dense(d) order(j, d) input;
+fuse {
+  S(i, j) = M(i, j) * Q(i, d) * K(j, d);
+  R(i) = max(S(i, j));
+  Z(i, j) = exp(S(i, j) - R(i));
+  D(i) = Z(i, j);
+  P(i, j) = Z(i, j) / D(i);
+  O(i, d) = P(i, j) * V(j, d);
+}
+"""
+
+
+def _attention_inputs(seed):
+    """M all ones; Q, K and V uniform on (-1, 1), in that order."""
+    rng = np.random.default_rng(seed)
+    return {"M": np.ones((8, 8)), **{n: rng.uniform(-1, 1, (8, 4)) for n in "QKV"}}
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("block", ["", "block(2, 2);\n"], ids=["unblocked", "block2"])
+def test_fused_attention_matches_oracle(block, seed):
+    check_program(ATTENTION + block, inputs=_attention_inputs(seed))
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="fully fused attention under block(4, 4) returns a wrong O and raises nothing",
+)
+@pytest.mark.parametrize("seed", range(3))
+def test_fused_attention_under_block4_matches_oracle(seed):
+    check_program(ATTENTION + "block(4, 4);\n", inputs=_attention_inputs(seed))

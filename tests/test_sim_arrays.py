@@ -1,4 +1,5 @@
-"""Each array node function against its loop in ``processes``.
+"""Each array node function against its loop in ``processes``, both as
+``engine._node_functions`` builds them from a node.
 
 On well-formed streams (random fibers and stop levels, sorted
 coordinates, NULL-padded union payloads, values with 0.0 and -0.0) the
@@ -10,30 +11,18 @@ from __future__ import annotations
 
 import math
 import struct
-from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from einstream.graph import DONE, NULL, Stop
-from einstream.sim.arrays import ELEM, END, Decline, Stream, array_function, to_tokens
-from einstream.sim.processes import (
-    NodeRun,
-    run_alu,
-    run_crddrop_inner,
-    run_crddrop_outer,
-    run_join,
-    run_map,
-    run_red1,
-    run_reduce,
-    run_repeat,
-    run_root,
-    run_scan,
-    run_vals,
-    run_write,
-)
+from einstream.errors import GraphError
+from einstream.graph import _PORTS, DONE, NULL, Node, Stop
+from einstream.sim import arrays, processes
+from einstream.sim.arrays import ELEM, END, Decline, Stream, to_tokens
+from einstream.sim.engine import _node_functions
+from einstream.sim.processes import NodeRun
 from einstream.tensors import COMPRESSED, DENSE, LevelSpec, SparseTensor
 
 S0, S1, S2 = Stop(0), Stop(1), Stop(2)
@@ -79,15 +68,23 @@ def _same_tokens(got: list, want: list) -> bool:
     return len(got) == len(want) and all(map(_same, got, want))
 
 
-def check(loop_fn, inputs: dict, outs, dtypes=None, **params):
-    """Runs ``loop_fn`` and its array function on the same inputs and
-    requires equal traces, outputs and counters."""
-    fn = partial(loop_fn, **params)
+def functions(kind, tensor=None, mem_latency=1, **params):
+    """``engine._node_functions`` of a ``kind`` node with ``params`` that
+    reads ``tensor``: its (loop, array) pair."""
+    if tensor is not None:
+        params["tensor"] = "t"
+    return _node_functions(Node(kind, kind, params), {"t": tensor}, mem_latency)
+
+
+def check(kind, inputs: dict, outs, dtypes=None, **params):
+    """Runs a ``kind`` node's loop and array functions on the same inputs
+    and requires equal traces, outputs and counters."""
+    fn, afn = functions(kind, **params)
     lr = NodeRun({p: list(t) for p, t in inputs.items()}, outs)
     fn(lr)
     dtypes = dtypes or {}
     ar = NodeRun({p: to_stream(t, dtypes.get(p)) for p, t in inputs.items()}, outs)
-    array_function(fn)(ar)
+    afn(ar)
     assert ar.trace == lr.trace
     for p in outs:
         assert _same_tokens(to_tokens(ar.outs[p]), lr.outs[p]), p
@@ -96,11 +93,11 @@ def check(loop_fn, inputs: dict, outs, dtypes=None, **params):
     assert _same_tokens(ar.records, lr.records)
 
 
-def declines(loop_fn, inputs: dict, outs, dtypes=None, **params):
+def declines(kind, inputs: dict, outs, dtypes=None, **params):
     dtypes = dtypes or {}
     ar = NodeRun({p: to_stream(t, dtypes.get(p)) for p, t in inputs.items()}, outs)
     with pytest.raises(Decline):
-        array_function(partial(loop_fn, **params))(ar)
+        functions(kind, **params)[1](ar)
 
 
 # --- strategies -----------------------------------------------------------
@@ -137,7 +134,7 @@ def sorted_fiber(max_crd=9):
 
 
 def test_root():
-    check(run_root, {}, ["ref"])
+    check("root", {}, ["ref"])
 
 
 @st.composite
@@ -151,7 +148,7 @@ def scan_cases(draw):
     # a dense level takes any position, a compressed one a fiber it stores
     top = 5 if fmt[level] == DENSE else len(t.levels[level].segments) - 2
     ref = draw(streams(st.integers(0, top) | st.just(NULL) if top >= 0 else st.just(NULL)))
-    params = {"tensor": t, "level_idx": level, "mem_latency": draw(st.integers(0, 3))}
+    params = {"tensor": t, "level": level, "mem_latency": draw(st.integers(0, 3))}
     if fmt[level] == DENSE:
         params["mult"] = draw(st.sampled_from([None, 0, 1, 3]))
         params["stride"] = draw(st.sampled_from([None, 0, 1, 2]))
@@ -164,7 +161,7 @@ def scan_cases(draw):
 @given(scan_cases())
 def test_scan(case):
     ref, params = case
-    check(run_scan, {"ref": ref}, ["crd", "ref"], **params)
+    check("scan", {"ref": ref}, ["crd", "ref"], **params)
 
 
 @st.composite
@@ -180,7 +177,7 @@ def vals_cases(draw):
 @given(vals_cases(), st.integers(0, 3))
 def test_vals(case, latency):
     ref, t = case
-    check(run_vals, {"ref": ref}, ["val"], tensor=t, mem_latency=latency)
+    check("vals", {"ref": ref}, ["val"], tensor=t, mem_latency=latency)
 
 
 # --- stream combinators ---------------------------------------------------
@@ -206,7 +203,7 @@ def join_cases(draw):
 def test_join(sides, mode):
     (c0, p0), (c1, p1) = sides
     inputs = {"crd0": c0, "p0": p0, "crd1": c1, "p1": p1}
-    check(run_join, inputs, ["crd", "p0", "p1"], dtypes={"p0": np.int64, "p1": np.int64}, mode=mode)
+    check(mode, inputs, ["crd", "p0", "p1"], dtypes={"p0": np.int64, "p1": np.int64})
 
 
 @st.composite
@@ -234,7 +231,7 @@ def repeat_cases(draw):
 @given(repeat_cases())
 def test_repeat(case):
     data, ctrl = case
-    check(run_repeat, {"data": data, "ctrl": ctrl}, ["out"], dtypes={"data": np.int64})
+    check("repeat", {"data": data, "ctrl": ctrl}, ["out"], dtypes={"data": np.int64})
 
 
 # --- compute --------------------------------------------------------------
@@ -256,13 +253,13 @@ def paired_values(draw, nulls=True):
 def test_alu(sides, op):
     a, b = sides
     dtypes = {"in0": np.float64, "in1": np.float64}
-    check(run_alu, {"in0": a, "in1": b}, ["out"], dtypes=dtypes, op=op, block=None)
+    check("alu", {"in0": a, "in1": b}, ["out"], dtypes=dtypes, op=op)
 
 
 @SETTINGS
 @given(streams(VALUES), st.sampled_from(["relu", "exp", "gelu", ("scale", 2.5), ("scale", -1.0)]))
 def test_map(stream, fn):
-    check(run_map, {"in": stream}, ["out"], dtypes={"in": np.float64}, fn=fn)
+    check("map", {"in": stream}, ["out"], dtypes={"in": np.float64}, fn=fn)
 
 
 @st.composite
@@ -278,14 +275,14 @@ def red1_cases(draw):
 @given(red1_cases())
 def test_red1(case):
     crd, val = case
-    check(run_red1, {"crd": crd, "val": val}, ["crd", "val"], dtypes={"val": np.float64})
+    check("red1", {"crd": crd, "val": val}, ["crd", "val"], dtypes={"val": np.float64})
 
 
 def test_red1_adds_in_arrival_order():
     # pairwise summation would give 1.0 for the first coordinate
     crd = [0] * 3 + [DONE]
     val = [1e16, 1.0, 1.0, DONE]
-    check(run_red1, {"crd": crd, "val": val}, ["crd", "val"])
+    check("red1", {"crd": crd, "val": val}, ["crd", "val"])
 
 
 @SETTINGS
@@ -293,7 +290,7 @@ def test_red1_adds_in_arrival_order():
 def test_crddrop_inner(case):
     crd, val = case
     inputs = {"outer": crd, "inner": val}
-    check(run_crddrop_inner, inputs, ["outer", "inner"], dtypes={"inner": np.float64})
+    check("crddrop", inputs, ["outer", "inner"], dtypes={"inner": np.float64}, stage="inner")
 
 
 @st.composite
@@ -321,7 +318,7 @@ def crddrop_outer_cases(draw):
 def test_crddrop_outer(case):
     outer, inner = case
     inputs = {"outer": outer, "inner": inner}
-    check(run_crddrop_outer, inputs, ["outer", "inner"], dtypes={"inner": np.int64})
+    check("crddrop", inputs, ["outer", "inner"], dtypes={"inner": np.int64}, stage="outer")
 
 
 # --- sinks ----------------------------------------------------------------
@@ -330,7 +327,7 @@ def test_crddrop_outer(case):
 @SETTINGS
 @given(streams(VALUES), st.sampled_from(["crd", "val"]))
 def test_write(stream, port):
-    check(run_write, {port: stream}, [], dtypes={port: np.float64}, port=port)
+    check(f"write_{port}", {port: stream}, [], dtypes={port: np.float64})
 
 
 # --- off the happy path ---------------------------------------------------
@@ -339,31 +336,30 @@ B = SparseTensor.from_dense(
     np.array([[2.0, 0.0, 3.0], [0.0, 4.0, 0.0]]), [LevelSpec(DENSE), LevelSpec(COMPRESSED)]
 )
 
-# kind -> (loop function, well-formed inputs, output ports, params)
+# case -> (node kind, well-formed inputs, output ports, params)
 CASES = {
-    "scan": (run_scan, {"ref": [0, S0, 1, DONE]}, ["crd", "ref"],
-             dict(tensor=B, level_idx=1, mem_latency=1, mult=None, stride=None)),
-    "vals": (run_vals, {"ref": [0, S0, 1, DONE]}, ["val"], dict(tensor=B, mem_latency=1)),
-    "intersect": (run_join, {"crd0": [0, 2, S0, 1, DONE], "p0": [0, 1, S0, 2, DONE],
-                             "crd1": [0, S0, 1, DONE], "p1": [5, S0, 6, DONE]},
-                  ["crd", "p0", "p1"], dict(mode="intersect")),
-    "union": (run_join, {"crd0": [0, 2, S0, 1, DONE], "p0": [0, 1, S0, 2, DONE],
-                         "crd1": [0, S0, 1, DONE], "p1": [5, S0, 6, DONE]},
-              ["crd", "p0", "p1"], dict(mode="union")),
-    "repeat": (run_repeat, {"data": [10, S0, 20, DONE], "ctrl": [1, 2, S1, 3, DONE]}, ["out"], {}),
-    "alu": (run_alu, {"in0": [1.0, S0, 2.0, DONE], "in1": [3.0, S0, 4.0, DONE]}, ["out"],
-            dict(op="add", block=None)),
-    "map": (run_map, {"in": [1.0, S0, -2.0, DONE]}, ["out"], dict(fn="relu")),
-    "red1": (run_red1,
+    "scan": ("scan", {"ref": [0, S0, 1, DONE]}, ["crd", "ref"], dict(tensor=B, level=1)),
+    "vals": ("vals", {"ref": [0, S0, 1, DONE]}, ["val"], dict(tensor=B)),
+    "intersect": ("intersect", {"crd0": [0, 2, S0, 1, DONE], "p0": [0, 1, S0, 2, DONE],
+                                "crd1": [0, S0, 1, DONE], "p1": [5, S0, 6, DONE]},
+                  ["crd", "p0", "p1"], {}),
+    "union": ("union", {"crd0": [0, 2, S0, 1, DONE], "p0": [0, 1, S0, 2, DONE],
+                        "crd1": [0, S0, 1, DONE], "p1": [5, S0, 6, DONE]},
+              ["crd", "p0", "p1"], {}),
+    "repeat": ("repeat", {"data": [10, S0, 20, DONE], "ctrl": [1, 2, S1, 3, DONE]}, ["out"], {}),
+    "alu": ("alu", {"in0": [1.0, S0, 2.0, DONE], "in1": [3.0, S0, 4.0, DONE]}, ["out"],
+            dict(op="add")),
+    "map": ("map", {"in": [1.0, S0, -2.0, DONE]}, ["out"], dict(fn="relu")),
+    "red1": ("red1",
              {"crd": [0, 1, S0, 1, S1, 2, DONE], "val": [1.0, 2.0, S0, 3.0, S1, 4.0, DONE]},
              ["crd", "val"], {}),
-    "crddrop_inner": (run_crddrop_inner,
+    "crddrop_inner": ("crddrop",
                       {"outer": [0, 1, S0, 2, DONE], "inner": [1.0, 0.0, S0, 2.0, DONE]},
-                      ["outer", "inner"], {}),
-    "crddrop_outer": (run_crddrop_outer,
+                      ["outer", "inner"], dict(stage="inner")),
+    "crddrop_outer": ("crddrop",
                       {"outer": [0, 1, S0, 2, DONE], "inner": [5, S0, S1, 6, DONE]},
-                      ["outer", "inner"], {}),
-    "write": (run_write, {"crd": [0, 1, S0, 2, DONE]}, [], dict(port="crd")),
+                      ["outer", "inner"], dict(stage="outer")),
+    "write": ("write_crd", {"crd": [0, 1, S0, 2, DONE]}, [], {}),
 }
 
 
@@ -434,18 +430,49 @@ def test_inputs_the_loop_raises_on_decline(kind, inputs):
     declines(fn, inputs, outs, **params)
 
 
-def test_blocked_reduce_and_substituted_functions_have_no_array_function():
-    blocked = B.block((1, 1))
-    assert array_function(partial(run_vals, tensor=blocked, mem_latency=1)) is None
-    assert array_function(partial(run_alu, op="add", block={"mode": "einsum"})) is None
-    assert array_function(partial(run_reduce, op="sum", intra=(), zero_shape=None)) is None
-    assert array_function(partial(run_alu, op="pow", block=None)) is None
-    assert array_function(partial(run_map, fn="tanh")) is None
-    assert array_function(lambda run: None) is None
+# node kind, params -> whether it has an array function: not for blocked
+# tensors, a blocked or unknown alu op, an unknown map fn, reduce, par, ser
+TABLE = [
+    ("root", {}, True),
+    ("scan", dict(tensor=B, level=1), True),
+    ("scan", dict(tensor=B.block((1, 1)), level=0), False),
+    ("vals", dict(tensor=B), True),
+    ("vals", dict(tensor=B.block((1, 1))), False),
+    ("intersect", {}, True),
+    ("union", {}, True),
+    ("repeat", {}, True),
+    *(("alu", dict(op=op), True) for op in processes.ARRAY_OPS),
+    ("alu", dict(op="add", block={"mode": "einsum"}), False),
+    ("alu", dict(op="pow"), False),
+    *(("map", dict(fn=fn), True) for fn in ("relu", "exp", "gelu", ("scale", 2.5))),
+    ("map", dict(fn="tanh"), False),
+    ("reduce", dict(op="sum"), False),
+    ("red1", {}, True),
+    ("crddrop", dict(stage="inner"), True),
+    ("crddrop", dict(stage="outer"), True),
+    ("write_crd", {}, True),
+    ("write_val", {}, True),
+    ("par", dict(factor=2, nstreams=1), False),
+    ("ser", dict(factor=2, nstreams=1), False),
+]
+
+
+def test_the_node_table():
+    """Every node kind gets its loop; the array function is missing exactly
+    where ``TABLE`` says."""
+    assert {kind for kind, _, _ in TABLE} == set(_PORTS) | {"par", "ser"}
+    for kind, params, has_array in TABLE:
+        fn, afn = functions(kind, **params)
+        assert getattr(fn, "func", fn).__module__ == processes.__name__, kind
+        assert (afn is not None) == has_array, (kind, params)
+        if afn is not None:
+            assert getattr(afn, "func", afn).__module__ == arrays.__name__, kind
+    with pytest.raises(GraphError, match="no function for node kind 'nope'"):
+        functions("nope")
 
 
 def test_an_exp_that_overflows_declines():
-    declines(run_map, {"in": [1000.0, DONE]}, ["out"], fn="exp")  # math.exp raises
+    declines("map", {"in": [1000.0, DONE]}, ["out"], fn="exp")  # math.exp raises
 
 
 def test_to_tokens_inverts_to_stream():
@@ -458,4 +485,4 @@ def test_a_scan_declines_a_stop_whose_level_would_wrap():
     ref = Stream(np.array([0, 127, END], dtype=np.int8), np.zeros(3, dtype=np.int64), None)
     run = NodeRun({"ref": ref}, ["crd", "ref"])
     with pytest.raises(Decline):
-        array_function(partial(run_scan, **CASES["scan"][3]))(run)
+        functions("scan", **CASES["scan"][3])[1](run)

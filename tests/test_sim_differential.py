@@ -24,7 +24,6 @@ from hypothesis import HealthCheck, given, settings
 
 from einstream import sim
 from einstream.sim import arrays, engine
-from einstream.sim.processes import node_function
 from einstream.errors import EinstreamError, UnsupportedSchedule
 from einstream.frontend import parse_program, validate_program
 from einstream.fusion import elaborate_region, map_user_order, resolve_cycles
@@ -280,11 +279,9 @@ def _pass1_streams(graph, tensors, on_arrays: bool):
     stream of every node that ran, as a token list, and whether a node
     raised or declined; None when some node has no array function."""
     order = graph.validate()
-    funcs = [node_function(graph.nodes[nid], tensors, 4) for nid in order]
-    if on_arrays:
-        funcs = [arrays.array_function(fn) for fn in funcs]
-        if not all(funcs):
-            return None
+    funcs = [engine._node_functions(graph.nodes[nid], tensors, 4)[on_arrays] for nid in order]
+    if not all(funcs):
+        return None
     streams = []
 
     def keeping_outputs(fn):

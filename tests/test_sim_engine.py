@@ -269,11 +269,12 @@ def test_check_declines_a_read_past_the_end_of_a_stream(monkeypatch, checks):
         run.trace.append(0)  # a send on port 0, "ref"
         run.outs["ref"].append(0)
 
-    real = engine.node_function
-    monkeypatch.setattr(
-        engine, "node_function",
-        lambda node, t, lat: root_without_done if node.kind == "root" else real(node, t, lat),
-    )
+    real = engine._node_functions
+
+    def functions(node, t, lat):
+        return (root_without_done, None) if node.kind == "root" else real(node, t, lat)
+
+    monkeypatch.setattr(engine, "_node_functions", functions)
     monkeypatch.setattr(engine, "_CERTIFY_OPS", 0)
     g = DataflowGraph()
     g.connect(g.add("root"), "ref", g.add("scan", "scan_c0", tensor="c", level=0), "ref", "ref")
@@ -286,11 +287,12 @@ def test_check_declines_a_read_past_the_end_of_a_stream(monkeypatch, checks):
 def test_check_declines_a_reader_that_leaves_its_stream_full(monkeypatch, checks):
     # the root sends 0 and Done; a scan that reads neither leaves the
     # root waiting for room at depth 1
-    real = engine.node_function
-    monkeypatch.setattr(
-        engine, "node_function",
-        lambda node, t, lat: (lambda run: None) if node.kind == "scan" else real(node, t, lat),
-    )
+    real = engine._node_functions
+
+    def functions(node, t, lat):
+        return ((lambda run: None), None) if node.kind == "scan" else real(node, t, lat)
+
+    monkeypatch.setattr(engine, "_node_functions", functions)
     monkeypatch.setattr(engine, "_CERTIFY_OPS", 0)
     g = DataflowGraph()
     g.connect(g.add("root"), "ref", g.add("scan", "scan_c0", tensor="c", level=0), "ref", "ref")
