@@ -43,6 +43,7 @@ class View:
     tensor: str  # the tensor streamed: ``source``, or a permuted copy of it
     source: str  # the declared tensor it reads
     vars: tuple[str, ...]  # per storage level, outer to inner
+    dims: tuple[str, ...]  # the source's declared index per storage level
     formats: tuple[str, ...]  # level kinds per storage level
     maps: tuple = ()  # pointwise chain on this operand's values
 
@@ -121,13 +122,16 @@ class _Elaborator:
                 f"repeated index in access {access.tensor}{logical}"
             )
         vars_storage = tuple(logical[m] for m in decl.mode_order)
+        dims = tuple(decl.dims[m] for m in decl.mode_order)
         formats = tuple(decl.formats[m].kind for m in decl.mode_order)
         key = (access.tensor, vars_storage, formats)
         if key in self._view_cache:
             idx = self._view_cache[key]
         else:
             idx = len(self.ir.views)
-            self.ir.views.append(View(access.tensor, access.tensor, vars_storage, formats))
+            self.ir.views.append(
+                View(access.tensor, access.tensor, vars_storage, dims, formats)
+            )
             self._view_cache[key] = idx
         return Operand("view", idx, maps)
 
@@ -404,6 +408,7 @@ def plan_copies(ir: RegionIR, order) -> list[CopyPlan]:
             alias,
             view.tensor,
             tuple(view.vars[d] for d in perm),
+            tuple(view.dims[d] for d in perm),
             tuple(view.formats[d] for d in perm),
             view.maps,
         )

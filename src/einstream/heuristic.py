@@ -147,17 +147,12 @@ def _density(hin: HeuristicInput, view) -> float:
     return d.get(view.tensor, d.get(view.source, 1.0))
 
 
-def _dim_at(vp, view, v: str) -> str | None:
-    decl = vp.decl(view.source)
-    for lvl, var in enumerate(view.vars):
-        if var == v:
-            return decl.dims[decl.mode_order[lvl]]
-    return None
+def _dim_at(view, v: str) -> str | None:
+    return view.dims[view.vars.index(v)] if v in view.vars else None
 
 
 class _Estimator:
-    def __init__(self, vp, ir, order, hin: HeuristicInput):
-        self.vp = vp
+    def __init__(self, ir, order, hin: HeuristicInput):
         self.ir = ir
         self.order = tuple(order)
         self.pos = {v: i for i, v in enumerate(order)}
@@ -222,10 +217,10 @@ class _Estimator:
             return 1.0
         va = self.ir.views[op.lhs.index]
         vb = self.ir.views[op.rhs.index]
-        da, db = _dim_at(self.vp, va, v), _dim_at(self.vp, vb, v)
+        da, db = _dim_at(va, v), _dim_at(vb, v)
         if da is None or db is None:
             return 1.0
-        return self.hin.rate(va.tensor, da, vb.tensor, db)
+        return self.hin.rate(va.source, da, vb.source, db)
 
     def op_stream(self, idx: int) -> _Stream:
         if idx in self._memo:  # a shared subexpression is computed once
@@ -287,7 +282,7 @@ class _Estimator:
 
 def estimate_region(vp, ir, order, hin: HeuristicInput) -> tuple[CostEstimate, dict]:
     """Cost of one fused region; also returns estimated output densities."""
-    est = _Estimator(vp, ir, order, hin)
+    est = _Estimator(ir, order, hin)
     out_rho: dict[str, float] = {}
     cost = CostEstimate()
     for op_idx, name in ir.outputs:

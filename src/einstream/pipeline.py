@@ -3,7 +3,8 @@
 ``run_program`` simulates a whole program, one region at a time, in three
 steps: ``plan_region`` (elaborate, choose the order, lower),
 ``prepare_region`` (the graph's inputs, from an env of tensors in their
-declared layout) and ``restore`` (an output back to its declared layout).
+declared layout) and ``store`` (an output, which ``sim.run`` writes in loop
+order, back in its declared layout).
 
 Not every linear extension of a region's precedence graph can be lowered:
 the builder raises ``UnsupportedSchedule`` for orders that would need
@@ -29,12 +30,14 @@ from .transforms import block_input, plan_blocking, region_tensors
 
 def store(vp, name, arr, perm=None) -> SparseTensor:
     """A dense array or a tensor, stored in ``name``'s declared layout; with
-    ``perm``, storage level ``d`` holds declared level ``perm[d]``."""
+    ``perm``, storage level ``d`` holds declared level ``perm[d]``.  A tensor
+    already in that layout is returned as it is."""
     decl = vp.decl(name)
     mo = decl.mode_order if perm is None else tuple(decl.mode_order[p] for p in perm)
-    formats = [decl.formats[m] for m in mo]
+    formats = tuple(decl.formats[m] for m in mo)
     if isinstance(arr, SparseTensor):
-        return arr.permute_modes(mo, formats)
+        same = arr.mode_order == mo and arr.formats == formats
+        return arr if same else arr.permute_modes(mo, formats)
     return SparseTensor.from_dense(arr, formats=formats, mode_order=mo)
 
 
@@ -182,14 +185,6 @@ def prepare_region(vp, cr: CompiledRegion, env: dict) -> dict:
     return tens
 
 
-def restore(vp, name: str, t: SparseTensor) -> SparseTensor:
-    """A simulated output in its declared layout: ``sim.run`` writes in loop
-    order, and blocked regions write blocks."""
-    decl = vp.decl(name)
-    t = t.unblock([decl.formats[m] for m in t.mode_order])
-    return t if t.mode_order == decl.mode_order else store(vp, name, t)
-
-
 @dataclass
 class ProgramRun:
     outputs: dict  # tensor -> SparseTensor, for each tensor a region stored
@@ -210,5 +205,5 @@ def run_program(vp, inputs: dict, config: sim.SimConfig | None = None) -> Progra
         run.reports.append(rep)
         run.orders.append(cr.order)
         for _, name in cr.ir.outputs:
-            env[name] = run.outputs[name] = restore(vp, name, rep.outputs[name])
+            env[name] = run.outputs[name] = store(vp, name, rep.outputs[name])
     return run

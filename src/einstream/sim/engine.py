@@ -98,14 +98,7 @@ import numpy as np
 
 from ..errors import Deadlock, GraphError, MalformedStream, RepeatUnderflow
 from ..graph import DONE, DataflowGraph, Stop, node_ports
-from ..tensors import (
-    BLOCKED,
-    ELEMENT_BYTES,
-    INDEX_BYTES,
-    LevelSpec,
-    SparseTensor,
-    _from_arrays,
-)
+from ..tensors import ELEMENT_BYTES, INDEX_BYTES, LevelSpec, SparseTensor, _from_arrays
 from . import arrays
 from . import processes as loop
 from .processes import TICK, NodeRun
@@ -571,6 +564,10 @@ def _nest(tokens, depth: int):
 
 
 def _finalize(graph: DataflowGraph, nodes: dict):
+    """Each writer's tensor, scalar and in loop order with the writer's
+    formats, and the bytes written.  A blocked writer stores whole blocks,
+    so it is charged the outer levels and slots of the blocks that hold a
+    nonzero."""
     groups: dict[str, dict] = {}
     for node in graph.nodes.values():
         if node.kind == "write_crd":
@@ -619,24 +616,31 @@ def _finalize(graph: DataflowGraph, nodes: dict):
         coords = np.empty((len(scoords), ndim), dtype=np.int64)
         coords[:, mode_order] = np.array(scoords, dtype=np.int64).reshape(-1, ndim)
         formats = [LevelSpec(k) for k in p["formats"]]
+        fill = p.get("fill", 0.0)
         block_shape = p.get("block_shape")
         if block_shape:
             bs = tuple(block_shape)
-            formats.append(LevelSpec(BLOCKED, bs))
             perm = p["block_perm"]  # stream axis per logical mode
             stream_shape = [bs[m] for m in np.argsort(perm)]
             blocks = np.array(flat_vals, dtype=np.float64).reshape(-1, *stream_shape)
             blocks = blocks.transpose(0, *(a + 1 for a in perm))
             blk, *off = np.nonzero(blocks)
+            grid = tuple(s // b for s, b in zip(p["shape"], bs))
+            kept = np.unique(blk)
+            stored = _from_arrays(
+                grid, coords[kept], np.ones(len(kept)), formats, mode_order, fill
+            )
+            slots = math.prod(bs)
             coords = coords[blk] * bs + np.stack(off, axis=1)
             vals = blocks[(blk, *off)]
         else:
             vals = np.array(flat_vals, dtype=np.float64)
-        tensor = _from_arrays(
-            p["shape"], coords, vals, formats, mode_order, p.get("fill", 0.0)
-        )
+        tensor = _from_arrays(p["shape"], coords, vals, formats, mode_order, fill)
+        if not block_shape:
+            stored, slots = tensor, 1
         outputs[name] = tensor
         bytes_written += (
-            tensor.values.size * ELEMENT_BYTES + tensor.metadata_elems * INDEX_BYTES
+            stored.values.size * slots * ELEMENT_BYTES
+            + stored.metadata_elems * INDEX_BYTES
         )
     return outputs, bytes_written

@@ -15,8 +15,8 @@ mode indexing blocks plus a trailing block leaf.
 
 ``SparseTensor.coo()`` is the one walk over the levels: ``entries``,
 ``to_dense``, ``permute_modes``, ``unblock`` and ``block_tensor`` read a
-tensor through it as whole arrays, and ``_from_arrays`` builds every tensor
-from such arrays.
+tensor through it as whole arrays.  ``_from_arrays`` builds every unblocked
+tensor from such arrays; blocked tensors come only from ``block_tensor``.
 """
 
 from __future__ import annotations
@@ -343,14 +343,7 @@ def _from_arrays(shape, crd, vals, formats, mode_order, fill) -> SparseTensor:
         raise IllegalFormatCombination(f"mode_order {mode_order} is not a permutation")
     formats = list(formats)
     if any(f.kind == BLOCKED for f in formats):
-        if formats[-1].kind != BLOCKED or any(f.kind == BLOCKED for f in formats[:-1]):
-            raise IllegalFormatCombination(
-                "blocked level must be the single innermost level"
-            )
-        base = _from_arrays(
-            shape, crd, vals, [LevelSpec(COMPRESSED)] * ndim, mode_order, fill
-        )
-        return block_tensor(base, formats[-1].block_shape, outer_formats=formats[:-1])
+        raise IllegalFormatCombination("a block leaf is built by block_tensor")
     if len(formats) != ndim:
         raise IllegalFormatCombination(f"{len(formats)} level formats for {ndim} modes")
 
@@ -378,7 +371,7 @@ def _from_arrays(shape, crd, vals, formats, mode_order, fill) -> SparseTensor:
             levels.append(DenseLevel(size))
             pos = pos * size + c
             npos *= size
-        elif spec.kind in (COMPRESSED, COORDINATE):
+        else:
             new = np.ones(len(c), dtype=bool)
             new[1:] = (pos[1:] != pos[:-1]) | (c[1:] != c[:-1])
             segments = np.searchsorted(pos[new], np.arange(npos + 1))
@@ -386,8 +379,6 @@ def _from_arrays(shape, crd, vals, formats, mode_order, fill) -> SparseTensor:
             levels.append(cls(segments, c[new]))
             pos = np.cumsum(new) - 1
             npos = int(segments[-1])
-        else:  # pragma: no cover - blocked handled above
-            raise IllegalFormatCombination("blocked level must be innermost")
     values = np.full(npos, fill, dtype=np.float64)
     values[pos] = vals
     return SparseTensor(shape, mode_order, levels, values, fill)

@@ -4,8 +4,8 @@ Blocking maps dense tiles onto the innermost coordinates of every tensor in
 a region: the sparse levels then index whole blocks, value tokens carry
 block arrays instead of scalars, and ALUs perform block-sized arithmetic in
 one stream step.  The region's index extents shrink to the block grid;
-host-side, inputs are re-stored with a dense block leaf and simulated
-outputs come back blocked.
+host-side, inputs are re-stored with a dense block leaf, and the simulator
+writes each output as a scalar tensor.
 
 The block shape is given positionally (``block(2, 2)`` tiles every tensor
 of that rank 2x2); each index variable inherits the edge of the mode

@@ -6,6 +6,7 @@ from __future__ import annotations
 import copy
 import gc
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ import pytest
 from einstream import heuristic, oracle, sim
 from einstream.errors import (
     EinstreamError,
+    IncompatibleBlocks,
+    IndivisibleExtent,
     ParseError,
     UnsatisfiableOrder,
     UnsupportedSchedule,
@@ -28,7 +31,7 @@ from einstream.pipeline import (
     schedulable_orders,
     store,
 )
-from einstream.tensors import DENSE, LevelSpec, SparseTensor
+from einstream.tensors import COMPRESSED, DENSE, LevelSpec, SparseTensor
 
 SPMV = """
 index i = 6; index k = 5;
@@ -137,6 +140,14 @@ Y(i, j, k) = A(i, j, k) * B(i, j, k);
 parallelize(i, 2);
 """
 
+SPMM8 = """
+index i = {i}; index k = 8; index j = 8;
+tensor A(i, k): dense(i) -> compressed(k) order(i, k) input;
+tensor X(k, j): dense(k) -> compressed(j) order(k, j) input;
+{decl}Y(i, j) = A(i, k) * X(k, j);
+{extra}
+"""
+
 MATMUL = """
 index i = 3; index j = 4; index k = 5;
 tensor A(i, k): dense(i) -> dense(k) order(i, k) input;
@@ -172,6 +183,7 @@ def check_program(src, seed=0, inputs=None, depth=4):
     dense = inputs if inputs is not None else _inputs(vp, seed)
     want = oracle.evaluate_program(vp, dense)
     run = run_program(vp, dense, sim.SimConfig(channel_depth=depth))
+    assert not any(t.is_blocked for rep in run.reports for t in rep.outputs.values())
     assert {n for n in want if vp.role_of(n) == "output"} <= set(run.outputs)
     for name, t in run.outputs.items():
         np.testing.assert_allclose(t.to_dense(), want[name], rtol=1e-9, atol=1e-12)
@@ -294,6 +306,91 @@ def test_blocking_a_region_with_a_permuted_copy_is_refused():
         run_program(vp, _inputs(vp))
 
 
+def test_blocked_output_is_stored_scalar_in_its_declared_layout():
+    """A blocked region writes a scalar tensor and is charged the blocks
+    that hold a nonzero: Y's nonzeros fall in blocks (0, 2) and (3, 0) of
+    the 4x4 grid, so compressed(i) -> dense(j) stores 2 block rows of 4
+    blocks of 4 slots (256 B) and 4 index ints (16 B)."""
+    a, x = np.zeros((8, 8)), np.zeros((8, 8))
+    a[0:2, 0:2] = [[1, 2], [0, 3]]
+    a[6, 7] = -1.5
+    x[0:2, 4:6] = [[1, 0], [2, 1]]
+    x[7, 0] = 2.0
+    decl = "tensor Y(i, j): compressed(i) -> dense(j) order(i, j) output;\n"
+    run = check_program(SPMM8.format(i=8, decl=decl, extra="block(2, 2);"),
+                        inputs={"A": a, "X": x})
+    y = run.outputs["Y"]
+    assert not y.is_blocked
+    assert (y.mode_order, y.formats) == ((0, 1), (LevelSpec(COMPRESSED), LevelSpec(DENSE)))
+    assert run.reports[0].bytes_written == 272
+
+
+BLOCK_TWO_EDGES = """
+index i = 8; index k = 8;
+tensor A(i, k): dense(i) -> compressed(k) order(i, k) input;
+tensor B(k, i): dense(i) -> compressed(k) order(i, k) input;
+Y(i, k) = A(i, k) * B(k, i);
+block(2, 4);
+"""
+
+BLOCK_NO_EDGE = """
+index i = 4; index k = 4; index m = 4;
+tensor A(i, k): dense(i) -> compressed(k) order(i, k) input;
+tensor v(m): compressed(m) order(m) input;
+Y(i, k) = A(i, k);
+Z(m) = v(m);
+block(2, 2);
+"""
+
+
+@pytest.mark.parametrize(
+    "src, region, error, message",
+    [
+        (SPMM8.format(i=6, decl="", extra="block(4, 4);"), 0, IndivisibleExtent,
+         "extent 6 of 'i' is not divisible by block edge 4"),
+        (BLOCK_TWO_EDGES, 0, IncompatibleBlocks,
+         "index 'k' is tiled with edges 4 and 2 by different tensors"),
+        (BLOCK_NO_EDGE, 1, IncompatibleBlocks,
+         "cannot infer a block edge for index 'm' of Z; it appears in no rank-2 tensor"),
+    ],
+    ids=["indivisible", "two_edges", "no_edge"],
+)
+def test_blocking_plan_rejects(src, region, error, message):
+    vp = validate_program(parse_program(src))
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        plan_region(vp, region)
+
+
+def _spmm8_region():
+    vp = validate_program(parse_program(SPMM8.format(i=8, decl="", extra="")))
+    ir = resolve_cycles(elaborate_region(vp, 0))
+    return vp, ir, choose_build_order(vp, ir)
+
+
+def test_nonpositive_block_shape_is_rejected():
+    # the parser refuses such a shape, so only API callers reach this check
+    vp, ir, order = _spmm8_region()
+    with pytest.raises(IncompatibleBlocks, match=re.escape("block shape (0, 2) must be positive")):
+        compile_region(vp, ir, order, block=(0, 2))
+
+
+@pytest.mark.parametrize(
+    "par, message",
+    [
+        ({"q": 2}, "unknown parallelized index 'q'"),
+        ({"i": 1}, "split factor must be at least 2"),
+        ({"u0": 2}, "parallelized index 'u0' must be a stored result index"),
+        ({"j": 2}, "parallelizing 'j' would cut through Y's value stage;"
+                   " parallelize an outer index instead"),
+    ],
+    ids=["unknown", "factor1", "reduced", "value_stage"],
+)
+def test_parallelize_rejections(par, message):
+    vp, ir, order = _spmm8_region()
+    with pytest.raises(UnsupportedSchedule, match=f"^{re.escape(message)}$"):
+        compile_region(vp, ir, order, par=par)
+
+
 def test_nesting_edges():
     assert nesting_edges(("i", "k"), (DENSE, "compressed")) == {("i", "k")}
     assert nesting_edges(("i", "k"), ("compressed", DENSE)) == set()
@@ -357,6 +454,19 @@ def test_estimate_of_a_permuted_copy_uses_its_source_density():
     assert (a.flops, a.bytes_read, a.bytes_written) == (
         b.flops, b.bytes_read, b.bytes_written
     )
+
+
+def test_rate_on_a_permuted_copy_holds_for_the_copy():
+    """A rate declared on source tensors applies to the copy the region
+    streams: the copy of A is stored (j, i), and its outer level is A's j."""
+    vp = validate_program(parse_program(COPY + "rate(A.j, C.j, 0.01);\n"))
+    cr = plan_region(vp, 0)
+    assert [p.source for p in cr.copy_plans] == ["A"]
+    est, _ = heuristic.estimate_region(
+        vp, cr.ir, cr.order, heuristic.HeuristicInput.from_schedule(vp)
+    )
+    assert est.flops == pytest.approx(0.64)
+    assert heuristic.estimate_program(vp).flops == pytest.approx(0.64)
 
 
 def test_estimate_of_a_tensor_named_like_a_copy_reads_its_own_declaration():

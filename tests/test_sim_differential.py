@@ -33,8 +33,8 @@ from einstream.pipeline import (
     compile_region,
     plan_region,
     prepare_region,
-    restore,
     schedulable_orders,
+    store,
 )
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -135,7 +135,7 @@ def _regions(vp, dense):
         except EinstreamError:
             return  # later regions have no inputs
         for _, name in cr.ir.outputs:
-            env[name] = restore(vp, name, rep.outputs[name])
+            env[name] = store(vp, name, rep.outputs[name])
 
 
 @pytest.mark.parametrize("name", sorted(PROGRAMS))
@@ -172,7 +172,7 @@ def test_engines_agree_on_generated_programs(case):
         if rep is None:
             return  # later regions have no inputs
         for _, name in cr.ir.outputs:
-            env[name] = restore(vp, name, rep.outputs[name])
+            env[name] = store(vp, name, rep.outputs[name])
 
 
 @pytest.fixture

@@ -28,8 +28,8 @@ from einstream.pipeline import (
     compile_region,
     plan_region,
     prepare_region,
-    restore,
     schedulable_orders,
+    store,
 )
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -86,7 +86,7 @@ def program_counters(src: str, depth: int) -> list[dict]:
             regions.append({"outcome": type(err).__name__})
             break
         for _, name in cr.ir.outputs:
-            env[name] = restore(vp, name, rep.outputs[name])
+            env[name] = store(vp, name, rep.outputs[name])
         regions.append(
             {
                 "counters": rep.counters(),

@@ -20,6 +20,8 @@ from einstream.tensors import (
     COMPRESSED,
     COORDINATE,
     DENSE,
+    ELEMENT_BYTES,
+    INDEX_BYTES,
     BlockLeafLevel,
     CompressedLevel,
     CoordinateLevel,
@@ -108,6 +110,11 @@ def test_block_unblock_identity():
     blocked = base.block((2, 3))
     np.testing.assert_allclose(blocked.to_dense(), dense)
     np.testing.assert_allclose(blocked.unblock(CSF).to_dense(), dense)
+
+
+def test_only_block_tensor_builds_a_block_leaf():
+    with pytest.raises(IllegalFormatCombination, match="built by block_tensor"):
+        SparseTensor.from_coo((2, 2), B_ENTRIES[:1], CSR + [LevelSpec(BLOCKED, (1, 1))])
 
 
 def test_block_requires_divisible_extents():
@@ -419,7 +426,9 @@ def test_array_walk_matches_loop_reference(case):
     )
     _assert_same_bytes(blocked.block(block), _loop_block_tensor(blocked, block))
 
-    # the blocked writer reconstruction of the same blocks
+    # the blocked writer reconstruction of the same blocks: a scalar tensor
+    # in the writer's formats, charged the bytes of the blocks that hold a
+    # nonzero, stored under those formats
     crds, records = _writer_transcripts(blocked, block_perm)
     g = DataflowGraph()
     nodes = {}
@@ -429,11 +438,16 @@ def test_array_walk_matches_loop_reference(case):
     params = dict(tensor="T", shape=t.shape, mode_order=t.mode_order, formats=kinds, fill=0.0)
     vid = g.add("write_val", "wv", block_shape=block, block_perm=block_perm, **params)
     nodes[vid] = SimpleNamespace(records=[blk for _, blk in records] + [DONE])
-    outputs, _ = engine._finalize(g, nodes)
-    want = SparseTensor.from_coo(
-        t.shape,
-        _loop_expand_blocks(records, t.mode_order, block, block_perm),
-        [LevelSpec(k) for k in kinds] + [LevelSpec(BLOCKED, block)],
-        t.mode_order,
+    outputs, bytes_written = engine._finalize(g, nodes)
+    entries = _loop_expand_blocks(records, t.mode_order, block, block_perm)
+    formats = [LevelSpec(k) for k in kinds]
+    _assert_same_bytes(
+        outputs["T"], SparseTensor.from_coo(t.shape, entries, formats, t.mode_order)
     )
-    _assert_same_bytes(outputs["T"], want)
+    scalar = SparseTensor.from_coo(
+        t.shape, entries, [LevelSpec(COMPRESSED)] * t.ndim, t.mode_order
+    )
+    stored = block_tensor(scalar, block, formats)
+    assert bytes_written == (
+        stored.values.size * ELEMENT_BYTES + stored.metadata_elems * INDEX_BYTES
+    )
