@@ -325,7 +325,7 @@ class ValidatedProgram:
         return self.program.decls[name]
 
     def shape_of(self, name: str) -> tuple[int, ...]:
-        return tuple(self.var_extents[d] for d in self.program.decls[name].dims)
+        return tuple(self.program.extents[d] for d in self.program.decls[name].dims)
 
     def role_of(self, name: str) -> str:
         return self.program.decls[name].role or "input"
@@ -420,6 +420,11 @@ def validate_program(program: EinsumProgram) -> ValidatedProgram:
         decl = decls[name]
         if len(ex.lhs.indices) != len(decl.dims):
             raise ArityMismatch(f"{ex.lhs}: {name} is rank {len(decl.dims)}")
+        if ex.lhs.indices != decl.dims:
+            raise FrontendError(
+                f"{ex}: {name} is declared {name}({', '.join(decl.dims)});"
+                " an assignment must index it by its declared dims"
+            )
         for var, dim in zip(ex.lhs.indices, decl.dims):
             bind(var, extents[dim], str(ex.lhs))
         written[name] = k
@@ -446,17 +451,5 @@ def validate_program(program: EinsumProgram) -> ValidatedProgram:
     if sorted(covered) != list(range(len(program.expressions))):
         raise FrontendError("regions must cover every expression exactly once")
 
-    fixed = replace_program(program, decls=decls, extents=extents)
+    fixed = replace(program, decls=decls, extents=extents)
     return ValidatedProgram(fixed, norm, var_extents)
-
-
-def replace_program(program: EinsumProgram, **kw) -> EinsumProgram:
-    data = dict(
-        extents=program.extents,
-        decls=program.decls,
-        expressions=program.expressions,
-        regions=program.regions,
-        schedule=program.schedule,
-    )
-    data.update(kw)
-    return EinsumProgram(**data)

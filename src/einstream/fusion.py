@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 from .errors import UnsatisfiableOrder, UnsupportedSchedule
 from .frontend.program import NormExpr, ValidatedProgram
-from .tensors import BLOCKED, DENSE
+from .tensors import DENSE
 
 _VAR_KEY = re.compile(r"([a-zA-Z_]+)(\d*)")
 
@@ -252,8 +252,6 @@ class _Elaborator:
         if expr.maps:
             self.ir.ops[acc].maps = self.ir.ops[acc].maps + tuple(expr.maps)
         self.ir.ops[acc].name = expr.lhs.tensor
-        for v in expr.lhs.indices:
-            self.bind(subst.get(v, v))
         return acc
 
     def bind_extent(self, region_var: str, source_var: str):
@@ -339,7 +337,7 @@ def nesting_edges(vars, formats) -> set:
     return {
         (vars[s], vars[t])
         for t, kind in enumerate(formats)
-        if kind not in (DENSE, BLOCKED)
+        if kind != DENSE
         for s in range(t)
         if vars[s] != vars[t]
     }

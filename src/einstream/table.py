@@ -64,7 +64,7 @@ class Source:
 @dataclass
 class BlockInfo:
     factors: dict  # region var -> block edge length (1 = unblocked axis)
-    edges: dict = field(default_factory=dict)  # source index -> edge, for host prep
+    edges: dict = field(default_factory=dict)  # declared dim -> edge, for host prep
 
 
 @dataclass

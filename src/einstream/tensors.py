@@ -7,11 +7,12 @@ flat value array.  Level kinds:
  - compressed: segment pointers per parent position plus sorted coordinates
  - coordinate: same arrays as compressed but tagged as a coordinate list
    (COO-style storage); coordinates are unique within a fiber here as well
- - block leaf: innermost level holding small dense blocks covering every mode
 
 CSR is dense->compressed, CSC the same after permuting modes, CSF compressed on
-all modes, COO coordinate on all modes.  Blocked tensors store one level per
-mode indexing blocks plus a trailing block leaf.
+all modes, COO coordinate on all modes.  A blocked tensor is its block grid:
+its levels index blocks, one per mode, and its values are
+``(blocks, *block_shape)``, one dense block per stored grid position, so the
+block shape lives only in ``values.shape[1:]``.
 
 ``SparseTensor.coo()`` is the one walk over the levels: ``entries``,
 ``to_dense``, ``permute_modes``, ``unblock`` and ``block_tensor`` read a
@@ -35,7 +36,6 @@ from .errors import (
 DENSE = "dense"
 COMPRESSED = "compressed"
 COORDINATE = "coordinate"
-BLOCKED = "blocked"
 
 INDEX_BYTES = 4
 ELEMENT_BYTES = 8
@@ -91,30 +91,14 @@ class CoordinateLevel(_ArrayLevel):
 
 
 @dataclass(frozen=True)
-class BlockLeafLevel:
-    """Dense rectangular blocks; covers the intra-block extent of every mode."""
-
-    block_shape: tuple[int, ...]
-
-    kind = BLOCKED
-
-    @property
-    def metadata_elems(self) -> int:
-        return 0
-
-
-@dataclass(frozen=True)
 class LevelSpec:
     """Declared format of one storage level (frontend-facing)."""
 
     kind: str
-    block_shape: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.kind not in (DENSE, COMPRESSED, COORDINATE, BLOCKED):
+        if self.kind not in (DENSE, COMPRESSED, COORDINATE):
             raise IllegalFormatCombination(f"unknown level kind {self.kind!r}")
-        if (self.kind == BLOCKED) != (self.block_shape is not None):
-            raise IllegalFormatCombination("block_shape required iff kind is blocked")
 
 
 class SparseTensor:
@@ -122,8 +106,9 @@ class SparseTensor:
 
     :param shape: logical extents, logical mode order.
     :param mode_order: permutation; storage level ``d`` holds logical mode
-        ``mode_order[d]``.  For blocked tensors the trailing block leaf is not
-        part of the permutation.
+        ``mode_order[d]``; for a blocked tensor it indexes blocks.
+    :param values: one value per leaf position, or one block per leaf
+        position, ``(positions, *block_shape)``, for a blocked tensor.
     """
 
     def __init__(self, shape, mode_order, levels, values, fill: float = 0.0):
@@ -183,7 +168,7 @@ class SparseTensor:
 
     @property
     def is_blocked(self) -> bool:
-        return bool(self.levels) and self.levels[-1].kind == BLOCKED
+        return self.values.ndim > 1
 
     @property
     def nnz(self) -> int:
@@ -192,13 +177,7 @@ class SparseTensor:
 
     @property
     def formats(self) -> tuple[LevelSpec, ...]:
-        out = []
-        for lvl in self.levels:
-            if lvl.kind == BLOCKED:
-                out.append(LevelSpec(BLOCKED, lvl.block_shape))
-            else:
-                out.append(LevelSpec(lvl.kind))
-        return tuple(out)
+        return tuple(LevelSpec(lvl.kind) for lvl in self.levels)
 
     @property
     def metadata_elems(self) -> int:
@@ -217,8 +196,6 @@ class SparseTensor:
         pos = np.zeros(1, dtype=np.int64)
         scoords: list[np.ndarray] = []
         for lvl in self.levels:
-            if lvl.kind == BLOCKED:
-                break
             if lvl.kind == DENSE:
                 fan = np.full(len(pos), lvl.size)
                 crd = np.tile(np.arange(lvl.size), len(pos))
@@ -237,7 +214,7 @@ class SparseTensor:
         vals = self.values[pos]
         if self.is_blocked:
             blk, *intra = np.nonzero(vals != self.fill)
-            bs = self.levels[-1].block_shape
+            bs = self.values.shape[1:]
             coords = coords[blk] * bs + np.stack(intra, axis=1)
             vals = vals[(blk, *intra)]
         return coords, vals
@@ -266,7 +243,7 @@ class SparseTensor:
         return _from_arrays(self.shape, *self.coo(), formats, new_mode_order, self.fill)
 
     def block(self, block_shape: Sequence[int]) -> "SparseTensor":
-        """Rebuild with a dense block leaf.
+        """Rebuild as a grid of dense blocks.
 
         A block is stored iff it holds a stored slot of this tensor, even
         when every such slot holds the fill value: explicit fill entries
@@ -304,26 +281,11 @@ class SparseTensor:
         )
 
     def _check(self):
-        if self.is_blocked:
-            leaf = self.levels[-1]
-            if len(self.levels) != self.ndim + 1:
-                raise IllegalFormatCombination(
-                    "blocked tensor needs one block-index level per mode plus the leaf"
-                )
-            if len(leaf.block_shape) != self.ndim:
-                raise IllegalFormatCombination("block rank must equal tensor rank")
-            if self.values.ndim != self.ndim + 1:
-                raise IllegalFormatCombination("blocked values must be (blocks, *block)")
-        else:
-            if len(self.levels) != self.ndim:
-                raise IllegalFormatCombination(
-                    f"{len(self.levels)} levels for {self.ndim} modes"
-                )
-            if self.values.ndim != 1:
-                raise IllegalFormatCombination("values must be a flat array")
-        for lvl in self.levels[:-1] if self.is_blocked else self.levels:
-            if lvl.kind == BLOCKED:
-                raise IllegalFormatCombination("block leaf must be innermost")
+        if len(self.levels) != self.ndim or self.values.ndim not in (1, self.ndim + 1):
+            raise IllegalFormatCombination(
+                f"{len(self.levels)} levels and {self.values.ndim}-d values for"
+                f" {self.ndim} modes; values are flat, or (blocks, *block_shape)"
+            )
 
 
 def _from_arrays(shape, crd, vals, formats, mode_order, fill) -> SparseTensor:
@@ -342,8 +304,6 @@ def _from_arrays(shape, crd, vals, formats, mode_order, fill) -> SparseTensor:
     if sorted(mode_order) != list(range(ndim)):
         raise IllegalFormatCombination(f"mode_order {mode_order} is not a permutation")
     formats = list(formats)
-    if any(f.kind == BLOCKED for f in formats):
-        raise IllegalFormatCombination("a block leaf is built by block_tensor")
     if len(formats) != ndim:
         raise IllegalFormatCombination(f"{len(formats)} level formats for {ndim} modes")
 
@@ -427,10 +387,4 @@ def block_tensor(
     blocks = np.full((marker.nnz, *block_shape), t.fill)
     at = np.searchsorted(rank(marker.coo()[0]), rank(bcoords))
     blocks[(at, *(coords % block_shape).T)] = vals
-    return SparseTensor(
-        t.shape,
-        t.mode_order,
-        list(marker.levels) + [BlockLeafLevel(block_shape)],
-        blocks,
-        t.fill,
-    )
+    return SparseTensor(t.shape, t.mode_order, marker.levels, blocks, t.fill)

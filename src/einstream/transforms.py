@@ -4,14 +4,16 @@ Blocking maps dense tiles onto the innermost coordinates of every tensor in
 a region: the sparse levels then index whole blocks, value tokens carry
 block arrays instead of scalars, and ALUs perform block-sized arithmetic in
 one stream step.  The region's index extents shrink to the block grid;
-host-side, inputs are re-stored with a dense block leaf, and the simulator
+host-side, inputs are re-stored as grids of dense blocks, and the simulator
 writes each output as a scalar tensor.
 
 The block shape is given positionally (``block(2, 2)`` tiles every tensor
-of that rank 2x2); each index variable inherits the edge of the mode
-positions it appears at, so tensors sharing an index must agree on its
-edge.  Lower-rank tensors (e.g. vectors in a matrix program) take their
-per-mode edges from the indices they share.
+of that rank 2x2), so each declared dim of such a tensor gets an edge, and
+tensors declaring the same dim must agree on it.  Lower-rank tensors (e.g.
+vectors in a matrix program) take their edges from the dims they share.
+A region var then takes the edge of the declared dims the views put at it
+(``View.dims``), whatever the index is called in the expression or the
+region; two views that put differently tiled dims at one var conflict.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ def region_tensors(vp, ir) -> list[str]:
 
 
 def plan_blocking(vp, ir, shape) -> BlockInfo | None:
-    """Derive per-index block edges, validate them, and shrink the region's
-    extents to the block grid in place.
+    """Derive the block edge of every declared dim and region var, validate
+    them, and shrink the region's extents to the block grid in place.
 
     Returns the plan the graph builder consumes, or None when every edge is
     1 (blocking degenerates to the unblocked pipeline).
@@ -50,29 +52,29 @@ def plan_blocking(vp, ir, shape) -> BlockInfo | None:
                     " by different tensors"
                 )
     for name in names:
-        decl = vp.decl(name)
-        for dim in decl.dims:
+        for dim, ext in zip(vp.decl(name).dims, vp.shape_of(name)):
             if dim not in edges:
                 raise IncompatibleBlocks(
                     f"cannot infer a block edge for index {dim!r} of {name};"
                     f" it appears in no rank-{len(shape)} tensor"
                 )
+            if ext % edges[dim]:
+                raise IndivisibleExtent(
+                    f"extent {ext} of {dim!r} is not divisible by block edge {edges[dim]}"
+                )
 
-    # region vars (including per-use instances) inherit their source index's
-    # edge; validate divisibility before touching the extents
-    source = {}
-    for src, rvs in ir.name_map.items():
-        for rv in rvs:
-            source[rv] = src
-    factors = {}
-    for rv, ext in ir.extents.items():
-        e = edges.get(source.get(rv, rv), 1)
-        if ext % e:
-            raise IndivisibleExtent(
-                f"extent {ext} of {source.get(rv, rv)!r} is not divisible by"
-                f" block edge {e}"
-            )
-        factors[rv] = e
+    # a region var loops over the dims its views declare at it; views that
+    # tile it differently cannot share the loop
+    tiled: dict[str, tuple[int, str]] = {}
+    for view in ir.views:
+        for rv, dim in zip(view.vars, view.dims):
+            e, by = tiled.setdefault(rv, (edges[dim], f"{view.source}.{dim}"))
+            if e != edges[dim]:
+                raise IncompatibleBlocks(
+                    f"{by} and {view.source}.{dim} share loop index {rv!r}"
+                    f" but are tiled with edges {e} and {edges[dim]}"
+                )
+    factors = {rv: e for rv, (e, _) in tiled.items()}
     if all(e == 1 for e in factors.values()):
         return None
     for rv in ir.extents:
@@ -81,6 +83,6 @@ def plan_blocking(vp, ir, shape) -> BlockInfo | None:
 
 
 def block_input(vp, name: str, tensor, info: BlockInfo):
-    """Re-store one input with the dense block leaf the blocked graph reads."""
+    """Re-store one input as the grid of dense blocks the blocked graph reads."""
     decl = vp.decl(name)
     return tensor.block(tuple(info.edges[d] for d in decl.dims))

@@ -249,6 +249,23 @@ def test_validate_rejects_extent_conflict():
         validate_program(p)
 
 
+def test_validate_rejects_an_assignment_off_its_declared_dims():
+    # the writer places each index at the declared dim of the same name, so
+    # this would return X untransposed
+    p = parse_program(
+        "index i = 4; index j = 4;\n"
+        "tensor X(i, j): dense(i) -> compressed(j) order(i, j) input;\n"
+        "tensor Y(i, j): dense(i) -> compressed(j) order(i, j) output;\n"
+        "Y(j, i) = X(i, j);\n"
+    )
+    message = (
+        "Y(j, i) = X(i, j): Y is declared Y(i, j);"
+        " an assignment must index it by its declared dims"
+    )
+    with pytest.raises(FrontendError, match=f"^{re.escape(message)}$"):
+        validate_program(p)
+
+
 def test_round_trip_fixed_program():
     src = """
     index i = 4; index j = 4; index k = 4;

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -325,6 +327,47 @@ def test_crddrop_outer_absorbs_boundary_of_dropped_trailing_group():
     )
     assert out["outer"] == [0, S0, S0, 2, DONE]
     assert out["inner"] == [5, S1, S1, 6, DONE]
+
+
+@pytest.mark.parametrize(
+    "fn, args, inputs, error, message",
+    [
+        (run_join, ("intersect",), {"crd0": [S0, DONE], "p0": [0, DONE],
+                                    "crd1": [0, DONE], "p1": [0, DONE]},
+         MalformedStream, "crd0/p0 desynchronized: S0 vs 0"),
+        (run_join, ("intersect",), {"crd0": [0, DONE], "p0": [0, DONE],
+                                    "crd1": [1, DONE], "p1": [DONE]},
+         MalformedStream, "crd1/p1 desynchronized: 1 vs Done"),
+        (run_join, ("intersect",), {"crd0": [S0, DONE], "p0": [S0, DONE],
+                                    "crd1": [S1, DONE], "p1": [S1, DONE]},
+         MalformedStream, "join saw S0 against S1"),
+        (run_repeat, (), {"data": [10, DONE], "ctrl": [5, S1, S0, DONE]},
+         RepeatUnderflow, "control group after data finished"),
+        (run_repeat, (), {"data": [S0, DONE], "ctrl": [S0, DONE]},
+         RepeatUnderflow, "data fiber has fewer elements than control has groups"),
+        (run_repeat, (), {"data": [10, S1, DONE], "ctrl": [5, S1, DONE]},
+         MalformedStream, "repeat: control S1 against data S1"),
+        (run_repeat, (), {"data": [10, DONE], "ctrl": [5, S1, 6, DONE]},
+         RepeatUnderflow, "control token after data finished"),
+        (run_red1, (), {"crd": [S0, DONE], "val": [1.0, DONE]},
+         MalformedStream, "red1 inputs desynchronized: S0 vs 1.0"),
+        (run_red1, (), {"crd": [0, DONE], "val": [S0, DONE]},
+         MalformedStream, "red1 value stream desynchronized"),
+        (run_crddrop_outer, (), {"outer": [S0, DONE], "inner": [5, DONE]},
+         MalformedStream, "crddrop outer stream early boundary S0"),
+        (run_crddrop_outer, (), {"outer": [0, 1, DONE], "inner": [5, S1, DONE]},
+         MalformedStream, "crddrop expected S0, got 1"),
+    ],
+    ids=[
+        "join_side0_desync", "join_side1_desync", "join_unequal_stops",
+        "repeat_group_after_data", "repeat_short_data_fiber", "repeat_stop_levels",
+        "repeat_token_after_data", "red1_crd_boundary", "red1_val_boundary",
+        "crddrop_outer_early_boundary", "crddrop_outer_wrong_stop",
+    ],
+)
+def test_loops_reject_malformed_streams(fn, args, inputs, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        drive(fn, inputs, *args)
 
 
 # --- per-node timing and accounting ----------------------------------------

@@ -16,13 +16,11 @@ from einstream.errors import (
 from einstream.graph import DONE, DataflowGraph, Stop
 from einstream.sim import engine
 from einstream.tensors import (
-    BLOCKED,
     COMPRESSED,
     COORDINATE,
     DENSE,
     ELEMENT_BYTES,
     INDEX_BYTES,
-    BlockLeafLevel,
     CompressedLevel,
     CoordinateLevel,
     DenseLevel,
@@ -113,8 +111,9 @@ def test_block_unblock_identity():
 
 
 def test_only_block_tensor_builds_a_block_leaf():
-    with pytest.raises(IllegalFormatCombination, match="built by block_tensor"):
-        SparseTensor.from_coo((2, 2), B_ENTRIES[:1], CSR + [LevelSpec(BLOCKED, (1, 1))])
+    # a block is a value of the grid, not a level kind
+    with pytest.raises(IllegalFormatCombination, match="unknown level kind 'blocked'"):
+        LevelSpec("blocked")
 
 
 def test_block_requires_divisible_extents():
@@ -225,7 +224,7 @@ def _loop_walk(t):
     slot, one generator frame per fiber."""
 
     def rec(depth, parent_pos, prefix):
-        if depth == len(t.levels) or t.levels[depth].kind == BLOCKED:
+        if depth == len(t.levels):
             yield prefix, parent_pos
             return
         lvl = t.levels[depth]
@@ -246,7 +245,7 @@ def _loop_entries(t):
     for scoords, pos in _loop_walk(t):
         if t.is_blocked:
             block = t.values[pos]
-            bs = t.levels[-1].block_shape
+            bs = t.values.shape[1:]
             for intra in itertools.product(*(range(b) for b in bs)):
                 v = float(block[intra])
                 if v != t.fill:
@@ -299,8 +298,7 @@ def _loop_block_tensor(t, block_shape, outer_formats=None):
         if logical_blocks
         else np.zeros((0, *block_shape))
     )
-    levels = list(marker.levels) + [BlockLeafLevel(tuple(block_shape))]
-    return SparseTensor(t.shape, t.mode_order, levels, vals, t.fill)
+    return SparseTensor(t.shape, t.mode_order, marker.levels, vals, t.fill)
 
 
 def _loop_expand_blocks(records, mode_order, block_shape, block_perm):
@@ -323,14 +321,12 @@ def _loop_expand_blocks(records, mode_order, block_shape, block_perm):
 
 
 def _writer_transcripts(t, block_perm):
-    """What the writers of a blocked graph record for ``t``: per outer level
+    """What the writers of a blocked graph record for ``t``: per level
     its coordinates, where ``Stop(k)`` closes k + 1 levels between sibling
     fibers, and the blocks in stream layout (axis ``block_perm[m]`` holds
     logical mode m)."""
-    outer = t.levels[:-1]
-
     def fiber(d, pos):
-        lvl = outer[d]
+        lvl = t.levels[d]
         if lvl.kind == DENSE:
             return [(c, pos * lvl.size + c) for c in range(lvl.size)]
         return [(int(lvl.coords[p]), p) for p in range(lvl.segments[pos], lvl.segments[pos + 1])]
@@ -345,7 +341,7 @@ def _writer_transcripts(t, block_perm):
             out += tokens(d + 1, level, child)
         return out
 
-    crds = [tokens(0, d, 0) + [DONE] for d in range(len(outer))]
+    crds = [tokens(0, d, 0) + [DONE] for d in range(len(t.levels))]
     stream = np.argsort(block_perm)
     records = [(sc, np.transpose(t.values[pos], stream)) for sc, pos in _loop_walk(t)]
     return crds, records
@@ -434,7 +430,7 @@ def test_array_walk_matches_loop_reference(case):
     nodes = {}
     for d, recs in enumerate(crds):
         nodes[g.add("write_crd", f"w{d}", tensor="T", level=d)] = SimpleNamespace(records=recs)
-    kinds = [lvl.kind for lvl in blocked.levels[:-1]]
+    kinds = [lvl.kind for lvl in blocked.levels]
     params = dict(tensor="T", shape=t.shape, mode_order=t.mode_order, formats=kinds, fill=0.0)
     vid = g.add("write_val", "wv", block_shape=block, block_perm=block_perm, **params)
     nodes[vid] = SimpleNamespace(records=[blk for _, blk in records] + [DONE])
