@@ -1,27 +1,35 @@
-"""Node functions over whole arrays: the node kinds of scalar runs.
+"""Node functions over whole arrays: the node kinds of scalar and blocked
+runs.
 
 Each loop function of ``processes`` takes one Python step per token.
 This module implements most node kinds a second time; ``engine`` says
 which kinds have one here and when they run.  Here a stream is a
 ``Stream``: an int8 ``code`` per token (``ELEM``, ``END`` for Done, or k
 for ``Stop(k)``), a ``val`` payload (int64 coordinates and positions, or
-float64 values; arbitrary at boundaries) and a ``null`` mask where a union padded
-the stream with NULL.  Each array function reads and writes a
-``NodeRun`` as its loop does, with streams in ``ins`` and ``outs``, and
-computes the outputs, the byte trace, ``flops`` and ``bytes_read`` of the
-whole stream at once, byte for byte what its loop in ``processes``
-produces.
+float64 values; arbitrary at boundaries) and a ``null`` mask where a union
+padded the stream with NULL.  In a blocked run a value payload holds one
+block per token: its shape is ``(n, *block_shape)``, and the nodes that
+only move tokens carry the trailing axes along.  Each array function
+reads and writes a ``NodeRun`` as its loop does, with streams in ``ins``
+and ``outs``, and computes the outputs, the byte trace, ``flops`` and
+``bytes_read`` of the whole stream at once, byte for byte what its loop
+in ``processes`` produces.
 
 **Happy path only.**  Only the loop functions raise stream errors and
 record error traces.  An array function raises ``Decline`` instead, before
 its first output, wherever its input leaves the path it implements: a
 stream without exactly one Done, at its end; two inputs that must agree on
 their boundaries and do not; stop levels that do not match; a NULL where
-its loop would raise.  The engine then runs the whole run again on the
-loop functions.
+its loop would raise, or would hand a blocked alu the scalar 0.0; blocks
+whose shapes do not fit the node.  The engine then runs the whole run
+again on the loop functions.
 
-Bit-exactness: ``red1`` adds each coordinate's values in arrival order (a
-left fold, one numpy add per rank), never pairwise; ``alu`` applies
+Bit-exactness: ``red1`` and ``reduce`` add each coordinate's or fiber's
+values in arrival order (a left fold, one numpy op per rank), never
+pairwise; a blocked alu calls its loop's ``processes.block_op`` on the
+whole batch of blocks, whose ``contraction`` gives each block the bits a
+call on that block alone gives; a blocked ``reduce`` folds its ``intra``
+axes with the loop's ``processes.fold``; scalar ``alu`` applies
 ``processes.ARRAY_OPS``, whose ``div`` is 0 where either side is 0;
 numpy's floating-point warnings are silenced where Python floats would
 give inf or nan silently.
@@ -29,6 +37,7 @@ give inf or nan silently.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -36,7 +45,7 @@ import numpy as np
 from ..frontend.program import apply_pointwise_array
 from ..graph import DONE, NULL, Stop
 from ..tensors import ELEMENT_BYTES, INDEX_BYTES, DenseLevel
-from .processes import ARRAY_OPS, TICK
+from .processes import TICK, fold
 
 ELEM, END = -1, -2  # token codes of an element and of Done; Stop(k) is k
 _KEY_LIMIT = 2**62  # (fiber, coordinate) sort keys must stay below this
@@ -54,7 +63,7 @@ class Stream(NamedTuple):
 
 def to_tokens(s: Stream) -> list:
     """A ``Stream`` as the token list its loop would have built."""
-    toks = s.val.tolist()
+    toks = s.val.tolist() if s.val.ndim == 1 else list(s.val)
     code = s.code
     for k in np.flatnonzero(code != ELEM).tolist():
         toks[k] = DONE if code[k] == END else Stop(int(code[k]))
@@ -134,7 +143,7 @@ def _heads(head: np.ndarray, head_code: np.ndarray, count: np.ndarray):
 def _fill(code: np.ndarray, slot: np.ndarray, s: Stream, at: np.ndarray) -> Stream:
     """A stream of ``code`` whose element slots carry ``s``'s tokens at
     positions ``at``, in order."""
-    val = np.zeros(len(code), dtype=s.val.dtype)
+    val = np.zeros((len(code), *s.val.shape[1:]), dtype=s.val.dtype)
     val[slot] = s.val[at]
     null = None
     if s.null is not None:
@@ -145,7 +154,25 @@ def _fill(code: np.ndarray, slot: np.ndarray, s: Stream, at: np.ndarray) -> Stre
 
 def _take(a: np.ndarray, i: np.ndarray) -> np.ndarray:
     """``a[i]`` where i is in range; elsewhere any value of a's dtype."""
-    return a.take(i, mode="clip") if len(a) else np.zeros(len(i), dtype=a.dtype)
+    if not len(a):
+        return np.zeros((len(i), *a.shape[1:]), dtype=a.dtype)
+    return a.take(i, axis=0, mode="clip")
+
+
+def _fold_runs(x: np.ndarray, start: np.ndarray, size: np.ndarray, op=np.add) -> np.ndarray:
+    """Each run ``x[start[g]:start[g] + size[g]]`` folded left with ``op``,
+    one numpy op per rank (never pairwise); zeros for an empty run."""
+    acc = np.zeros((len(start), *x.shape[1:]), dtype=x.dtype)
+    live = np.flatnonzero(size)
+    acc[live] = x[start[live]]
+    r = 1
+    with np.errstate(all="ignore"):
+        while True:
+            live = live[size[live] > r]
+            if not len(live):
+                return acc
+            acc[live] = op(acc[live], x[start[live] + r])
+            r += 1
 
 
 def _prev(x: np.ndarray, first) -> np.ndarray:
@@ -249,10 +276,10 @@ def vals(run, tensor, mem_latency: int):
     p = v[stored]
     if len(p) and (p.min() < 0 or p.max() >= len(values)):
         raise Decline("position out of range")
-    out = np.zeros(len(c))
+    out = np.zeros((len(c), *values.shape[1:]))
     out[stored] = values[p]
-    if ref.null is not None:
-        out[ref.null] = tensor.fill
+    if ref.null is not None:  # a blocked tensor's fill is a block of zeros
+        out[ref.null] = 0.0 if tensor.is_blocked else tensor.fill
     run.outs["val"] = Stream(c, out, None)
     fresh = elem & _prev(c != ELEM, True)  # the first element of a fiber
     patterns = (
@@ -263,7 +290,7 @@ def vals(run, tensor, mem_latency: int):
     run.trace = _weave(patterns, np.where(elem, np.where(fresh, 1, 2), 0))
     seen = np.zeros(len(values), dtype=bool)
     seen[p] = True
-    run.bytes_read = ELEMENT_BYTES * int(np.count_nonzero(seen))
+    run.bytes_read = ELEMENT_BYTES * math.prod(values.shape[1:]) * int(np.count_nonzero(seen))
 
 
 # --- stream combinators ---------------------------------------------------
@@ -397,25 +424,36 @@ def repeat(run):
 # --- compute --------------------------------------------------------------
 
 
-def alu(run, op: str):
+def alu(run, fn, flops: int, ndims=(0, 0)):
+    """``run_alu`` with ``fn`` applied to whole payloads at once: an op of
+    ``processes.ARRAY_OPS`` on scalars, or the ``processes.block_op`` of a
+    blocked alu, whose operand blocks have ``ndims`` axes, on batches of
+    blocks."""
     IN0, IN1, OUT = 0, 1, 2
     a, b = run.ins["in0"], run.ins["in1"]
     _check(a, b)
     _paired(a, b)
     x, y = a.val, b.val
-    if x.dtype != np.float64 or y.dtype != np.float64:
+    if x.dtype != np.float64 or y.dtype != np.float64 or (x.ndim - 1, y.ndim - 1) != ndims:
         raise Decline("alu payload")
-    # a union pads the absent side with NULL; it contributes zero
+    # a union pads the absent side with NULL; it contributes zero, which the
+    # loop hands a blocked alu as the scalar 0.0
+    if ndims != (0, 0) and any(s.null is not None and s.null.any() for s in (a, b)):
+        raise Decline("a NULL into a blocked alu")
     if a.null is not None:
         x = np.where(a.null, 0.0, x)
     if b.null is not None:
         y = np.where(b.null, 0.0, y)
-    with np.errstate(all="ignore"):
-        out = ARRAY_OPS[op](x, y)
+    try:
+        with np.errstate(all="ignore"):
+            out = fn(x, y)
+    except ValueError as err:  # blocks that do not fit; the loop raises it
+        raise Decline(f"alu blocks: {err}") from None
     run.outs["out"] = Stream(a.code, out, None)
     elem = a.code == ELEM
     run.trace = _weave((bytes((IN0, IN1, OUT)), bytes((IN0, IN1, OUT, TICK))), elem.view(np.uint8))
-    run.flops = int(np.count_nonzero(elem)) or None
+    n = int(np.count_nonzero(elem))
+    run.flops = n * flops if n else None
 
 
 def map_(run, fn):
@@ -424,7 +462,7 @@ def map_(run, fn):
     _check(s)
     x = _values(s)
     elem = s.code == ELEM
-    out = np.zeros(len(x))
+    out = np.zeros(x.shape)
     try:
         with np.errstate(all="ignore"):
             out[elem] = apply_pointwise_array(fn, x[elem])
@@ -432,7 +470,45 @@ def map_(run, fn):
         raise Decline(f"map {fn!r}: {err}") from None
     run.outs["out"] = Stream(s.code, out, None)
     run.trace = _weave((bytes((IN, OUT)), bytes((IN, OUT, TICK))), elem.view(np.uint8))
-    run.flops = int(np.count_nonzero(elem)) or None
+    n = int(np.count_nonzero(elem))  # a block counts its nonzero entries
+    run.flops = (int(np.count_nonzero(x[elem])) if x.ndim > 1 else n) if n else None
+
+
+def reduce(run, op: str, intra: tuple, zero_shape):
+    """``run_reduce`` on block payloads: each fiber's blocks folded in
+    arrival order (one ``np.add`` or ``np.maximum`` per rank), zeros for an
+    empty fiber, then ``processes.fold`` over the ``intra`` axes.  Each
+    boundary sends its fiber's block, then the stop one level up, or Done."""
+    IN, OUT = 0, 1
+    s = run.ins["in"]
+    _check(s)
+    x = _values(s)
+    # a block folded to a scalar is a numpy scalar in the loop
+    if x.shape[1:] != tuple(zero_shape) or len(intra) == len(zero_shape):
+        raise Decline("reduce payload")
+    code = s.code
+    ends = np.flatnonzero(code != ELEM)  # fiber g ends at ends[g]
+    start = _prev(ends + 1, 0)
+    size = ends - start
+    ufunc = np.maximum if op == "max" else np.add
+    acc = _fold_runs(x, start, size, ufunc)
+    with np.errstate(all="ignore"):
+        acc = fold(acc, [a + 1 for a in intra], ufunc)
+    bc = code[ends]
+    more = (bc == END) | (bc > 0)  # Done, or a stop that goes out one level up
+    last = np.cumsum(1 + more) - 1
+    out_code = np.full(len(ends) + int(np.count_nonzero(more)), ELEM, dtype=np.int8)
+    out_code[last[more]] = np.where(bc[more] == END, END, bc[more] - 1)
+    val = np.zeros((len(out_code), *acc.shape[1:]))
+    val[out_code == ELEM] = acc
+    run.outs["out"] = Stream(out_code, val, None)
+    ids = np.zeros(len(code), dtype=np.int64)  # an element, or a boundary and its sends
+    ids[ends] = 1 + more
+    patterns = (bytes((IN, TICK)), bytes((IN, OUT, TICK)), bytes((IN, OUT, TICK, OUT)))
+    run.trace = _weave(patterns, ids)
+    block = math.prod(zero_shape)
+    adds = int(np.maximum(size - 1, 0).sum()) * block
+    run.flops = adds + (block - math.prod(acc.shape[1:])) * len(ends) or None
 
 
 def red1(run):
@@ -458,16 +534,7 @@ def red1(run):
     sk, sv = key[order], v[order]
     start = np.flatnonzero(_prev(sk, -1) != sk)  # each (scope, coordinate) group
     size = np.diff(np.append(start, len(sk)))
-    acc = sv[start]
-    live = np.arange(len(start))
-    r = 1
-    with np.errstate(all="ignore"):
-        while True:  # a left fold: add each group's r-th value in turn
-            live = live[size[live] > r]
-            if not len(live):
-                break
-            acc[live] += sv[start[live] + r]
-            r += 1
+    acc = _fold_runs(sv, start, size)
     gkey = sk[start]
     gscope = gkey // w
     per = np.bincount(gscope, minlength=nscope)  # coordinates out per scope
@@ -477,11 +544,11 @@ def red1(run):
     slot = out_code == ELEM
     out_crd = np.zeros(len(out_code), dtype=np.int64)
     out_crd[slot] = gkey - gscope * w
-    out_val = np.zeros(len(out_code))
+    out_val = np.zeros((len(out_code), *v.shape[1:]))
     out_val[slot] = acc
     run.outs["crd"] = Stream(out_code, out_crd, None)
     run.outs["val"] = Stream(out_code, out_val, None)
-    run.flops = (len(sk) - len(start)) or None
+    run.flops = (len(sk) - len(start)) * math.prod(v.shape[1:]) or None
     # trace per input token; a scope's closing token sends its table
     ids = np.where(elem, 0, 1)
     sizes, which = _compact(per)
@@ -501,7 +568,7 @@ def crddrop_inner(run):
     if inner.null is not None:
         raise Decline("NULL value")
     elem = outer.code == ELEM
-    nonzero = v != 0
+    nonzero = v.reshape(len(v), -1).any(axis=1)  # a block: any of its entries
     keep = ~elem | nonzero
     code = outer.code[keep]
     null = None if outer.null is None else outer.null[keep]

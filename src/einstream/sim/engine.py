@@ -21,21 +21,29 @@ and params once and builds its two pass-1 functions: its loop in
 ``processes``, one Python step per token, and its array function in
 ``arrays``, which computes the outputs, trace and counters over whole
 arrays.  Their traces are byte-equal, so the rest of the run cannot tell
-them apart.  Every kind has a loop; blocked tensors, an alu with a
-``block`` spec or an op outside ``processes.ARRAY_OPS``, an unknown map
-fn, ``reduce``, ``par`` and ``ser`` have no array function.  ``run``
-takes the array functions when every node has one, else the loops.
-Array functions cover the happy path only; any input off it (a stream
-without its one Done at the end, boundaries that disagree, stop levels
-that do not match, a NULL where the loop would raise) makes one raise
-``arrays.Decline``, and the whole run restarts on the loops, which alone
-raise errors and record error traces.  There is no size gate: on short streams numpy's per-call
-cost can exceed the loops it replaces, but stored entries do not say
-where.  Over the orders of fused ``relu(A*X+b)`` at 16³ (about 300
-entries; 2-vCPU VM, sum of the best of 7 ``sim.run``s per order at depths
-1 and 4) the arrays took 12.8 ms against the loops' 9.2, and over those
-of the fused GCN at 16/16/8/8 (275 entries) 38.5 against 39.9; at 128³
-(10,649 entries) pass 1 falls from 64 to 16 ms.
+them apart.  Every kind has a loop; an alu op outside
+``processes.ARRAY_OPS``, an unknown map fn, a scalar ``reduce`` (one
+without ``zero_shape``), ``par`` and ``ser`` have no array function.
+Blocked runs have them: a payload is then one block per token.  A
+blocked alu's two functions share the one ``processes.block_op`` built
+here, whose ``contraction`` adds its products in a fixed order, so a
+batch of blocks gets the bits each block gets alone.  ``run`` takes the
+array functions when every node has one, else the loops.  Array
+functions cover the happy path only; any input off it (a stream without
+its one Done at the end, boundaries that disagree, stop levels that do
+not match, a NULL where the loop would raise or hand a blocked alu a
+scalar) makes one raise ``arrays.Decline``, and the whole run restarts on
+the loops, which alone raise errors and record error traces.  There is
+no size gate: on short streams numpy's per-call cost can exceed the loops
+it replaces, but stored entries do not say where.  Over the orders of
+fused ``relu(A*X+b)`` at 16³ (about 300 entries; 2-vCPU VM, sum of the
+best of 7 ``sim.run``s per order at depths 1 and 4) the arrays took 12.8
+ms against the loops' 9.2, and over those of the fused GCN at 16/16/8/8
+(275 entries) 38.5 against 39.9; at 128³ (10,649 entries) pass 1 falls
+from 64 to 16 ms.  That cost is why a scalar ``reduce`` has no array
+function: with one (a scratch version, not kept), the fully fused
+attention of the bench's order_sweep took 6.51 s of ``sim.run`` per
+instance against the loops' 3.10.
 
 **Pass 2 decides the outcome**, either by a check that proves the run
 completes or by a replay.
@@ -195,27 +203,32 @@ def _node_functions(node, tensors: dict, mem_latency: int):
     if kind == "root":
         return loop.run_root, arrays.root
     if kind in ("scan", "vals"):
-        t = tensors[p["tensor"]]
-        kw = {"tensor": t, "mem_latency": mem_latency}
+        kw = {"tensor": tensors[p["tensor"]], "mem_latency": mem_latency}
         if kind == "scan":
             kw.update(level_idx=p["level"], mult=p.get("mult"), stride=p.get("stride"))
-        fn, afn = (loop.run_scan, arrays.scan) if kind == "scan" else (loop.run_vals, arrays.vals)
-        return partial(fn, **kw), None if t.is_blocked else partial(afn, **kw)
+            return partial(loop.run_scan, **kw), partial(arrays.scan, **kw)
+        return partial(loop.run_vals, **kw), partial(arrays.vals, **kw)
     if kind in ("intersect", "union"):
         return partial(loop.run_join, mode=kind), partial(arrays.join, mode=kind)
     if kind == "repeat":
         return loop.run_repeat, arrays.repeat
     if kind == "alu":
         op, block = p["op"], p.get("block")
-        afn = None if block or op not in loop.ARRAY_OPS else partial(arrays.alu, op=op)
-        return partial(loop.run_alu, op=op, block=block), afn
+        if block:  # one function of blocks, or of batches of blocks, for both
+            fn, flops = loop.block_op(op, block), block["flops"]
+            afn = partial(arrays.alu, fn=fn, flops=flops, ndims=loop.block_ndims(block))
+        else:
+            fn, flops = loop.scalar_op(op), 1
+            afn = partial(arrays.alu, fn=loop.ARRAY_OPS.get(op), flops=1)
+        return partial(loop.run_alu, fn=fn, flops=flops), afn if op in loop.ARRAY_OPS else None
     if kind == "map":
         fn = p["fn"]
         known = isinstance(fn, tuple) or fn in ("relu", "exp", "gelu")
         return partial(loop.run_map, fn=fn), partial(arrays.map_, fn=fn) if known else None
     if kind == "reduce":
         kw = {"op": p["op"], "intra": tuple(p.get("intra", ())), "zero_shape": p.get("zero_shape")}
-        return partial(loop.run_reduce, **kw), None
+        afn = partial(arrays.reduce, **kw) if kw["zero_shape"] else None  # blocked only
+        return partial(loop.run_reduce, **kw), afn
     if kind == "red1":
         return loop.run_red1, arrays.red1
     if kind == "crddrop":

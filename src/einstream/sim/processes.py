@@ -51,7 +51,7 @@ and is dropped — no stream ends with a stop right before Done.
 from __future__ import annotations
 
 import operator
-from functools import partial
+from itertools import product
 
 import numpy as np
 
@@ -367,28 +367,125 @@ def _div(a, b):
     return out
 
 
-# the alu ops over arrays: block payloads here, whole streams in ``arrays``
+# the alu ops over arrays: on block payloads and, in ``arrays``, whole streams
 ARRAY_OPS = {"add": np.add, "sub": np.subtract, "mul": np.multiply, "div": _div}
 
 
-def _block_binary(op, a, b, spec):
+def fold(x, axes, op=np.add):
+    """``op`` folded left along each of ``axes`` of ``x``, the last first:
+    ``x[0]``, then ``op(acc, x[k])`` for k = 1, 2, ... in index order.
+    ``x.sum(axis)`` may add pairwise, and adds a 0.0 first, so its sums
+    depend on the block layout and lose the sign of a -0.0."""
+    for axis in sorted(axes, reverse=True):
+        x = np.moveaxis(x, axis, 0)
+        acc = x[0]
+        for k in range(1, len(x)):
+            acc = op(acc, x[k])
+        x = acc
+    return x
+
+
+def contraction(expr: str):
+    """``np.einsum(expr, a, b)`` with one summation order, as a function of
+    two operands that may carry the same leading batch axes.
+
+    Each product is exact (rounded once); the products are added in a left
+    fold over the contracted letters' index tuples, in letter order, which
+    is the loop order of the letters (``table._alu_spec``), one step at a
+    time: the full product tensor is never built.  So a sum does not
+    depend on the operands' layouts, and a batch of blocks gives each
+    block the bits a call on that block alone gives.  A letter whose
+    extents disagree raises ``ValueError``."""
+    ins, out = expr.split("->")
+    sa, sb = ins.split(",")
+    summed = sorted(set(sa + sb) - set(out))
+    plans: dict = {}  # operand shapes -> how to lift each, and the fold's steps
+
+    def lift(shape, s):
+        """The transpose and reshape that put an operand's summed axes
+        first, in letter order, then its batch axes, then one axis per
+        output letter (1 where ``s`` lacks it)."""
+        nb = len(shape) - len(s)
+        if nb < 0:
+            raise ValueError(f"a {len(shape)}-axis operand for {s!r} in {expr!r}")
+        at = {v: nb + k for k, v in enumerate(s)}
+        mine = [at[v] for v in summed if v in at]
+        axes = (*mine, *range(nb), *(at[v] for v in out if v in at))
+        return axes, (
+            *(shape[a] for a in mine), *shape[:nb], *(shape[at[v]] if v in at else 1 for v in out)
+        )
+
+    def plan(ka, kb):
+        extent: dict = {}
+        for shape, s in ((ka, sa), (kb, sb)):
+            for v, n in zip(s, shape[len(shape) - len(s):]):
+                if extent.setdefault(v, n) != n:
+                    raise ValueError(f"letter {v!r} of {expr!r} has extents {extent[v]} and {n}")
+        steps = [
+            (
+                tuple(i for i, v in zip(idx, summed) if v in sa),
+                tuple(i for i, v in zip(idx, summed) if v in sb),
+            )
+            for idx in product(*(range(extent[v]) for v in summed))
+        ]
+        return lift(ka, sa), lift(kb, sb), steps
+
+    def apply(a, b):
+        a, b = np.asarray(a), np.asarray(b)
+        key = a.shape, b.shape
+        got = plans.get(key)
+        if got is None:
+            got = plans[key] = plan(*key)
+        ((ta, ra), (tb, rb), steps) = got
+        al, bl = a.transpose(ta).reshape(ra), b.transpose(tb).reshape(rb)
+        (ia, ib), *rest = steps
+        acc = al[ia] * bl[ib]
+        for ia, ib in rest:
+            acc += al[ia] * bl[ib]
+        return acc
+
+    return apply
+
+
+def contract(expr: str, a, b):
+    """``contraction(expr)`` applied once."""
+    return contraction(expr)(a, b)
+
+
+def block_ndims(spec: dict) -> tuple[int, int]:
+    """The axes of each operand block of a blocked alu."""
     if spec["mode"] == "einsum":
-        return np.einsum(spec["expr"], a, b)
-    # elementwise with axis maps: place each operand's axes at the given
-    # output positions, broadcast the rest
+        sa, sb = spec["expr"].split("->")[0].split(",")
+        return len(sa), len(sb)
+    return len(spec["bmap0"]), len(spec["bmap1"])
+
+
+def block_op(op: str, spec: dict):
+    """A blocked alu's function of two blocks, or of two batches of blocks
+    with the same leading axes: ``contraction`` in ``einsum`` mode; in
+    ``ew`` mode ``ARRAY_OPS[op]`` with each operand's axes placed at their
+    output positions and the rest broadcast.  A scalar operand (a NULL the
+    alu read as 0.0) is broadcast as is; an unknown op raises when
+    applied."""
+    if spec["mode"] == "einsum":
+        return contraction(spec["expr"])
     nd = spec["out_ndim"]
 
     def lift(x, bmap):
         if not isinstance(x, np.ndarray):
             return x
+        nb = x.ndim - len(bmap)
         shape = [1] * nd
         for axis, outpos in enumerate(bmap):
-            shape[outpos] = x.shape[axis]
-        return x.reshape(shape)
+            shape[outpos] = x.shape[nb + axis]
+        return x.reshape(*x.shape[:nb], *shape)
 
-    if op not in ARRAY_OPS:
-        raise GraphError(f"unknown alu op {op!r}")
-    return ARRAY_OPS[op](lift(a, spec["bmap0"]), lift(b, spec["bmap1"]))
+    def apply(a, b):
+        if op not in ARRAY_OPS:
+            raise GraphError(f"unknown alu op {op!r}")
+        return ARRAY_OPS[op](lift(a, spec["bmap0"]), lift(b, spec["bmap1"]))
+
+    return apply
 
 
 _SCALAR = {
@@ -400,7 +497,7 @@ _SCALAR = {
 }
 
 
-def _scalar_op(op):
+def scalar_op(op):
     """The scalar function of ``op``; an unknown op raises when applied."""
 
     def unknown(a, b):
@@ -409,11 +506,12 @@ def _scalar_op(op):
     return _SCALAR.get(op, unknown)
 
 
-def run_alu(run, op: str, block: dict | None):
+def run_alu(run, fn, flops: int):
+    """``fn`` on each pair of elements: ``scalar_op`` of the op, or the
+    ``block_op`` of a blocked alu; each counts ``flops``."""
     IN0, IN1, OUT = 0, 1, 2
     tr, out = run.trace, run.outs["out"].append
     in1 = iter(run.ins["in1"]).__next__
-    fn = partial(_block_binary, op, spec=block) if block else _scalar_op(op)
     recv = bytes((IN0, IN1))
     send = bytes((OUT, TICK))
     elems = 0
@@ -441,7 +539,7 @@ def run_alu(run, op: str, block: dict | None):
     else:
         tr.append(IN0)
     if elems:
-        run.flops = elems * (block["flops"] if block else 1)
+        run.flops = elems * flops
 
 
 def run_map(run, fn):
@@ -477,7 +575,8 @@ def run_map(run, fn):
 def run_reduce(run, op: str, intra: tuple, zero_shape):
     IN, OUT = 0, 1
     tr, out = run.trace, run.outs["out"].append
-    fold = _scalar_op("max" if op == "max" else "add")
+    scalar = scalar_op("max" if op == "max" else "add")
+    ufunc = np.maximum if op == "max" else np.add
     elem = bytes((IN, TICK))
     acc = None
     flops = None
@@ -490,7 +589,7 @@ def run_reduce(run, op: str, intra: tuple, zero_shape):
             extra = 0
             if intra and isinstance(v, np.ndarray):
                 before = v.size
-                v = v.max(axis=intra) if op == "max" else v.sum(axis=intra)
+                v = fold(v, intra, ufunc)
                 extra = before - (v.size if isinstance(v, np.ndarray) else 1)
             acc = None
             tr.append(OUT)
@@ -511,10 +610,10 @@ def run_reduce(run, op: str, intra: tuple, zero_shape):
             acc = tok
             continue
         if isinstance(tok, np.ndarray):
-            acc = np.maximum(acc, tok) if op == "max" else acc + tok
+            acc = ufunc(acc, tok)
             n = int(tok.size)
         else:
-            acc = fold(acc, tok)
+            acc = scalar(acc, tok)
             n = 1
         flops = n if flops is None else flops + n
     else:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
@@ -302,9 +303,45 @@ def proc_repeat(ctx):
 # --- compute --------------------------------------------------------------
 
 
+def _contract(expr, a, b):
+    """``np.einsum(expr, a, b)`` as a plain loop over the contracted
+    letters' index tuples, in letter order: each tuple's products over the
+    whole output block, added to the sum so far (a left fold)."""
+    ins, out = expr.split("->")
+    sa, sb = ins.split(",")
+    extent = {**dict(zip(sa, a.shape)), **dict(zip(sb, b.shape))}
+    summed = sorted(set(sa + sb) - set(out))
+
+    def over_out(x, s, fixed):
+        """``x`` at the fixed letters, its other axes put in output order,
+        size 1 where ``s`` lacks an output letter."""
+        x = x[tuple(fixed.get(v, slice(None)) for v in s)]
+        rest = [v for v in s if v not in fixed]
+        x = x.transpose([rest.index(v) for v in out if v in rest])
+        return x.reshape([extent[v] if v in rest else 1 for v in out])
+
+    acc = None
+    for idx in product(*(range(extent[v]) for v in summed)):
+        fixed = dict(zip(summed, idx))
+        term = over_out(a, sa, fixed) * over_out(b, sb, fixed)
+        acc = term if acc is None else acc + term
+    return acc
+
+
+def _fold(x, axes, binary):
+    """``binary`` folded left along each of ``axes``, the last first."""
+    for axis in sorted(axes, reverse=True):
+        x = np.moveaxis(x, axis, 0)
+        acc = x[0]
+        for k in range(1, len(x)):
+            acc = binary(acc, x[k])
+        x = acc
+    return x
+
+
 def _block_binary(op, a, b, spec):
     if spec["mode"] == "einsum":
-        return np.einsum(spec["expr"], a, b)
+        return _contract(spec["expr"], a, b)
     # elementwise with axis maps: place each operand's axes at the given
     # output positions, broadcast the rest
     nd = spec["out_ndim"]
@@ -403,7 +440,7 @@ def proc_reduce(ctx, op: str, intra: tuple, zero_shape):
             out = np.zeros(zero_shape) if zero_shape else 0.0
         if intra and isinstance(out, np.ndarray):
             before = out.size
-            out = out.max(axis=intra) if op == "max" else out.sum(axis=intra)
+            out = _fold(out, intra, np.maximum if op == "max" else np.add)
             after = out.size if isinstance(out, np.ndarray) else 1
             flops += before - after
         acc = None

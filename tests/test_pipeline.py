@@ -549,14 +549,6 @@ def test_fused_attention_matches_oracle(block, seed):
     check_program(ATTENTION + block, inputs=_attention_inputs(seed))
 
 
-@pytest.mark.xfail(
-    strict=True, raises=AssertionError,
-    reason="fully fused attention under block(4, 4) returns a wrong O and raises nothing:"
-    " two recomputed instances of S contract d with np.einsum in different layouts"
-    " ('abc,cb->ac' and 'abc,bc->ab'), whose sums differ in the last bit, so at a row's"
-    " maximum S - R is +-1 ulp instead of 0 and exp's zero rule gives 1 instead of 0;"
-    " a left-fold contraction matches the oracle",
-)
 @pytest.mark.parametrize("seed", range(3))
 def test_fused_attention_under_block4_matches_oracle(seed):
     check_program(ATTENTION + "block(4, 4);\n", inputs=_attention_inputs(seed))

@@ -2,9 +2,10 @@
 ``engine._node_functions`` builds them from a node.
 
 On well-formed streams (random fibers and stop levels, sorted
-coordinates, NULL-padded union payloads, values with 0.0 and -0.0) the
-array function must give the loop's trace bytes, output tokens, ``flops``,
-``bytes_read`` and writer records.  Off the happy path it must decline.
+coordinates, NULL-padded union payloads, values with 0.0 and -0.0, and
+block payloads with zero and -0.0 blocks) the array function must give the
+loop's trace bytes, output tokens, ``flops``, ``bytes_read`` and writer
+records.  Off the happy path it must decline.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from einstream.graph import _PORTS, DONE, NULL, Node, Stop
 from einstream.sim import arrays, processes
 from einstream.sim.arrays import ELEM, END, Decline, Stream, to_tokens
 from einstream.sim.engine import _node_functions
-from einstream.sim.processes import NodeRun
-from einstream.tensors import COMPRESSED, DENSE, LevelSpec, SparseTensor
+from einstream.sim.processes import NodeRun, contract, contraction
+from einstream.tensors import COMPRESSED, DENSE, DenseLevel, LevelSpec, SparseTensor
 
 S0, S1, S2 = Stop(0), Stop(1), Stop(2)
 SETTINGS = settings(
@@ -33,15 +34,21 @@ SETTINGS = settings(
     database=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
+# block payloads take the scalar kinds' code paths with trailing axes
+BLOCK_SETTINGS = settings(SETTINGS, max_examples=50)
 VALUES = st.sampled_from([0.0, -0.0, 1.5, -2.0, 3.25, 0.5, -1e-300, 7.0])
 
 
-def to_stream(tokens, dtype=None) -> Stream:
+def to_stream(tokens, dtype=None, block=None) -> Stream:
     """A token list as a ``Stream`` with payload ``dtype`` (by default
-    float64 when some payload is a float, else int64)."""
+    float64 when some payload is a float or a block, else int64) and
+    blocks of shape ``block`` (by default that of the first block token,
+    if any)."""
+    if block is None:
+        block = next((tok.shape for tok in tokens if isinstance(tok, np.ndarray)), ())
     code = np.full(len(tokens), ELEM, dtype=np.int8)
     null = np.array([tok is NULL for tok in tokens], dtype=bool)
-    vals = [0] * len(tokens)
+    vals = [np.zeros(block) if block else 0] * len(tokens)
     for k, tok in enumerate(tokens):
         if tok is DONE:
             code[k] = END
@@ -50,8 +57,9 @@ def to_stream(tokens, dtype=None) -> Stream:
         elif tok is not NULL:
             vals[k] = tok
     if dtype is None:
-        dtype = np.float64 if any(v.__class__ is float for v in vals) else np.int64
-    return Stream(code, np.array(vals, dtype=dtype), null if null.any() else None)
+        dtype = np.float64 if block or any(v.__class__ is float for v in vals) else np.int64
+    val = np.array(vals, dtype=dtype).reshape(len(tokens), *block)
+    return Stream(code, val, null if null.any() else None)
 
 
 def _same(a, b) -> bool:
@@ -61,6 +69,8 @@ def _same(a, b) -> bool:
         return False
     if isinstance(a, float):
         return struct.pack("<d", a) == struct.pack("<d", b)  # -0.0 and NaN too
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
     return a == b
 
 
@@ -76,14 +86,16 @@ def functions(kind, tensor=None, mem_latency=1, **params):
     return _node_functions(Node(kind, kind, params), {"t": tensor}, mem_latency)
 
 
-def check(kind, inputs: dict, outs, dtypes=None, **params):
+def check(kind, inputs: dict, outs, dtypes=None, blocks=None, **params):
     """Runs a ``kind`` node's loop and array functions on the same inputs
     and requires equal traces, outputs and counters."""
     fn, afn = functions(kind, **params)
     lr = NodeRun({p: list(t) for p, t in inputs.items()}, outs)
     fn(lr)
-    dtypes = dtypes or {}
-    ar = NodeRun({p: to_stream(t, dtypes.get(p)) for p, t in inputs.items()}, outs)
+    dtypes, blocks = dtypes or {}, blocks or {}
+    ar = NodeRun(
+        {p: to_stream(t, dtypes.get(p), blocks.get(p)) for p, t in inputs.items()}, outs
+    )
     afn(ar)
     assert ar.trace == lr.trace
     for p in outs:
@@ -93,9 +105,11 @@ def check(kind, inputs: dict, outs, dtypes=None, **params):
     assert _same_tokens(ar.records, lr.records)
 
 
-def declines(kind, inputs: dict, outs, dtypes=None, **params):
-    dtypes = dtypes or {}
-    ar = NodeRun({p: to_stream(t, dtypes.get(p)) for p, t in inputs.items()}, outs)
+def declines(kind, inputs: dict, outs, dtypes=None, blocks=None, **params):
+    dtypes, blocks = dtypes or {}, blocks or {}
+    ar = NodeRun(
+        {p: to_stream(t, dtypes.get(p), blocks.get(p)) for p, t in inputs.items()}, outs
+    )
     with pytest.raises(Decline):
         functions(kind, **params)[1](ar)
 
@@ -263,11 +277,11 @@ def test_map(stream, fn):
 
 
 @st.composite
-def red1_cases(draw):
+def red1_cases(draw, values=VALUES):
     stops = draw(shapes())
     fibers = [draw(st.lists(st.integers(0, 5), max_size=5)) for _ in range(len(stops) + 1)]
     crd = tokens(fibers, stops)
-    val = [tok if tok is DONE or tok.__class__ is Stop else draw(VALUES) for tok in crd]
+    val = [tok if tok is DONE or tok.__class__ is Stop else draw(values) for tok in crd]
     return crd, val
 
 
@@ -321,6 +335,161 @@ def test_crddrop_outer(case):
     check("crddrop", inputs, ["outer", "inner"], dtypes={"inner": np.int64}, stage="outer")
 
 
+# --- block payloads -------------------------------------------------------
+
+BLOCK = (2, 2)
+EINSUM = {"mode": "einsum", "expr": "ab,bc->ac", "flops": 12}
+EW = {"mode": "ew", "out_ndim": 2, "bmap0": (0, 1), "bmap1": (0, 1), "flops": 4}
+
+
+def blocks_of(shape=BLOCK):
+    """Blocks of ``shape``: drawn entries, or all 0.0, or all -0.0."""
+    n = math.prod(shape)
+    return st.one_of(
+        st.lists(VALUES, min_size=n, max_size=n).map(lambda v: np.array(v).reshape(shape)),
+        st.sampled_from([0.0, -0.0]).map(lambda z: np.full(shape, z)),
+    )
+
+
+@st.composite
+def blocked_tensors(draw):
+    rows, cols = 2 * draw(st.integers(1, 3)), 2 * draw(st.integers(1, 3))
+    cells = st.lists(st.sampled_from([0.0, 1.0, -2.5]), min_size=rows * cols, max_size=rows * cols)
+    fmt = draw(st.sampled_from([(DENSE, COMPRESSED), (DENSE, DENSE), (COMPRESSED, COMPRESSED)]))
+    dense = np.array(draw(cells)).reshape(rows, cols)
+    return SparseTensor.from_dense(dense, [LevelSpec(f) for f in fmt]).block(BLOCK)
+
+
+@BLOCK_SETTINGS
+@given(blocked_tensors(), st.integers(0, 1), st.integers(0, 3), st.data())
+def test_scan_on_blocks(t, level, latency, data):
+    """A blocked tensor's levels index its block grid, as any tensor's."""
+    lv = t.levels[level]
+    top = 5 if isinstance(lv, DenseLevel) else len(lv.segments) - 2
+    ref = data.draw(streams(st.integers(0, top) | st.just(NULL) if top >= 0 else st.just(NULL)))
+    check("scan", {"ref": ref}, ["crd", "ref"], tensor=t, level=level, mem_latency=latency)
+
+
+@BLOCK_SETTINGS
+@given(blocked_tensors(), st.integers(0, 3), st.data())
+def test_vals_on_blocks(t, latency, data):
+    """Whole blocks, each distinct position charged its block's bytes; a
+    NULL reads a block of zeros."""
+    n = len(t.values)
+    ref = data.draw(streams(st.integers(0, n - 1) | st.just(NULL) if n else st.just(NULL)))
+    check("vals", {"ref": ref}, ["val"], tensor=t, mem_latency=latency)
+
+
+# the einsum exprs of blocked alus drawn below; every letter spans 2
+EXPRS = ["ab,bc->ac", "bc,ca->ab", "abc,cb->ac", "abc,bc->ab", "ab,b->a", "a,b->ab"]
+
+
+@st.composite
+def block_pairs(draw, ndims):
+    stops = draw(shapes())
+    lens = [draw(st.integers(0, 3)) for _ in range(len(stops) + 1)]
+    return [
+        tokens([draw(st.lists(blocks_of((2,) * nd), min_size=n, max_size=n)) for n in lens], stops)
+        for nd in ndims
+    ]
+
+
+@BLOCK_SETTINGS
+@given(st.sampled_from(EXPRS), st.data())
+def test_alu_einsum_on_blocks(expr, data):
+    sa, sb = expr.split("->")[0].split(",")
+    a, b = data.draw(block_pairs((len(sa), len(sb))))
+    spec = {"mode": "einsum", "expr": expr, "flops": 7}
+    blocks = {"in0": (2,) * len(sa), "in1": (2,) * len(sb)}
+    check("alu", {"in0": a, "in1": b}, ["out"], blocks=blocks, op="mul", block=spec)
+
+
+@BLOCK_SETTINGS
+@given(st.sampled_from(["add", "sub", "mul", "div"]), st.sampled_from([(0, 1), (1,), (0,)]),
+       st.data())
+def test_alu_ew_on_blocks(op, bmap1, data):
+    """in1's axes at output positions ``bmap1``, broadcast over the rest."""
+    a, b = data.draw(block_pairs((2, len(bmap1))))
+    spec = {**EW, "bmap1": bmap1}
+    blocks = {"in0": BLOCK, "in1": (2,) * len(bmap1)}
+    check("alu", {"in0": a, "in1": b}, ["out"], blocks=blocks, op=op, block=spec)
+
+
+@BLOCK_SETTINGS
+@given(streams(blocks_of()), st.sampled_from(["relu", "exp", ("scale", -1.0)]))
+def test_map_on_blocks(stream, fn):
+    """Each block counts its nonzero entries, an all-zero block none."""
+    check("map", {"in": stream}, ["out"], blocks={"in": BLOCK}, fn=fn)
+
+
+@BLOCK_SETTINGS
+@given(red1_cases(blocks_of()))
+def test_red1_on_blocks(case):
+    """Each add of a block counts its size."""
+    crd, val = case
+    check("red1", {"crd": crd, "val": val}, ["crd", "val"], blocks={"val": BLOCK})
+
+
+@BLOCK_SETTINGS
+@given(red1_cases(blocks_of()))
+def test_crddrop_inner_on_blocks(case):
+    """A block is dropped when none of its entries is nonzero; -0.0 is zero."""
+    crd, val = case
+    inputs = {"outer": crd, "inner": val}
+    check("crddrop", inputs, ["outer", "inner"], blocks={"inner": BLOCK}, stage="inner")
+
+
+@BLOCK_SETTINGS
+@given(streams(blocks_of()), st.sampled_from(["sum", "max"]), st.sampled_from([(), (0,), (1,)]))
+def test_reduce_on_blocks(stream, op, intra):
+    """A left fold per fiber, zeros for an empty one, then the fold over
+    ``intra``, whose adds count as well."""
+    params = dict(op=op, intra=intra, zero_shape=BLOCK)
+    check("reduce", {"in": stream}, ["out"], blocks={"in": BLOCK}, **params)
+
+
+@BLOCK_SETTINGS
+@given(repeat_cases())
+def test_repeat_passes_blocks_through(case):
+    data, ctrl = case
+    data = [np.full(BLOCK, float(tok)) if tok.__class__ is int else tok for tok in data]
+    check("repeat", {"data": data, "ctrl": ctrl}, ["out"], blocks={"data": BLOCK})
+
+
+@BLOCK_SETTINGS
+@given(crddrop_outer_cases())
+def test_crddrop_outer_passes_blocks_through(case):
+    outer, inner = case
+    inner = [np.full(BLOCK, float(tok)) if tok.__class__ is int else tok for tok in inner]
+    inputs = {"outer": outer, "inner": inner}
+    check("crddrop", inputs, ["outer", "inner"], blocks={"inner": BLOCK}, stage="outer")
+
+
+@BLOCK_SETTINGS
+@given(streams(blocks_of()))
+def test_write_records_blocks(stream):
+    check("write_val", {"val": stream}, [], blocks={"val": BLOCK})
+
+
+def test_contract_sums_in_letter_order_whatever_the_layout():
+    rng = np.random.default_rng(0)
+    a, b = rng.standard_normal((3, 4, 5)), rng.standard_normal((5, 4))
+    got = contract("abc,cb->ac", a, b)
+    assert got.tobytes() == contract("abc,bc->ab", a.transpose(0, 2, 1), b).tobytes()
+    np.testing.assert_allclose(got, np.einsum("abc,cb->ac", a, b), rtol=1e-12)
+    # a left fold: pairwise summation would give 1e16 + 2
+    assert contract("ab,b->a", np.array([[1e16, 1.0, 1.0]]), np.ones(3)).tolist() == [1e16]
+
+
+def test_contract_on_a_batch_gives_each_block_its_own_bits():
+    rng = np.random.default_rng(1)
+    a, b = rng.standard_normal((6, 3, 4, 5)), rng.standard_normal((6, 5, 4))
+    fn = contraction("abc,cb->ac")
+    rows = fn(a, b)
+    assert rows.shape == (6, 3, 5)
+    assert all(rows[k].tobytes() == fn(a[k], b[k]).tobytes() for k in range(6))
+
+
 # --- sinks ----------------------------------------------------------------
 
 
@@ -335,6 +504,7 @@ def test_write(stream, port):
 B = SparseTensor.from_dense(
     np.array([[2.0, 0.0, 3.0], [0.0, 4.0, 0.0]]), [LevelSpec(DENSE), LevelSpec(COMPRESSED)]
 )
+X, Y = np.array([[1.0, -2.0], [0.0, 3.5]]), np.array([[0.5, 0.0], [-0.0, 2.0]])
 
 # case -> (node kind, well-formed inputs, output ports, params)
 CASES = {
@@ -360,6 +530,10 @@ CASES = {
                       {"outer": [0, 1, S0, 2, DONE], "inner": [5, S0, S1, 6, DONE]},
                       ["outer", "inner"], dict(stage="outer")),
     "write": ("write_crd", {"crd": [0, 1, S0, 2, DONE]}, [], {}),
+    "alu_block": ("alu", {"in0": [X, S0, Y, DONE], "in1": [Y, S0, X, DONE]}, ["out"],
+                  dict(op="mul", block=EINSUM)),
+    "reduce": ("reduce", {"in": [X, Y, S1, X, DONE]}, ["out"],
+               dict(op="sum", intra=(1,), zero_shape=BLOCK)),
 }
 
 
@@ -388,6 +562,7 @@ DESYNC = {
     "intersect": {**CASES["intersect"][1], "p0": [0, S0, 1, 2, DONE]},
     "union": {**CASES["union"][1], "p1": [5, 6, S0, DONE]},
     "alu": {**CASES["alu"][1], "in1": [3.0, 4.0, S0, DONE]},
+    "alu_block": {**CASES["alu_block"][1], "in1": [Y, X, S0, DONE]},
     "red1": {**CASES["red1"][1], "val": [1.0, 2.0, 3.0, S0, S1, 4.0, DONE]},
     "crddrop_inner": {**CASES["crddrop_inner"][1], "inner": [1.0, S0, 0.0, 2.0, DONE]},
 }
@@ -430,23 +605,52 @@ def test_inputs_the_loop_raises_on_decline(kind, inputs):
     declines(fn, inputs, outs, **params)
 
 
-# node kind, params -> whether it has an array function: not for blocked
-# tensors, a blocked or unknown alu op, an unknown map fn, reduce, par, ser
+@pytest.mark.parametrize(
+    "in0, in1, spec",
+    [
+        # the loop hands the op a scalar 0.0 for the NULL a union padded
+        ([X, DONE], [NULL, DONE], EW),
+        ([NULL, X, DONE], [Y, X, DONE], EINSUM),
+        # letter b spans 2 in in0 and 3 in in1
+        ([X, DONE], [np.ones((3, 2)), DONE], EINSUM),
+        # a 3-axis block for the 2 letters of in1
+        ([X, DONE], [np.ones((2, 2, 2)), DONE], EINSUM),
+        # scalar payloads into a blocked alu
+        ([1.0, DONE], [2.0, DONE], EW),
+    ],
+    ids=["ew_null", "einsum_null", "extent_mismatch", "ndim_mismatch", "scalar_payload"],
+)
+def test_a_blocked_alu_declines_what_does_not_fit(in0, in1, spec):
+    blocks = {p: BLOCK for p, toks in (("in0", in0), ("in1", in1)) if toks[0] is NULL}
+    declines("alu", {"in0": in0, "in1": in1}, ["out"], blocks=blocks, op="mul", block=spec)
+
+
+def test_a_reduce_declines_blocks_off_its_zero_shape():
+    declines("reduce", {"in": [np.ones((2, 3)), DONE]}, ["out"],
+             op="sum", intra=(), zero_shape=BLOCK)
+
+
+# node kind, params -> whether it has an array function: not for an
+# unknown alu op or map fn, a scalar reduce, par or ser
 TABLE = [
     ("root", {}, True),
     ("scan", dict(tensor=B, level=1), True),
-    ("scan", dict(tensor=B.block((1, 1)), level=0), False),
+    ("scan", dict(tensor=B.block((1, 1)), level=0), True),
     ("vals", dict(tensor=B), True),
-    ("vals", dict(tensor=B.block((1, 1))), False),
+    ("vals", dict(tensor=B.block((1, 1))), True),
     ("intersect", {}, True),
     ("union", {}, True),
     ("repeat", {}, True),
     *(("alu", dict(op=op), True) for op in processes.ARRAY_OPS),
-    ("alu", dict(op="add", block={"mode": "einsum"}), False),
+    ("alu", dict(op="mul", block=EINSUM), True),
+    *(("alu", dict(op=op, block=EW), True) for op in processes.ARRAY_OPS),
     ("alu", dict(op="pow"), False),
+    ("alu", dict(op="pow", block=EW), False),
     *(("map", dict(fn=fn), True) for fn in ("relu", "exp", "gelu", ("scale", 2.5))),
     ("map", dict(fn="tanh"), False),
     ("reduce", dict(op="sum"), False),
+    ("reduce", dict(op="max", zero_shape=BLOCK), True),
+    ("reduce", dict(op="sum", intra=(0,), zero_shape=BLOCK), True),
     ("red1", {}, True),
     ("crddrop", dict(stage="inner"), True),
     ("crddrop", dict(stage="outer"), True),

@@ -38,7 +38,9 @@ from einstream.pipeline import (
 )
 
 sys.path.insert(0, str(Path(__file__).parent))
+sys.path.insert(0, str(Path(__file__).parent.parent / "layerbench"))
 import sim_reference  # noqa: E402
+from workloads import GCN_UNFUSED  # noqa: E402
 from test_oracle import programs  # noqa: E402
 from test_sim_golden import FUSED_SOFTMAX  # noqa: E402
 from test_pipeline import (  # noqa: E402
@@ -57,6 +59,7 @@ from test_pipeline import (  # noqa: E402
     ZERO_BLOCKS_INPUTS,
     _env,
     _inputs,
+    check_program,
     gcn_partition,
 )
 
@@ -246,10 +249,18 @@ def forced_arrays(monkeypatch):
     return taken
 
 
-# the programs with a region free of reduce, par/ser and blocked payloads,
-# whose runs start on the array functions; every other program runs on
-# the loops from the start
-ARRAY_PROGRAMS = {"copy", "divide", "divide_relu", "fused_relu", "matmul", "softmax"}
+# the programs with a region free of scalar reduce and par/ser, whose runs
+# start on the array functions and, at some order, finish pass 1 there:
+# scalar ones, and blocked ones (block payloads, blocked reduce); every
+# other program runs on the loops from the start
+ARRAY_PROGRAMS = {
+    "copy", "divide", "divide_relu", "fused_relu", "matmul", "softmax",
+    "gcn_block2", "zero_blocks",
+    *("gcn_" + "_".join(map(str, sizes)) for sizes in GCN_PARTITIONS),
+}
+# programs whose runs start on the array functions and always decline: a
+# union pads the blocked add of relu(A*X + b) with NULL
+DECLINING = {"fused_relu_block2"}
 
 
 @pytest.mark.parametrize("name", sorted(PROGRAMS))
@@ -266,12 +277,20 @@ def test_forced_arrays_agree_on_generated_programs(forced_arrays):
 @pytest.mark.parametrize("name", sorted(PROGRAMS))
 def test_forced_loops_agree_on_every_order_and_depth(forced_loops, name):
     test_engines_agree_on_every_order_and_depth(name)
-    assert (True in forced_loops) == (name in ARRAY_PROGRAMS)
+    assert (True in forced_loops) == (name in ARRAY_PROGRAMS | DECLINING)
 
 
 def test_forced_loops_agree_on_generated_programs(forced_loops):
     test_engines_agree_on_generated_programs()
     assert True in forced_loops and False in forced_loops
+
+
+def test_blocked_gcn_runs_every_region_on_the_array_functions(forced_arrays):
+    """The bench's gcn_blocked program at tiny size, on this suite's input
+    densities: each of its four regions takes pass 1 on the array
+    functions, and none declines."""
+    run = check_program(GCN_UNFUSED.format(n=8, f=8, h=4, c=4))
+    assert len(run.reports) == 4 and forced_arrays == [True] * 4
 
 
 def _pass1_streams(graph, tensors, on_arrays: bool):

@@ -12,6 +12,7 @@ from einstream.graph import DONE, NULL, Stop, node_ports
 from einstream.sim.processes import (
     TICK,
     NodeRun,
+    block_op,
     run_alu,
     run_crddrop_inner,
     run_crddrop_outer,
@@ -22,6 +23,7 @@ from einstream.sim.processes import (
     run_repeat,
     run_scan,
     run_vals,
+    scalar_op,
 )
 from einstream.tensors import COMPRESSED, DENSE, LevelSpec, SparseTensor
 
@@ -204,20 +206,20 @@ def test_alu_mul_and_stop_sync():
     out = drive(
         run_alu,
         {"in0": [2.0, S0, 3.0, DONE], "in1": [4.0, S0, 5.0, DONE]},
-        "mul",
-        None,
+        scalar_op("mul"),
+        1,
     )
     assert out["out"] == [8.0, S0, 15.0, DONE]
 
 
 def test_alu_div_zero_numerator_is_zero():
-    out = drive(run_alu, {"in0": [0.0, DONE], "in1": [0.0, DONE]}, "div", None)
+    out = drive(run_alu, {"in0": [0.0, DONE], "in1": [0.0, DONE]}, scalar_op("div"), 1)
     assert out["out"] == [0.0, DONE]
 
 
 def test_alu_div_by_a_zero_divisor_is_zero():
     # a stored divisor can map to 0, e.g. relu of a negative entry
-    out = drive(run_alu, {"in0": [6.0, 2.0, DONE], "in1": [3.0, 0.0, DONE]}, "div", None)
+    out = drive(run_alu, {"in0": [6.0, 2.0, DONE], "in1": [3.0, 0.0, DONE]}, scalar_op("div"), 1)
     assert out["out"] == [2.0, 0.0, DONE]
 
 
@@ -225,7 +227,7 @@ def test_alu_block_div_is_zero_where_either_side_is_zero():
     spec = {"mode": "ew", "out_ndim": 2, "bmap0": (0, 1), "bmap1": (0, 1), "flops": 4}
     a = np.array([[6.0, 0.0], [2.0, 1.0]])
     d = np.array([[3.0, 5.0], [0.0, 0.0]])
-    out = drive(run_alu, {"in0": [a, DONE], "in1": [d, DONE]}, "div", spec)
+    out = drive(run_alu, {"in0": [a, DONE], "in1": [d, DONE]}, block_op("div", spec), spec["flops"])
     np.testing.assert_array_equal(out["out"][0], [[2.0, 0.0], [0.0, 0.0]])
 
 
@@ -234,8 +236,8 @@ def test_alu_detects_desync():
         drive(
             run_alu,
             {"in0": [1.0, 2.0, DONE], "in1": [1.0, S0, 2.0, DONE]},
-            "add",
-            None,
+            scalar_op("add"),
+            1,
         )
 
 
@@ -398,14 +400,14 @@ def test_alu_counts_one_flop_and_tick_per_element():
     out = drive(
         run_alu,
         {"in0": [2.0, S0, 3.0, NULL, DONE], "in1": [4.0, S0, 5.0, 1.0, DONE]},
-        "mul",
-        None,
+        scalar_op("mul"),
+        1,
     )
     assert (out["clock"], out["flops"]) == (3, 3)
 
 
 def test_alu_without_elements_accounts_no_flops():
-    out = drive(run_alu, {"in0": [S0, DONE], "in1": [S0, DONE]}, "add", None)
+    out = drive(run_alu, {"in0": [S0, DONE], "in1": [S0, DONE]}, scalar_op("add"), 1)
     assert (out["clock"], out["flops"]) == (0, None)
 
 
