@@ -420,7 +420,7 @@ def _producer_edges(ir: RegionIR) -> set:
 
 
 def check_order(ir: RegionIR, order: tuple[str, ...]):
-    vs = set(region_vars(ir))
+    vs = ir.extents.keys()
     if set(order) != vs or len(order) != len(vs):
         raise UnsatisfiableOrder(
             f"order {order} must mention each of {sorted(vs, key=var_key)} once"

@@ -31,7 +31,6 @@ crddrop    removes coordinates whose inner group or value is empty/zero
 write_crd  records one coordinate level of a result
 write_val  records result values
 par        splits a stream bundle round-robin across copies
-ser        re-interleaves copy bundles back into one stream
 """
 
 from __future__ import annotations
@@ -110,13 +109,11 @@ _PORTS = {
 
 def node_ports(kind: str, params: dict) -> tuple[dict, dict]:
     """(input ports, output ports) of a node, each port -> its stream kinds."""
-    if kind in ("par", "ser"):  # copies of a stream bundle carry any kind
+    if kind == "par":  # copies of a stream bundle carry any kind
         n, f = params["nstreams"], params["factor"]
-        one = [str(i) for i in range(n)]
-        many = [f"{k}_{i}" for k in range(f) for i in range(n)]
-        ins, outs = (one, many) if kind == "par" else (many, one)
         anykind = (CRD, REF, VAL)
-        return {f"in{p}": anykind for p in ins}, {f"out{p}": anykind for p in outs}
+        ins = {f"in{i}": anykind for i in range(n)}
+        return ins, {f"out{k}_{i}": anykind for k in range(f) for i in range(n)}
     if kind not in _PORTS:
         raise GraphError(f"unknown node kind {kind!r}")
     return _PORTS[kind]

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fusion import elaborate_region, resolve_cycles
+from .fusion import check_order, elaborate_region, resolve_cycles
 from .tensors import DENSE, ELEMENT_BYTES, INDEX_BYTES
 
 
@@ -281,7 +281,10 @@ class _Estimator:
 
 
 def estimate_region(vp, ir, order, hin: HeuristicInput) -> tuple[CostEstimate, dict]:
-    """Cost of one fused region; also returns estimated output densities."""
+    """Cost of one fused region at ``order``, which must name every region
+    var once and keep the storage nesting; also returns estimated output
+    densities."""
+    check_order(ir, tuple(order))
     est = _Estimator(ir, order, hin)
     out_rho: dict[str, float] = {}
     cost = CostEstimate()

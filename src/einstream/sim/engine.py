@@ -23,7 +23,7 @@ and params once and builds its two pass-1 functions: its loop in
 arrays.  Their traces are byte-equal, so the rest of the run cannot tell
 them apart.  Every kind has a loop; an alu op outside
 ``processes.ARRAY_OPS``, an unknown map fn, a scalar ``reduce`` (one
-without ``zero_shape``), ``par`` and ``ser`` have no array function.
+without ``zero_shape``) and ``par`` have no array function.
 Blocked runs have them: a payload is then one block per token.  A
 blocked alu's two functions share the one ``processes.block_op`` built
 here, whose ``contraction`` adds its products in a fixed order, so a
@@ -240,9 +240,6 @@ def _node_functions(node, tensors: dict, mem_latency: int):
         return partial(loop.run_write, port=port), partial(arrays.write, port=port)
     if kind == "par":
         return partial(loop.run_par, factor=p["factor"], nstreams=p["nstreams"]), None
-    if kind == "ser":
-        depths = tuple(p.get("depths") or (0,) * p["nstreams"])
-        return partial(loop.run_ser, factor=p["factor"], depths=depths), None
     raise GraphError(f"no function for node kind {kind!r}")
 
 
@@ -576,55 +573,67 @@ def _nest(tokens, depth: int):
     return root
 
 
+def _lane_entries(name: str, g: dict) -> tuple[list, list]:
+    """One lane's coordinate tuples, in stream order, and its values."""
+    ndim = len(g["levels"])
+    trees = [_nest(g["levels"][d], d + 1) for d in range(ndim)]
+    # Values pair with innermost coordinates flat, in arrival order; the
+    # value stream may still carry separators for groups whose outer
+    # coordinate was dropped, so its nesting cannot be trusted.
+    flat_vals = [t for t in g["vals"] if not isinstance(t, Stop) and t is not DONE]
+    # depth-first over the coordinate trees, in stream order
+    scoords: list = []
+    stack = [(0, (), ())]
+    while stack:
+        d, pos_path, crd_path = stack.pop()
+        node_list = trees[d]
+        for q in pos_path:
+            if q >= len(node_list):
+                raise MalformedStream(
+                    f"writer {name}: level {d} has no fiber under level"
+                    f" {d - 1} coordinates {crd_path}"
+                )
+            node_list = node_list[q]
+        if d == ndim - 1:
+            scoords.extend(crd_path + (crd,) for crd in node_list)
+        else:
+            for idx in range(len(node_list) - 1, -1, -1):
+                stack.append((d + 1, pos_path + (idx,), crd_path + (node_list[idx],)))
+    if len(scoords) != len(flat_vals):
+        raise MalformedStream(
+            f"writer {name}: {len(flat_vals)} values for {len(scoords)} coordinates"
+        )
+    return scoords, flat_vals
+
+
 def _finalize(graph: DataflowGraph, nodes: dict):
     """Each writer's tensor, scalar and in loop order with the writer's
-    formats, and the bytes written.  A blocked writer stores whole blocks,
-    so it is charged the outer levels and slots of the blocks that hold a
-    nonzero."""
-    groups: dict[str, dict] = {}
+    formats, and the bytes written.  A parallel result has one set of
+    writers per lane; the lanes hold disjoint entries, which make one
+    tensor.  A blocked writer stores whole blocks, so it is charged the
+    outer levels and slots of the blocks that hold a nonzero."""
+    groups: dict[str, dict] = {}  # tensor -> lane -> its writers' records
     for node in graph.nodes.values():
-        if node.kind == "write_crd":
-            g = groups.setdefault(node.params["tensor"], {"levels": {}})
-            g["levels"][node.params["level"]] = nodes[node.id].records
-        elif node.kind == "write_val":
-            g = groups.setdefault(node.params["tensor"], {"levels": {}})
-            g["vals"] = nodes[node.id].records
-            g["params"] = node.params
+        if node.kind.startswith("write"):
+            p = node.params
+            lanes = groups.setdefault(p["tensor"], {})
+            g = lanes.setdefault(p.get("lane", 0), {"levels": {}})
+            if node.kind == "write_crd":
+                g["levels"][p["level"]] = nodes[node.id].records
+            else:
+                g["vals"] = nodes[node.id].records
+                g["params"] = p
 
     outputs: dict[str, SparseTensor] = {}
     bytes_written = 0
-    for name, g in groups.items():
+    for name, lanes in groups.items():
+        scoords, flat_vals = [], []
+        for g in lanes.values():
+            c, v = _lane_entries(name, g)
+            scoords += c
+            flat_vals += v
         p = g["params"]
         ndim = len(g["levels"])
-        trees = [_nest(g["levels"][d], d + 1) for d in range(ndim)]
-        # Values pair with innermost coordinates flat, in arrival order; the
-        # value stream may still carry separators for groups whose outer
-        # coordinate was dropped, so its nesting cannot be trusted.
-        flat_vals = [
-            t for t in g["vals"] if not isinstance(t, Stop) and t is not DONE
-        ]
-        # depth-first over the coordinate trees, in stream order
-        scoords: list = []
-        stack = [(0, (), ())]
-        while stack:
-            d, pos_path, crd_path = stack.pop()
-            node_list = trees[d]
-            for q in pos_path:
-                if q >= len(node_list):
-                    raise MalformedStream(
-                        f"writer {name}: level {d} has no fiber under level"
-                        f" {d - 1} coordinates {crd_path}"
-                    )
-                node_list = node_list[q]
-            if d == ndim - 1:
-                scoords.extend(crd_path + (crd,) for crd in node_list)
-            else:
-                for idx in range(len(node_list) - 1, -1, -1):
-                    stack.append((d + 1, pos_path + (idx,), crd_path + (node_list[idx],)))
-        if len(scoords) != len(flat_vals):
-            raise MalformedStream(
-                f"writer {name}: {len(flat_vals)} values for {len(scoords)} coordinates"
-            )
         mode_order = tuple(p["mode_order"])
         coords = np.empty((len(scoords), ndim), dtype=np.int64)
         coords[:, mode_order] = np.array(scoords, dtype=np.int64).reshape(-1, ndim)

@@ -822,161 +822,3 @@ def run_par(run, factor: int, nstreams: int):
             outs[rr * n + i](tok)
         tr.append(TICK)
         rr = (rr + 1) % factor
-
-
-def run_ser(run, factor: int, depths: tuple):
-    """Inverse-interleaves round-robin copies back into one bundle.
-
-    Port ``in{k}_{i}`` is code k * n + i and ``out{i}`` code factor * n + i.
-    depths[i] is stream i's nesting below the split level: a depth-0
-    stream carries one token per split-level element, a depth-d stream a
-    d-level group.  Stream 0 must be depth 0; it drives control.  The rest
-    form a chain of increasing depth (each surviving level's coordinates,
-    then the value stream at the deepest level).  Tokens are forwarded
-    depth-first - a parent element before its nested group, equal-depth
-    streams in lockstep - the order the unsplit pipeline emits, keeping
-    the skew on every port bounded by the channel depth.  Group separators
-    are re-emitted with the usual single-pending-stop rule, so a copy's
-    final group (whose own separator was absorbed into the enclosing
-    boundary) still merges cleanly.
-    """
-    n = len(depths)
-    dmax = max(depths)
-    rec = run.trace.append
-    take_in = [
-        [iter(run.ins[f"in{k}_{i}"]).__next__ for i in range(n)] for k in range(factor)
-    ]
-    outs = [run.outs[f"out{i}"].append for i in range(n)]
-    out_code = factor * n
-    by_depth: dict[int, list[int]] = {}
-    for i in range(1, n):
-        by_depth.setdefault(depths[i], []).append(i)
-    held: dict[tuple[int, int], object] = {}
-    pend: list = [None] * n
-
-    def take(k, i):
-        if (k, i) in held:
-            return held.pop((k, i))
-        rec(k * n + i)
-        return take_in[k][i]()
-
-    def send(i, tok):
-        rec(out_code + i)
-        outs[i](tok)
-
-    def flush(i):
-        if pend[i] is not None:
-            send(i, Stop(pend[i]))
-            pend[i] = None
-
-    def put_sep(i, tok):
-        """Forward a group separator; the split-element one is deferred so
-        it can merge with the enclosing boundary or the next copy."""
-        flush(i)
-        if tok.level == depths[i] - 1:
-            pend[i] = tok.level
-        else:
-            send(i, tok)
-
-    def group(k, t, group):
-        """Forward one depth-t group of copy k.  Returns the level the
-        closing separators reached: t for a plain group end, less when an
-        ancestor group closed with it, 0 at the bundle boundary.  It recurses
-        through its last argument: a closure naming itself is a reference
-        cycle only the cyclic GC frees."""
-        streams = by_depth.get(t, ())
-        while True:
-            close = "none"
-            for i in streams:
-                tok = take(k, i)
-                if tok is DONE or (isinstance(tok, Stop) and tok.level >= depths[i]):
-                    held[(k, i)] = tok  # enclosing boundary, bundle-level
-                    # the copy's trailing separator was folded into this
-                    # boundary; restore it so a following copy's group (or
-                    # the re-emitted boundary) stays delimited
-                    pend[i] = depths[i] - 1
-                    mine = 0
-                elif isinstance(tok, Stop):
-                    mine = depths[i] - tok.level
-                    put_sep(i, tok)
-                else:
-                    mine = "none"
-                    flush(i)
-                    send(i, tok)
-                    rec(TICK)
-                if i == streams[0]:
-                    close = mine
-                elif close != mine:
-                    raise MalformedStream(
-                        f"merge bundle desynchronized at depth {t}: "
-                        f"stream {i} gave {tok}"
-                    )
-            if close != "none":
-                return close
-            if t < dmax:
-                sub = group(k, t + 1, group)
-                if sub <= t:
-                    # nested levels closed through here; collect our own
-                    # separators and hand the close upward
-                    for i in streams:
-                        tok = take(k, i)
-                        if sub == 0 and (
-                            tok is DONE
-                            or (isinstance(tok, Stop) and tok.level >= depths[i])
-                        ):
-                            held[(k, i)] = tok
-                            pend[i] = depths[i] - 1
-                        elif (
-                            sub > 0
-                            and isinstance(tok, Stop)
-                            and depths[i] - tok.level == sub
-                        ):
-                            put_sep(i, tok)
-                        else:
-                            raise MalformedStream(
-                                f"merge bundle desynchronized at depth {t}: "
-                                f"stream {i} gave {tok} while closing {sub}"
-                            )
-                    return sub
-
-    # extra depth-0 streams carry exactly one token per split-level element
-    # (e.g. values that survive with no nesting); they ride along with the
-    # control stream instead of forming groups
-    zero = tuple(by_depth.get(0, ()))
-    rr = 0
-    while True:
-        t0 = take(rr, 0)
-        if _is_boundary(t0):
-            lvl = None if t0 is DONE else t0.level
-            for k in range(factor):
-                for i in range(n):
-                    if k == rr and i == 0:
-                        continue
-                    want = DONE if t0 is DONE else Stop(lvl + depths[i])
-                    tok = take(k, i)
-                    if tok is not want:
-                        raise MalformedStream(
-                            f"merge bundle desynchronized: copy {k} stream {i}"
-                            f" gave {tok}, expected {want}"
-                        )
-            for i in range(n):
-                pend[i] = None  # absorbed into the enclosing boundary
-                send(i, t0 if t0 is DONE else Stop(lvl + depths[i]))
-            rr = 0
-            if t0 is DONE:
-                return
-            continue
-        send(0, t0)
-        rec(TICK)
-        for i in zero:
-            tok = take(rr, i)
-            if tok is DONE or isinstance(tok, Stop):
-                raise MalformedStream(
-                    f"merge bundle desynchronized: stream {i} gave {tok}"
-                    " alongside a split-level element"
-                )
-            send(i, tok)
-            rec(TICK)
-        if dmax >= 1:
-            group(rr, 1, group)
-        rr = (rr + 1) % factor

@@ -25,9 +25,10 @@ without unbounded buffering, so each consumer drives its own copy of the
 producer pipeline and the graph stays a tree.  Cost models must count
 those instances the same way.
 
-Parallelizing a result variable splits every live stream below its row
-round-robin across copies and re-interleaves them (with matching group
-separators) before the write cascade.
+Parallelizing a stored result variable splits every live stream at its
+row round-robin across copies.  Each copy lowers the rows below on its
+own and ends in its own write cascade: the copies hold disjoint entries,
+and the simulator merges the lanes' writers into one tensor.
 """
 
 from __future__ import annotations
@@ -699,26 +700,30 @@ class _OpPipe:
 # --- outputs ---------------------------------------------------------------
 
 
-def _emit_output(b: _Builder, name: str, rv, val: StreamH, crds: dict):
+def _emit_output(
+    b: _Builder, name: str, rv, val: StreamH, crds: dict, lane: int, drop_empty: bool
+):
+    """The crddrop cascade and writers of one lane of result ``name``.  The
+    inner stage drops zero values; the outer stages, only if
+    ``drop_empty``, drop coordinates whose groups came out empty."""
     g = b.g
     ndim = len(rv)
     inner = g.add("crddrop", f"cd_{name}_{rv[-1]}", stage="inner")
     b.link(crds[rv[-1]], inner, "outer")
     b.link(val, inner, "inner")
-    up = StreamH(inner, "outer", CRD, crds[rv[-1]].levels)
     val_out = StreamH(inner, "inner", VAL, val.levels, axes=val.axes)
-    crd_feed: dict[int, StreamH] = {}
-    for d in range(ndim - 2, -1, -1):
+    crd_feed = {d: crds[v] for d, v in enumerate(rv)}  # level -> its writer's stream
+    crd_feed[ndim - 1] = up = StreamH(inner, "outer", CRD, crds[rv[-1]].levels)
+    for d in range(ndim - 2, -1, -1) if drop_empty else ():
         st = g.add("crddrop", f"cd_{name}_{rv[d]}", stage="outer")
         b.link(crds[rv[d]], st, "outer")
         b.link(up, st, "inner")
         crd_feed[d + 1] = StreamH(st, "inner", CRD, up.levels)
-        up = StreamH(st, "outer", CRD, crds[rv[d]].levels)
-    crd_feed[0] = up
+        crd_feed[d] = up = StreamH(st, "outer", CRD, crds[rv[d]].levels)
     decl = b.vp.decl(name)
     dims = list(decl.dims)
     for d, v in enumerate(rv):
-        wc = g.add("write_crd", f"w_{name}_{v}", tensor=name, level=d)
+        wc = g.add("write_crd", f"w_{name}_{v}", tensor=name, level=d, lane=lane)
         b.link(crd_feed[d], wc, "crd")
     mode_order = tuple(dims.index(v) for v in rv)
     shape = tuple(
@@ -731,6 +736,7 @@ def _emit_output(b: _Builder, name: str, rv, val: StreamH, crds: dict):
         "mode_order": mode_order,
         "formats": formats,
         "fill": 0.0,
+        "lane": lane,
     }
     if b.block:
         params["block_shape"] = tuple(b.factor(dims[m]) for m in range(ndim))
@@ -741,7 +747,7 @@ def _emit_output(b: _Builder, name: str, rv, val: StreamH, crds: dict):
     b.link(val_out, wv, "val")
 
 
-# --- parallel split/merge --------------------------------------------------
+# --- parallel split --------------------------------------------------------
 
 
 def _check_par(b: _Builder, top: _OpPipe, rv, par: dict):
@@ -769,7 +775,11 @@ def _check_par(b: _Builder, top: _OpPipe, rv, par: dict):
                     )
 
 
-def _split(b: _Builder, pipe: _OpPipe, rest, v: str, f: int, rec, rv):
+def _split(b: _Builder, pipe: _OpPipe, rest, v: str, f: int, rec):
+    """The lanes of ``pipe`` split at row ``v``: ``par`` deals the row's
+    elements round-robin to ``f`` forks, each of which lowers ``rest`` on
+    its own; a lane's coordinates at ``v`` are its copy's.  Splits nested
+    in a lane add their lanes to the list."""
     g = b.g
     views = pipe.view_pipes()
     vcrd = pipe.sources[v].crd
@@ -782,7 +792,7 @@ def _split(b: _Builder, pipe: _OpPipe, rest, v: str, f: int, rec, rv):
                 " cannot split here"
             )
         b.link(vp_.cur, par_id, f"in{i + 1}")
-    results = []
+    lanes = []
     for k in range(f):
         fk = pipe.fork()
         for i, vp_ in enumerate(fk.view_pipes()):
@@ -791,36 +801,15 @@ def _split(b: _Builder, pipe: _OpPipe, rest, v: str, f: int, rec, rv):
                 par_id, f"out{k}_{i + 1}", old.kind, old.levels, old.desc,
                 old.axes,
             )
-        results.append(rec(fk, rest))
-    below = [r for r in rv if b.pos[r] > b.pos[v]]
-    val0, crds0 = results[0]
-    depths = [0]
-    for s in [crds0[r] for r in below] + [val0]:
-        depths.append(len(s.levels) - s.levels.index(v) - 1)
-    n = len(depths)
-    ser_id = g.add(
-        "ser", f"ser_{v}", factor=f, nstreams=n, depths=tuple(depths)
-    )
-    for k in range(f):
-        g.connect(par_id, f"out{k}_0", ser_id, f"in{k}_0", CRD)
-        valk, crdk = results[k]
-        for j, s in enumerate([crdk[r] for r in below] + [valk], start=1):
-            b.link(s, ser_id, f"in{k}_{j}")
-    out_crds = {r: pipe.sources[r].crd for r in rv if b.pos[r] < b.pos[v]}
-    out_crds[v] = StreamH(ser_id, "out0", CRD, vcrd.levels, ("ser", v, vcrd.desc))
-    for j, r in enumerate(below, start=1):
-        s0 = crds0[r]
-        out_crds[r] = StreamH(
-            ser_id, f"out{j}", CRD, s0.levels, ("ser", v, s0.desc)
-        )
-    out_val = StreamH(
-        ser_id, f"out{n - 1}", VAL, val0.levels, ("ser", v, val0.desc),
-        val0.axes,
-    )
-    return out_val, out_crds
+        crd = StreamH(par_id, f"out{k}_0", CRD, vcrd.levels)
+        lanes += [(val, {**crds, v: crd}) for val, crds in rec(fk, rest)]
+    return lanes
 
 
 def _walk(b: _Builder, top: _OpPipe, rows, rv, par: dict):
+    """The result's lanes, each a ``(val, crds)`` pair: one lane unless a
+    row is parallelized."""
+
     def rec(pipe, left):
         for idx, v in enumerate(left):
             try:
@@ -833,8 +822,8 @@ def _walk(b: _Builder, top: _OpPipe, rows, rv, par: dict):
                 raise
             fct = par.get(v)
             if fct:
-                return _split(b, pipe, left[idx + 1 :], v, fct, rec, rv)
-        return pipe.val, {r: pipe.sources[r].crd for r in rv}
+                return _split(b, pipe, left[idx + 1 :], v, fct, rec)
+        return [(pipe.val, {r: pipe.sources[r].crd for r in rv})]
 
     return rec(top, list(rows))
 
@@ -870,8 +859,14 @@ def build_region_graph(
             )
         rows = [v for v in order if v in top.all]
         _check_par(b, top, rv, par)
-        val, crds = _walk(b, top, rows, rv, par)
-        _emit_output(b, name, rv, val, crds)
+        # A split between two stored indices can leave a lane no element
+        # under an outer coordinate, and an outer crddrop stage cannot tell
+        # that group from an element whose own group came out empty: the
+        # stream grammar writes both alike.  Such lanes keep only the inner
+        # stage; the writers' merge skips coordinates without entries.
+        drop_empty = not any(0 < rv.index(v) < len(rv) - 1 for v in par)
+        for lane, (val, crds) in enumerate(_walk(b, top, rows, rv, par)):
+            _emit_output(b, name, rv, val, crds, lane, drop_empty)
     g.validate()
     b.info.par = dict(par)
     return g, b.info

@@ -633,155 +633,6 @@ def proc_par(ctx, factor: int, nstreams: int):
         rr = (rr + 1) % factor
 
 
-def proc_ser(ctx, factor: int, depths: tuple):
-    """Inverse-interleaves round-robin copies back into one bundle.
-
-    depths[i] is stream i's nesting below the split level: a depth-0
-    stream carries one token per split-level element, a depth-d stream a
-    d-level group.  Stream 0 must be depth 0; it drives control.  The rest
-    form a chain of increasing depth (each surviving level's coordinates,
-    then the value stream at the deepest level).  Tokens are forwarded
-    depth-first - a parent element before its nested group, equal-depth
-    streams in lockstep - the order the unsplit pipeline emits, keeping
-    the skew on every port bounded by the channel depth.  Group separators
-    are re-emitted with the usual single-pending-stop rule, so a copy's
-    final group (whose own separator was absorbed into the enclosing
-    boundary) still merges cleanly.
-    """
-    n = len(depths)
-    dmax = max(depths)
-    by_depth: dict[int, list[int]] = {}
-    for i in range(1, n):
-        by_depth.setdefault(depths[i], []).append(i)
-    held: dict[tuple[int, int], object] = {}
-    pend: list = [None] * n
-    rr = 0
-
-    def take(k, i):
-        if (k, i) in held:
-            return held.pop((k, i))
-        tok = yield ("recv", f"in{k}_{i}")
-        return tok
-
-    def flush(i):
-        if pend[i] is not None:
-            yield ("send", f"out{i}", Stop(pend[i]))
-            pend[i] = None
-
-    def put_sep(k, i, tok):
-        """Forward a group separator; the split-element one is deferred so
-        it can merge with the enclosing boundary or the next copy."""
-        yield from flush(i)
-        if tok.level == depths[i] - 1:
-            pend[i] = tok.level
-        else:
-            yield ("send", f"out{i}", tok)
-
-    def group(k, t, group):
-        """Forward one depth-t group of copy k.  Returns the level the
-        closing separators reached: t for a plain group end, less when an
-        ancestor group closed with it, 0 at the bundle boundary.  It recurses
-        through its last argument: a closure naming itself is a reference
-        cycle only the cyclic GC frees."""
-        streams = by_depth.get(t, ())
-        while True:
-            close = "none"
-            for i in streams:
-                tok = yield from take(k, i)
-                if tok is DONE or (
-                    isinstance(tok, Stop) and tok.level >= depths[i]
-                ):
-                    held[(k, i)] = tok  # enclosing boundary, bundle-level
-                    # the copy's trailing separator was folded into this
-                    # boundary; restore it so a following copy's group (or
-                    # the re-emitted boundary) stays delimited
-                    pend[i] = depths[i] - 1
-                    mine = 0
-                elif isinstance(tok, Stop):
-                    mine = depths[i] - tok.level
-                    yield from put_sep(k, i, tok)
-                else:
-                    mine = "none"
-                    yield from flush(i)
-                    yield ("send", f"out{i}", tok)
-                    ctx.clock += 1
-                if i == streams[0]:
-                    close = mine
-                elif close != mine:
-                    raise MalformedStream(
-                        f"merge bundle desynchronized at depth {t}: "
-                        f"stream {i} gave {tok}"
-                    )
-            if close != "none":
-                return close
-            if t < dmax:
-                sub = yield from group(k, t + 1, group)
-                if sub <= t:
-                    # nested levels closed through here; collect our own
-                    # separators and hand the close upward
-                    for i in streams:
-                        tok = yield from take(k, i)
-                        if sub == 0 and (
-                            tok is DONE
-                            or (isinstance(tok, Stop) and tok.level >= depths[i])
-                        ):
-                            held[(k, i)] = tok
-                            pend[i] = depths[i] - 1
-                        elif (
-                            sub > 0
-                            and isinstance(tok, Stop)
-                            and depths[i] - tok.level == sub
-                        ):
-                            yield from put_sep(k, i, tok)
-                        else:
-                            raise MalformedStream(
-                                f"merge bundle desynchronized at depth {t}: "
-                                f"stream {i} gave {tok} while closing {sub}"
-                            )
-                    return sub
-
-    # extra depth-0 streams carry exactly one token per split-level element
-    # (e.g. values that survive with no nesting); they ride along with the
-    # control stream instead of forming groups
-    zero = tuple(by_depth.get(0, ()))
-    while True:
-        t0 = yield from take(rr, 0)
-        if _is_boundary(t0):
-            lvl = None if t0 is DONE else t0.level
-            for k in range(factor):
-                for i in range(n):
-                    if k == rr and i == 0:
-                        continue
-                    want = DONE if t0 is DONE else Stop(lvl + depths[i])
-                    tok = yield from take(k, i)
-                    if tok is not want:
-                        raise MalformedStream(
-                            f"merge bundle desynchronized: copy {k} stream {i}"
-                            f" gave {tok}, expected {want}"
-                        )
-            for i in range(n):
-                pend[i] = None  # absorbed into the enclosing boundary
-                yield ("send", f"out{i}", t0 if t0 is DONE else Stop(lvl + depths[i]))
-            rr = 0
-            if t0 is DONE:
-                return
-            continue
-        yield ("send", "out0", t0)
-        ctx.clock += 1
-        for i in zero:
-            tok = yield from take(rr, i)
-            if tok is DONE or isinstance(tok, Stop):
-                raise MalformedStream(
-                    f"merge bundle desynchronized: stream {i} gave {tok}"
-                    " alongside a split-level element"
-                )
-            yield ("send", f"out{i}", tok)
-            ctx.clock += 1
-        if dmax >= 1:
-            yield from group(rr, 1, group)
-        rr = (rr + 1) % factor
-
-
 # --- factory --------------------------------------------------------------
 
 
@@ -823,9 +674,6 @@ def build_process(node, ctx: NodeContext, tensors: dict, mem_latency: int):
         return proc_write(ctx, "val")
     if kind == "par":
         return proc_par(ctx, p["factor"], p["nstreams"])
-    if kind == "ser":
-        depths = tuple(p.get("depths") or (0,) * p["nstreams"])
-        return proc_ser(ctx, p["factor"], depths)
     raise GraphError(f"no process for node kind {kind!r}")
 
 # --- scheduler ------------------------------------------------------------

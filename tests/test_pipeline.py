@@ -140,6 +140,14 @@ Y(i, j, k) = A(i, j, k) * B(i, j, k);
 parallelize(i, 2);
 """
 
+# four lanes over three rows: the last lane gets no element
+PAR_EMPTY_LANE = SPMM.replace("index i = 6", "index i = 3").format(extra="parallelize(i, 4);")
+# three lanes over eight rows, uneven
+PAR_UNEVEN = SPMM.replace("index i = 6", "index i = 8").format(extra="parallelize(i, 3);")
+# a split nested in each lane of another, between two stored indices: a j
+# lane often gets no element under an i coordinate
+PAR_NESTED = PAIR3 + "parallelize(j, 3);\n"
+
 SPMM8 = """
 index i = {i}; index k = 8; index j = 8;
 tensor A(i, k): dense(i) -> compressed(k) order(i, k) input;
@@ -169,6 +177,11 @@ def _inputs(vp, seed=0):
         for name in sorted(vp.decls)
         if vp.role_of(name) == "input"
     }
+
+
+# with a row of A that holds no entry, in the middle lane
+PAR_UNEVEN_INPUTS = _inputs(validate_program(parse_program(PAR_UNEVEN)))
+PAR_UNEVEN_INPUTS["A"][4] = 0.0
 
 
 def _env(vp, dense):
@@ -205,14 +218,41 @@ def check_program(src, seed=0, inputs=None, depth=4):
         (SPMV.format(body="y(i) = A(i, k) * x(k);\nparallelize(i, 2);"), None),
         (PAIR3, None),
         (SPMM.replace("index k = 5", "index k = 4").format(extra="block(2, 2);"), None),
+        (PAR_EMPTY_LANE, None),
+        (PAR_UNEVEN, PAR_UNEVEN_INPUTS),
+        (PAR_NESTED, None),
     ],
     ids=[
         "spmv", "fused_relu", "fused_relu_par2", "gcn_block2", "copy", "softmax", "divide",
         "divide_relu", "zero_blocks", "spmv_par2", "pair3_par2", "fused_relu_block2",
+        "par_empty_lane", "par_uneven", "par_nested",
     ],
 )
 def test_program_matches_oracle(src, inputs):
     check_program(src, inputs=inputs)
+
+
+def test_parallelize_scales_the_modelled_cycles():
+    """Fused relu(A*X + b) at 32^3: each lane writes its own slice of Y, so
+    two lanes take under 0.6 of one lane's cycles and four take fewer
+    still, for the same FLOPs.  Each lane reads its operands again, so
+    bytes may grow with the lanes."""
+    src = SPMM.replace(
+        "index i = 6; index k = 5; index j = 4", "index i = 32; index k = 32; index j = 32"
+    )
+    cycles, flops = [], set()
+    for par in (1, 2, 4):
+        rng = np.random.default_rng(0)
+        dense = {
+            name: oracle.random_dense((32, 32), density, rng, -1.0, 1.0)
+            for name, density in (("A", 0.05), ("X", 0.1), ("b", 0.5))
+        }
+        extra = f"parallelize(i, {par});" if par > 1 else ""
+        (rep,) = check_program(src.format(extra=extra), inputs=dense).reports
+        cycles.append(rep.cycles)
+        flops.add(rep.flops)
+    assert len(flops) == 1
+    assert cycles[1] < 0.6 * cycles[0] and cycles[2] < cycles[1], cycles
 
 
 @pytest.mark.parametrize("sizes", GCN_PARTITIONS, ids=lambda s: "_".join(map(str, s)))
@@ -495,6 +535,23 @@ def test_rate_on_a_permuted_copy_holds_for_the_copy():
     )
     assert est.flops == pytest.approx(0.64)
     assert heuristic.estimate_program(vp).flops == pytest.approx(0.64)
+
+
+@pytest.mark.parametrize(
+    "order, message",
+    [
+        (("u0", "i"), "order violates storage nesting: 'i' must precede 'u0'"),
+        (("i",), r"order \('i',\) must mention each of \['i', 'u0'\] once"),
+    ],
+    ids=["breaks_nesting", "misses_a_var"],
+)
+def test_estimate_refuses_an_order_the_lowering_refuses(order, message):
+    """The cost model estimates only orders that name every region var once
+    and keep the storage nesting: A stores i above k (renamed u0)."""
+    vp = validate_program(parse_program(SPMV.format(body="y(i) = A(i, k) * x(k);")))
+    ir = resolve_cycles(elaborate_region(vp, 0))
+    with pytest.raises(UnsatisfiableOrder, match=f"^{message}$"):
+        heuristic.estimate_region(vp, ir, order, heuristic.HeuristicInput.from_schedule(vp))
 
 
 def test_estimate_of_a_tensor_named_like_a_copy_reads_its_own_declaration():

@@ -631,7 +631,7 @@ def test_a_reduce_declines_blocks_off_its_zero_shape():
 
 
 # node kind, params -> whether it has an array function: not for an
-# unknown alu op or map fn, a scalar reduce, par or ser
+# unknown alu op or map fn, a scalar reduce or par
 TABLE = [
     ("root", {}, True),
     ("scan", dict(tensor=B, level=1), True),
@@ -657,14 +657,13 @@ TABLE = [
     ("write_crd", {}, True),
     ("write_val", {}, True),
     ("par", dict(factor=2, nstreams=1), False),
-    ("ser", dict(factor=2, nstreams=1), False),
 ]
 
 
 def test_the_node_table():
     """Every node kind gets its loop; the array function is missing exactly
     where ``TABLE`` says."""
-    assert {kind for kind, _, _ in TABLE} == set(_PORTS) | {"par", "ser"}
+    assert {kind for kind, _, _ in TABLE} == set(_PORTS) | {"par"}
     for kind, params, has_array in TABLE:
         fn, afn = functions(kind, **params)
         assert getattr(fn, "func", fn).__module__ == processes.__name__, kind

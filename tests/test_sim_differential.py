@@ -52,6 +52,10 @@ from test_pipeline import (  # noqa: E402
     GCN_PARTITIONS,
     MATMUL,
     PAIR3,
+    PAR_EMPTY_LANE,
+    PAR_NESTED,
+    PAR_UNEVEN,
+    PAR_UNEVEN_INPUTS,
     SOFTMAX,
     SPMM,
     SPMV,
@@ -76,6 +80,9 @@ PROGRAMS = {
     "zero_blocks": (ZERO_BLOCKS, ZERO_BLOCKS_INPUTS),
     "spmv_par2": (SPMV.format(body="y(i) = A(i, k) * x(k);\nparallelize(i, 2);"), None),
     "pair3_par2": (PAIR3, None),
+    "par_empty_lane": (PAR_EMPTY_LANE, None),
+    "par_uneven": (PAR_UNEVEN, PAR_UNEVEN_INPUTS),
+    "par_nested": (PAR_NESTED, None),
     "fused_relu_block2": (
         SPMM.replace("index k = 5", "index k = 4").format(extra="block(2, 2);"),
         None,
@@ -249,7 +256,7 @@ def forced_arrays(monkeypatch):
     return taken
 
 
-# the programs with a region free of scalar reduce and par/ser, whose runs
+# the programs with a region free of scalar reduce and par, whose runs
 # start on the array functions and, at some order, finish pass 1 there:
 # scalar ones, and blocked ones (block payloads, blocked reduce); every
 # other program runs on the loops from the start
