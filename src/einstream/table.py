@@ -825,7 +825,12 @@ def _walk(b: _Builder, top: _OpPipe, rows, rv, par: dict):
                 return _split(b, pipe, left[idx + 1 :], v, fct, rec)
         return [(pipe.val, {r: pipe.sources[r].crd for r in rv})]
 
-    return rec(top, list(rows))
+    try:
+        return rec(top, list(rows))
+    finally:
+        # rec's closure holds rec itself: clearing it frees the builder and
+        # its graph by reference count, not when the cycle collector runs
+        del rec
 
 
 # --- entry point -----------------------------------------------------------

@@ -3,6 +3,7 @@ and, on compiled programs, the interleaving check and which pass 1 runs."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -154,6 +155,30 @@ def test_mem_latency_slows_dataflow():
     fast = run(build_spmv_graph(), spmv_tensors(), SimConfig(mem_latency=0))
     slow = run(build_spmv_graph(), spmv_tensors(), SimConfig(mem_latency=50))
     assert slow.dataflow_cycles > fast.dataflow_cycles
+
+
+@pytest.mark.parametrize("depth", [0, -2, 2.0, True, None])
+def test_config_refuses_a_channel_depth_below_one(depth):
+    with pytest.raises(ValueError, match=rf"^SimConfig.channel_depth must be an int >= 1, not {depth!r}$"):
+        SimConfig(channel_depth=depth)
+
+
+@pytest.mark.parametrize("latency", [-3, 1.5, "4"])
+def test_config_refuses_a_negative_mem_latency(latency):
+    with pytest.raises(ValueError, match=rf"^SimConfig.mem_latency must be an int >= 0, not {latency!r}$"):
+        SimConfig(mem_latency=latency)
+
+
+@pytest.mark.parametrize("bandwidth", [-1.0, float("nan"), "8"])
+def test_config_refuses_a_negative_bandwidth(bandwidth):
+    with pytest.raises(ValueError, match=rf"^SimConfig.bandwidth must be a number >= 0, not {bandwidth!r}$"):
+        SimConfig(bandwidth=bandwidth)
+
+
+def test_config_fields_cannot_be_changed_past_their_checks():
+    config = SimConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.channel_depth = 0
 
 
 def _value_plus_its_total() -> tuple[DataflowGraph, dict]:
