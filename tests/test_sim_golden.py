@@ -3,11 +3,13 @@ node processes must leave every modelled number bit-identical.
 
 ``tests/golden/sim_counters.json`` holds, for each program in ``PROGRAMS``
 and channel depths 1 and 4, each region's ``counters()``, ``node_cycles``
-and ``node_flops`` (``gcn_2_2_block2``, the blocked GCN fused in two
-regions, was added after the others and pins the block edges of inlined
-producers' indices); and the outcome class of
-every ``schedulable_orders`` order of softmax fused into one region (8x8,
-40 %, seed 2: at depth 4, 17 of its 24 orders emit malformed streams).
+and ``node_flops`` beside the sha256 of its compiled graph's ``to_json()``,
+so a compiler change that alters a graph fails here too
+(``gcn_2_2_block2``, the blocked GCN fused in two regions, was added after
+the others and pins the block edges of inlined producers' indices); and the
+outcome class of every ``schedulable_orders`` order of softmax fused into
+one region (8x8, 40 %, seed 2: at depth 4, 17 of its 24 orders emit
+malformed streams).
 The values were taken before the engine became a ready queue.  Regenerate
 them only with a change that means to alter the model:
 ``PYTHONPATH=src python tests/test_sim_golden.py > tests/golden/sim_counters.json``.
@@ -15,6 +17,7 @@ them only with a change that means to alter the model:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -82,17 +85,19 @@ def program_counters(src: str, depth: int) -> list[dict]:
     regions = []
     for r in range(len(vp.regions)):
         cr = plan_region(vp, r)
+        graph = hashlib.sha256(cr.graph.to_json().encode()).hexdigest()
         try:
             rep = sim.run(
                 cr.graph, prepare_region(vp, cr, env), sim.SimConfig(channel_depth=depth)
             )
         except FAILURES as err:
-            regions.append({"outcome": type(err).__name__})
+            regions.append({"graph_sha256": graph, "outcome": type(err).__name__})
             break
         for _, name in cr.ir.outputs:
             env[name] = store(vp, name, rep.outputs[name])
         regions.append(
             {
+                "graph_sha256": graph,
                 "counters": rep.counters(),
                 "node_cycles": rep.node_cycles,
                 "node_flops": rep.node_flops,
