@@ -15,7 +15,9 @@ Assignments outside a ``fuse { ... }`` block each form their own region;
 a fuse block groups its assignments into one region and may carry a local
 ``order(...)`` directive, the only way to fix a region's loop order (wrap a
 single statement in ``fuse { }`` to order it).  ``parallelize``, ``block``,
-``density`` and ``rate`` are program-wide directives.
+``density`` and ``rate`` are program-wide directives; a second ``block``, a
+second ``parallelize`` of one index or a second ``density`` of one tensor
+is an error, not an override.
 """
 
 from __future__ import annotations
@@ -270,8 +272,12 @@ class _Parser:
             factor = self.integer()
             if factor < 2:
                 self.fail("parallelize factor must be at least 2", tok)
+            if var in dict(self.schedule.parallelize):
+                self.fail(f"{var!r} is parallelized twice", tok)
             self.schedule.parallelize.append((var, factor))
         elif name == "block":
+            if self.schedule.block is not None:
+                self.fail("block(...) is given twice", tok)
             b1 = self.integer()
             self.expect(",")
             b2 = self.integer()
@@ -280,6 +286,8 @@ class _Parser:
             self.schedule.block = (b1, b2)
         elif name == "density":
             tensor = self.ident()
+            if tensor in self.schedule.densities:
+                self.fail(f"density of {tensor} is given twice", tok)
             self.expect(",")
             self.schedule.densities[tensor] = self.number()
         elif name == "rate":

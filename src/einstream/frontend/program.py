@@ -359,8 +359,27 @@ def _accesses(node):
             yield from _accesses(a)
 
 
+def _check_schedule(sched: ScheduleSpec, decls: dict):
+    """Every ``density`` and ``rate`` names a tensor of the program (declared
+    or inferred) and, for a rate, one of its dims; a density is a fraction."""
+    for tensor, rho in sched.densities.items():
+        where = f"density({tensor}, {_num(rho)})"
+        if tensor not in decls:
+            raise UnknownTensor(f"{where}: unknown tensor {tensor}")
+        if not 0.0 <= rho <= 1.0:
+            raise FrontendError(f"{where}: a density must lie in [0, 1]")
+    for (t1, d1, t2, d2), r in sched.rates.items():
+        where = f"rate({t1}.{d1}, {t2}.{d2}, {_num(r)})"
+        for t, d in ((t1, d1), (t2, d2)):
+            if t not in decls:
+                raise UnknownTensor(f"{where}: unknown tensor {t}")
+            if d not in decls[t].dims:
+                raise FrontendError(f"{where}: {t} has no dim {d!r}")
+
+
 def validate_program(program: EinsumProgram) -> ValidatedProgram:
-    """Check SSA, arity, extent consistency; infer roles and missing decls."""
+    """Check SSA, arity, extent consistency and the schedule's names; infer
+    roles and missing decls."""
     decls = dict(program.decls)
     extents = dict(program.extents)
     for d in decls.values():
@@ -445,6 +464,7 @@ def validate_program(program: EinsumProgram) -> ValidatedProgram:
                 raise FrontendError(f"declared output {name} is never assigned")
             decls[name] = replace(d, role="input")
 
+    _check_schedule(program.schedule, decls)
     norm = [normalize(ex) for ex in program.expressions]
 
     covered = [i for r in program.regions for i in r.exprs]

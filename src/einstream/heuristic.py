@@ -159,7 +159,6 @@ class _Estimator:
         self.hin = hin
         self.flops = 0.0
         self.per_op: dict[str, float] = {}
-        self._memo: dict[int, _Stream] = {}
         # occupancy a loop level contributes when an op is merely repeated
         # under it (the level's coordinates come from the views that own it)
         self.level_occ: dict[str, float] = {}
@@ -223,8 +222,9 @@ class _Estimator:
         return self.hin.rate(va.source, da, vb.source, db)
 
     def op_stream(self, idx: int) -> _Stream:
-        if idx in self._memo:  # a shared subexpression is computed once
-            return self._memo[idx]
+        """Op ``idx``'s stream, charging its FLOPs.  Elaboration gives each
+        use of a producer its own op, so every op has one reader and is
+        charged once per instance, as the lowering builds it."""
         op = self.ir.ops[idx]
         ex = self.ir.extents
         a = self.operand(op.lhs)
@@ -276,7 +276,6 @@ class _Estimator:
             cur = _Stream(rest)
         for _ in op.maps:
             self.charge(op.name, cur.tokens(ex))
-        self._memo[idx] = cur
         return cur
 
 

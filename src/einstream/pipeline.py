@@ -79,11 +79,6 @@ def compile_region(vp, ir, order, *, par=None, block=None) -> CompiledRegion:
 _PROBE_LIMIT = 2000
 
 
-class _Prune(Exception):
-    def __init__(self, depth: int):
-        self.depth = depth
-
-
 def schedulable_orders(vp, ir, cap: int = 24, extra_edges=()):
     """First ``cap`` lexicographic POG extensions the lowering accepts.
 
@@ -99,39 +94,35 @@ def schedulable_orders(vp, ir, cap: int = 24, extra_edges=()):
             pred[b].add(a)
     good: list[tuple[str, ...]] = []
     chosen: list[str] = []
-    used: set = set()
     probes = 0
 
     def dfs():
+        """Probe the orders extending ``chosen``: a build that fails at a
+        row ``k < len(chosen)`` dooms every order sharing ``chosen[:k + 1]``
+        and returns ``k``; else None."""
         nonlocal probes
         if len(good) >= cap or probes >= _PROBE_LIMIT:
-            return
+            return None
         if len(chosen) == len(vs):
             probes += 1
             order = tuple(chosen)
             try:
                 compile_region(vp, ir, order)
             except UnsupportedSchedule as e:
-                raise _Prune(getattr(e, "row_pos", len(order) - 1))
+                return getattr(e, "row_pos", len(order) - 1)
             good.append(order)
-            return
+            return None
         for v in vs:
-            if v in used or not pred[v] <= used:
+            if v in chosen or not pred[v].issubset(chosen):
                 continue
             chosen.append(v)
-            used.add(v)
-            try:
-                dfs()
-            except _Prune as p:
-                chosen.pop()
-                used.remove(v)
-                if p.depth < len(chosen):
-                    raise
-                continue  # this prefix is doomed; try the next sibling
+            row = dfs()
             chosen.pop()
-            used.remove(v)
+            if row is not None and row < len(chosen):
+                return row  # this prefix is doomed too
             if len(good) >= cap or probes >= _PROBE_LIMIT:
-                return
+                return None
+        return None
 
     dfs()
     return good

@@ -29,7 +29,10 @@ are not heads.  Pass 1 calls one function per class and gives the rest
 of the class the head's run, trace and error; ``_clocks`` gives them its
 send times and final clock.  Every member keeps its own channels, so the
 replay, the check and every counter see each node as before.  Writers
-are never merged.
+are never merged.  The plan's ``validate()`` is the only validation a
+compiled graph gets: the lowering relies on ``add`` and ``connect``,
+which check ports and stream kinds, and leaves unconnected inputs and
+cycles to the first run.
 
 *Which functions run a node.*  ``_node_functions`` reads a node's kind
 and params once and builds its two pass-1 functions: its loop in

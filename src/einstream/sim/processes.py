@@ -447,11 +447,6 @@ def contraction(expr: str):
     return apply
 
 
-def contract(expr: str, a, b):
-    """``contraction(expr)`` applied once."""
-    return contraction(expr)(a, b)
-
-
 def block_ndims(spec: dict) -> tuple[int, int]:
     """The axes of each operand block of a blocked alu."""
     if spec["mode"] == "einsum":

@@ -11,7 +11,9 @@ below it:
 * where two operand columns both store the variable, their coordinate
   streams meet in a joiner (intersection under multiply, union under
   add) unless both streams have the same provenance, in which case they
-  are already identical token-for-token and the joiner is elided.
+  are already identical token-for-token and the joiner is elided.  Only
+  coordinate provenance is compared, and it is built from coordinate and
+  reference streams alone, so value streams carry none.
 
 When a column reaches its deepest stored row it switches to values:
 loads, the arithmetic unit, reductions (a reduction over a non-innermost
@@ -49,7 +51,7 @@ class StreamH:
     port: str
     kind: str
     levels: tuple[str, ...]  # enclosing loop vars, outer to inner
-    desc: tuple = ()  # structural provenance, for joiner elision
+    desc: tuple = ()  # coordinate/reference provenance, for joiner elision
     axes: tuple[str, ...] = ()  # block axes carried inside each value
 
 
@@ -159,7 +161,7 @@ class _Builder:
         hint = fn if isinstance(fn, str) else fn[0]
         nid = self.g.add("map", f"map_{hint}", fn=fn)
         self.link(s, nid, "in")
-        return StreamH(nid, "out", VAL, s.levels, ("map", fn, s.desc), s.axes)
+        return StreamH(nid, "out", VAL, s.levels, axes=s.axes)
 
 
 def _alu_spec(b: _Builder, op, s0: StreamH, s1: StreamH):
@@ -309,14 +311,7 @@ class _ViewPipe:
             "vals", f"vals_{self.view.tensor}", tensor=self.view.tensor
         )
         self.b.link(self.cur, nid, "ref")
-        s = StreamH(
-            nid,
-            "val",
-            VAL,
-            self.cur.levels,
-            ("vals", self.view.tensor, self.cur.desc),
-            self.b.view_axes(self.view),
-        )
+        s = StreamH(nid, "val", VAL, self.cur.levels, axes=self.b.view_axes(self.view))
         labels = [f"Val {self.view.tensor}"]
         for fn in tuple(self.operand.maps) + tuple(maps):
             s = self.b.map_node(s, fn)
@@ -539,17 +534,11 @@ class _OpPipe:
         for i, (holder, slot, s, payload) in enumerate(sides):
             b.link(s.crd, nid, f"crd{i}")
             b.link(payload, nid, f"p{i}")
+            desc = ("fil", kind, v, payload.desc) if payload.kind == REF else ()
             setattr(
                 holder,
                 slot,
-                StreamH(
-                    nid,
-                    f"p{i}",
-                    payload.kind,
-                    payload.levels,
-                    ("fil", kind, v, payload.desc),
-                    payload.axes,
-                ),
+                StreamH(nid, f"p{i}", payload.kind, payload.levels, desc, payload.axes),
             )
         mark = "&" if kind == "intersect" else "|"
         crd = StreamH(
@@ -577,14 +566,7 @@ class _OpPipe:
         nid = b.g.add("repeat", f"rep_{ch.op.name}_{v}")
         b.link(ch.val, nid, "data")
         b.link(src.crd, nid, "ctrl")
-        ch.val = StreamH(
-            nid,
-            "out",
-            VAL,
-            ch.val.levels + (v,),
-            ("rep", ch.val.desc, src.crd.desc),
-            ch.val.axes,
-        )
+        ch.val = StreamH(nid, "out", VAL, ch.val.levels + (v,), axes=ch.val.axes)
         b.cell(ch.col, v, f"Rep[val] <{src.label}>")
 
     def _val_stage(self):
@@ -617,14 +599,7 @@ class _OpPipe:
             nid = b.g.add("alu", f"alu_{op.name}", op=op.kind, block=spec)
             b.link(ins[0], nid, "in0")
             b.link(ins[1], nid, "in1")
-            val = StreamH(
-                nid,
-                "out",
-                VAL,
-                ins[0].levels,
-                ("alu", op.kind, ins[0].desc, ins[1].desc),
-                axes,
-            )
+            val = StreamH(nid, "out", VAL, ins[0].levels, axes=axes)
             labels.append(_OPSYM[op.kind])
         pending = list(op.reduces)
         while pending:
@@ -649,14 +624,7 @@ class _OpPipe:
                     zero_shape=zero_shape,
                 )
                 b.link(val, nid, "in")
-                val = StreamH(
-                    nid,
-                    "out",
-                    VAL,
-                    val.levels[:-1],
-                    ("red", op.reduce_kind, u, val.desc),
-                    axes,
-                )
+                val = StreamH(nid, "out", VAL, val.levels[:-1], axes=axes)
                 sym = "max" if op.reduce_kind == "max" else "sum"
                 labels.append(f"{sym} {u}")
             elif len(below) == 1:
@@ -679,10 +647,7 @@ class _OpPipe:
                 crd = StreamH(
                     nid, "crd", CRD, lv, ("red1", self.op_idx, u, survivor)
                 )
-                val = StreamH(
-                    nid, "val", VAL, lv, ("red1v", self.op_idx, u, survivor),
-                    val.axes,
-                )
+                val = StreamH(nid, "val", VAL, lv, axes=val.axes)
                 self.sources[survivor] = Source(survivor, crd, f"sum {u}")
                 labels.append(f"sum {u} by {survivor}")
             else:
@@ -775,12 +740,13 @@ def _check_par(b: _Builder, top: _OpPipe, rv, par: dict):
                     )
 
 
-def _split(b: _Builder, pipe: _OpPipe, rest, v: str, f: int, rec):
-    """The lanes of ``pipe`` split at row ``v``: ``par`` deals the row's
-    elements round-robin to ``f`` forks, each of which lowers ``rest`` on
-    its own; a lane's coordinates at ``v`` are its copy's.  Splits nested
-    in a lane add their lanes to the list."""
+def _split(b: _Builder, pipe: _OpPipe, rest, v: str, rv, par: dict):
+    """The lanes of ``pipe`` split at row ``v``: a ``par`` node deals the
+    row's elements round-robin to ``par[v]`` forks, each of which lowers
+    ``rest`` on its own; a lane's coordinates at ``v`` are its copy's.
+    Splits nested in a lane add their lanes to the list."""
     g = b.g
+    f = par[v]
     views = pipe.view_pipes()
     vcrd = pipe.sources[v].crd
     par_id = g.add("par", f"par_{v}", factor=f, nstreams=1 + len(views))
@@ -802,35 +768,27 @@ def _split(b: _Builder, pipe: _OpPipe, rest, v: str, f: int, rec):
                 old.axes,
             )
         crd = StreamH(par_id, f"out{k}_0", CRD, vcrd.levels)
-        lanes += [(val, {**crds, v: crd}) for val, crds in rec(fk, rest)]
+        lanes += [
+            (val, {**crds, v: crd}) for val, crds in _walk(b, fk, rest, rv, par)
+        ]
     return lanes
 
 
-def _walk(b: _Builder, top: _OpPipe, rows, rv, par: dict):
-    """The result's lanes, each a ``(val, crds)`` pair: one lane unless a
-    row is parallelized."""
-
-    def rec(pipe, left):
-        for idx, v in enumerate(left):
-            try:
-                pipe.advance(v)
-            except UnsupportedSchedule as e:
-                # every order sharing the prefix up to this row fails the
-                # same way; record the position so searches can prune
-                if not hasattr(e, "row_pos"):
-                    e.row_pos = b.order.index(v)
-                raise
-            fct = par.get(v)
-            if fct:
-                return _split(b, pipe, left[idx + 1 :], v, fct, rec)
-        return [(pipe.val, {r: pipe.sources[r].crd for r in rv})]
-
-    try:
-        return rec(top, list(rows))
-    finally:
-        # rec's closure holds rec itself: clearing it frees the builder and
-        # its graph by reference count, not when the cycle collector runs
-        del rec
+def _walk(b: _Builder, pipe: _OpPipe, rows, rv, par: dict):
+    """The result's lanes after lowering ``rows``, each a ``(val, crds)``
+    pair: one lane unless a row is parallelized."""
+    for idx, v in enumerate(rows):
+        try:
+            pipe.advance(v)
+        except UnsupportedSchedule as e:
+            # every order sharing the prefix up to this row fails the same
+            # way; record the position so searches can prune
+            if not hasattr(e, "row_pos"):
+                e.row_pos = b.pos[v]
+            raise
+        if v in par:
+            return _split(b, pipe, rows[idx + 1 :], v, rv, par)
+    return [(pipe.val, {r: pipe.sources[r].crd for r in rv})]
 
 
 # --- entry point -----------------------------------------------------------
@@ -843,7 +801,9 @@ def build_region_graph(
 
     ``par`` maps region vars to split factors; ``block`` carries per-var
     block edge lengths when the program has been rewritten to blocked
-    storage.  Returns ``(graph, TableInfo)``.
+    storage.  Returns ``(graph, TableInfo)``; ``add`` and ``connect``
+    check each port and stream kind, and the graph's first ``sim.run``
+    validates the whole.
     """
     order = tuple(order)
     check_order(ir, order)
@@ -872,6 +832,5 @@ def build_region_graph(
         drop_empty = not any(0 < rv.index(v) < len(rv) - 1 for v in par)
         for lane, (val, crds) in enumerate(_walk(b, top, rows, rv, par)):
             _emit_output(b, name, rv, val, crds, lane, drop_empty)
-    g.validate()
     b.info.par = dict(par)
     return g, b.info

@@ -14,16 +14,16 @@ its levels index blocks, one per mode, and its values are
 ``(blocks, *block_shape)``, one dense block per stored grid position, so the
 block shape lives only in ``values.shape[1:]``.
 
-``SparseTensor.coo()`` is the one walk over the levels: ``entries``,
-``to_dense``, ``permute_modes``, ``unblock`` and ``block_tensor`` read a
-tensor through it as whole arrays.  ``_from_arrays`` builds every unblocked
-tensor from such arrays; blocked tensors come only from ``block_tensor``.
+``SparseTensor.coo()`` is the one walk over the levels: ``to_dense``,
+``permute_modes``, ``unblock`` and ``block_tensor`` read a tensor through
+it as whole arrays.  ``_from_arrays`` builds every unblocked tensor from
+such arrays; blocked tensors come only from ``block_tensor``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -219,11 +219,6 @@ class SparseTensor:
             vals = vals[(blk, *intra)]
         return coords, vals
 
-    def entries(self) -> Iterator[tuple[tuple[int, ...], float]]:
-        """``coo()`` as (logical coords, value) pairs of Python scalars."""
-        coords, vals = self.coo()
-        return zip(map(tuple, coords.tolist()), vals.tolist())
-
     def to_dense(self) -> np.ndarray:
         out = np.full(self.shape, self.fill, dtype=np.float64)
         coords, vals = self.coo()
@@ -344,12 +339,9 @@ def _from_arrays(shape, crd, vals, formats, mode_order, fill) -> SparseTensor:
     return SparseTensor(shape, mode_order, levels, values, fill)
 
 
-def block_tensor(
-    t: SparseTensor,
-    block_shape: Sequence[int],
-    outer_formats: Sequence[LevelSpec] | None = None,
-) -> SparseTensor:
-    """Group a tensor into dense blocks (outer levels index nonzero blocks)."""
+def block_tensor(t: SparseTensor, block_shape: Sequence[int]) -> SparseTensor:
+    """Group a tensor into dense blocks; the block grid is stored dense on
+    its outermost level and compressed below (compressed if 1-D)."""
     block_shape = tuple(int(b) for b in block_shape)
     if t.is_blocked:
         t = t.unblock()
@@ -360,14 +352,9 @@ def block_tensor(
             raise IllegalFormatCombination(
                 f"extent {t.shape[m]} not divisible by block {b} on mode {m}"
             )
-    if outer_formats is None:
-        if t.ndim == 1:
-            outer_formats = [LevelSpec(COMPRESSED)]
-        else:
-            outer_formats = [LevelSpec(DENSE)] + [LevelSpec(COMPRESSED)] * (t.ndim - 1)
-    outer_formats = list(outer_formats)
-    if len(outer_formats) != t.ndim:
-        raise IllegalFormatCombination("need one outer level per mode")
+    outer_formats = [LevelSpec(COMPRESSED)] * t.ndim
+    if t.ndim > 1:
+        outer_formats[0] = LevelSpec(DENSE)
 
     grid = tuple(t.shape[m] // block_shape[m] for m in range(t.ndim))
     coords, vals = t.coo()

@@ -104,6 +104,46 @@ def test_parse_rejects_a_parallelize_factor_below_2_at_the_directive(factor):
     assert (err.value.line, err.value.col) == (2, 3)
 
 
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        ("parallelize(i, 2);\n  parallelize(i, 3);", "'i' is parallelized twice"),
+        ("block(2, 2);\n  block(1, 1);", "block(...) is given twice"),
+        ("density(B, 0.5);\n  density(B, 0.25);", "density of B is given twice"),
+    ],
+    ids=["parallelize", "block", "density"],
+)
+def test_parse_rejects_a_repeated_directive_at_the_repeat(lines, message):
+    with pytest.raises(ParseError, match=re.escape(message)) as err:
+        parse_program(SPMV + lines + "\n")
+    assert (err.value.line, err.value.col) == (SPMV.count("\n") + 2, 3)
+
+
+@pytest.mark.parametrize(
+    "line, error, message",
+    [
+        ("density(Q, 0.5);", UnknownTensor, "density(Q, 0.5): unknown tensor Q"),
+        ("density(B, 7.0);", FrontendError, "density(B, 7): a density must lie in [0, 1]"),
+        ("density(B, -0.5);", FrontendError, "density(B, -0.5): a density must lie in [0, 1]"),
+        ("rate(B.z, c.k, 0.1);", FrontendError, "rate(B.z, c.k, 0.1): B has no dim 'z'"),
+        ("rate(B.k, Q.k, 0.1);", UnknownTensor, "rate(B.k, Q.k, 0.1): unknown tensor Q"),
+    ],
+    ids=["density_unknown_tensor", "density_above_1", "density_below_0",
+         "rate_unknown_dim", "rate_unknown_tensor"],
+)
+def test_validate_rejects_a_directive_on_unknown_names_or_a_bad_density(
+    line, error, message
+):
+    p = parse_program(SPMV + line + "\n")
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        validate_program(p)
+
+
+def test_validate_accepts_a_density_and_rate_on_an_inferred_tensor():
+    vp = validate_program(parse_program(SPMV + "density(x, 1);\nrate(x.i, B.i, 0.5);\n"))
+    assert vp.schedule.densities == {"x": 1.0}
+
+
 def test_parse_rejects_unknown_level_kind():
     with pytest.raises(ParseError):
         parse_program("index i = 2;\ntensor A(i): banded(i) order(i);\n")

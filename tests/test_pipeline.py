@@ -22,6 +22,7 @@ from einstream.errors import (
 )
 from einstream.frontend import parse_program, validate_program
 from einstream.fusion import elaborate_region, nesting_edges, resolve_cycles
+from einstream.graph import DataflowGraph
 from einstream.pipeline import (
     choose_build_order,
     compile_region,
@@ -31,6 +32,7 @@ from einstream.pipeline import (
     schedulable_orders,
     store,
 )
+from einstream.table import render_table
 from einstream.tensors import COMPRESSED, DENSE, LevelSpec, SparseTensor
 
 SPMV = """
@@ -273,6 +275,59 @@ def test_gcn_partitions_block_every_region_var_by_2(sizes):
     for r in range(len(vp.regions)):
         cr = plan_region(vp, r)
         assert cr.block.factors == dict.fromkeys(cr.ir.extents, 2)
+
+
+def test_blocked_graphs_survive_a_json_round_trip():
+    """A blocked alu's ``block`` spec is a dict param; read back from JSON,
+    every region graph simulates to the same counters and outputs."""
+    vp = validate_program(parse_program(GCN))
+    env = _env(vp, _inputs(vp))
+    for r in range(len(vp.regions)):
+        cr = plan_region(vp, r)
+        back = DataflowGraph.from_json(cr.graph.to_json())
+        assert any(isinstance(n.params.get("block"), dict) for n in back.nodes.values())
+        tensors = prepare_region(vp, cr, env)
+        want, got = sim.run(cr.graph, tensors), sim.run(back, tensors)
+        assert got.counters() == want.counters()
+        assert got.node_cycles == want.node_cycles
+        assert want.outputs.keys() == got.outputs.keys()
+        for name, t in want.outputs.items():
+            assert got.outputs[name].to_dense().tobytes() == t.to_dense().tobytes()
+            env[name] = store(vp, name, t)
+
+
+@pytest.mark.parametrize(
+    "src, want",
+    [
+        (
+            SPMV.format(body="y(i) = A(i, k) * x(k);"),
+            [
+                "     A        x          y",
+                "----------------------------------------",
+                "i    LS A.i   Rep <A.i>  <A.i>",
+                "u0   LS A.u0  LS x.u0    &u0(A.u0, x.u0)",
+                "val  Val A    Val x      *; sum u0",
+            ],
+        ),
+        (
+            SPMM.format(extra="parallelize(i, 2);"),
+            [
+                "      A          X          t0               b       t1     Y",
+                "---------------------------------------------------------------------------",
+                "i x2  LS A.i     Rep <A.i>  <A.i>            LS b.i  <A.i>  <A.i>",
+                "u0    LS A.u0    LS X.u0    &u0(A.u0, X.u0)",
+                "j     Rep <X.j>  LS X.j     <X.j>            LS b.j  <b.j>  |j(sum u0, b.j)",
+                "val   Val A      Val X      *; sum u0 by j   Val b   pass   +; relu",
+            ],
+        ),
+    ],
+    ids=["spmv", "fused_relu_par2"],
+)
+def test_render_table_at_the_planned_order(src, want):
+    """The iteration table of the order ``plan_region`` picks: one row per
+    loop var (its split factor beside it), one column per operand and op."""
+    cr = plan_region(validate_program(parse_program(src)), 0)
+    assert render_table(cr.info) == "\n".join(want)
 
 
 def test_operands_indexed_off_their_declared_dims_match_oracle():

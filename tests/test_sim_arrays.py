@@ -23,7 +23,7 @@ from einstream.graph import _PORTS, DONE, NULL, Node, Stop
 from einstream.sim import arrays, processes
 from einstream.sim.arrays import ELEM, END, Decline, Stream, to_tokens
 from einstream.sim.engine import _node_functions
-from einstream.sim.processes import NodeRun, contract, contraction
+from einstream.sim.processes import NodeRun, contraction
 from einstream.tensors import COMPRESSED, DENSE, DenseLevel, LevelSpec, SparseTensor
 
 S0, S1, S2 = Stop(0), Stop(1), Stop(2)
@@ -474,11 +474,11 @@ def test_write_records_blocks(stream):
 def test_contract_sums_in_letter_order_whatever_the_layout():
     rng = np.random.default_rng(0)
     a, b = rng.standard_normal((3, 4, 5)), rng.standard_normal((5, 4))
-    got = contract("abc,cb->ac", a, b)
-    assert got.tobytes() == contract("abc,bc->ab", a.transpose(0, 2, 1), b).tobytes()
+    got = contraction("abc,cb->ac")(a, b)
+    assert got.tobytes() == contraction("abc,bc->ab")(a.transpose(0, 2, 1), b).tobytes()
     np.testing.assert_allclose(got, np.einsum("abc,cb->ac", a, b), rtol=1e-12)
     # a left fold: pairwise summation would give 1e16 + 2
-    assert contract("ab,b->a", np.array([[1e16, 1.0, 1.0]]), np.ones(3)).tolist() == [1e16]
+    assert contraction("ab,b->a")(np.array([[1e16, 1.0, 1.0]]), np.ones(3)).tolist() == [1e16]
 
 
 def test_contract_on_a_batch_gives_each_block_its_own_bits():
