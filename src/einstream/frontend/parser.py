@@ -16,8 +16,9 @@ a fuse block groups its assignments into one region and may carry a local
 ``order(...)`` directive, the only way to fix a region's loop order (wrap a
 single statement in ``fuse { }`` to order it).  ``parallelize``, ``block``,
 ``density`` and ``rate`` are program-wide directives; a second ``block``, a
-second ``parallelize`` of one index or a second ``density`` of one tensor
-is an error, not an override.
+second ``parallelize`` of one index, a second ``density`` of one tensor or
+a second ``rate`` of one pair of dims, in either order, is an error, not an
+override.
 """
 
 from __future__ import annotations
@@ -298,8 +299,11 @@ class _Parser:
             t2 = self.ident()
             self.expect(".")
             d2 = self.ident()
+            rates = self.schedule.rates
+            if (t1, d1, t2, d2) in rates or (t2, d2, t1, d1) in rates:
+                self.fail(f"rate of {t1}.{d1} and {t2}.{d2} is given twice", tok)
             self.expect(",")
-            self.schedule.rates[(t1, d1, t2, d2)] = self.number()
+            rates[(t1, d1, t2, d2)] = self.number()
         self.expect(")")
         self.expect(";")
 

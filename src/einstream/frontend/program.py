@@ -359,9 +359,14 @@ def _accesses(node):
             yield from _accesses(a)
 
 
-def _check_schedule(sched: ScheduleSpec, decls: dict):
-    """Every ``density`` and ``rate`` names a tensor of the program (declared
-    or inferred) and, for a rate, one of its dims; a density is a fraction."""
+def _check_schedule(sched: ScheduleSpec, decls: dict, var_extents: dict):
+    """Every ``parallelize`` names an index of the program's expressions;
+    every ``density`` and ``rate`` names a tensor of the program (declared
+    or inferred) and, for a rate, one of its dims; a density is a fraction
+    and a rate is not negative."""
+    for var, factor in sched.parallelize:
+        if var not in var_extents:
+            raise FrontendError(f"parallelize({var}, {factor}): unknown index {var!r}")
     for tensor, rho in sched.densities.items():
         where = f"density({tensor}, {_num(rho)})"
         if tensor not in decls:
@@ -375,6 +380,8 @@ def _check_schedule(sched: ScheduleSpec, decls: dict):
                 raise UnknownTensor(f"{where}: unknown tensor {t}")
             if d not in decls[t].dims:
                 raise FrontendError(f"{where}: {t} has no dim {d!r}")
+        if not r >= 0.0:
+            raise FrontendError(f"{where}: a rate must be at least 0")
 
 
 def validate_program(program: EinsumProgram) -> ValidatedProgram:
@@ -464,7 +471,7 @@ def validate_program(program: EinsumProgram) -> ValidatedProgram:
                 raise FrontendError(f"declared output {name} is never assigned")
             decls[name] = replace(d, role="input")
 
-    _check_schedule(program.schedule, decls)
+    _check_schedule(program.schedule, decls, var_extents)
     norm = [normalize(ex) for ex in program.expressions]
 
     covered = [i for r in program.regions for i in r.exprs]

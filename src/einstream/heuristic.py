@@ -5,11 +5,11 @@ density, with an optional per-index intersection rate correcting the
 independence assumption for correlated operands.  For a binary contraction
 over a shared index of extent K with operand densities rho_a, rho_b and
 rate r, the expected matched coordinates per output point are
-K*rho_a*rho_b*r; multiplies are charged per match and reduction adds per
-match minus one per surviving output, which is the simulator's
-accumulate-after-first convention, so fully dense programs are estimated
-exactly.  Output density follows 1-(1-p)^K and propagates to downstream
-expressions.
+K*rho_a*rho_b*r, clamped to [0, K*min(rho_a, rho_b)]; multiplies are
+charged per match and reduction adds per match minus one per surviving
+output, which is the simulator's accumulate-after-first convention, so
+fully dense programs are estimated exactly.  Output density follows
+1-(1-p)^K and propagates to downstream expressions.
 
 Storage formats matter: a dense level emits every slot of a present parent
 fiber (padding included), so its occupancy marginal is 1, while compressed
@@ -237,10 +237,11 @@ class _Estimator:
                 ma, mb = a.marginals.get(v), b.marginals.get(v)
                 if ma is None or mb is None:
                     joined[v] = ma if mb is None else mb
-                elif op.kind in ("mul", "div"):
-                    joined[v] = ma * mb * self.join_rate(op, v)
-                else:  # add / sub unions coordinates
-                    joined[v] = ma + mb - ma * mb * self.join_rate(op, v)
+                else:
+                    # a rate cannot match more coordinates than the sparser side has
+                    matched = min(max(ma * mb * self.join_rate(op, v), 0.0), ma, mb)
+                    # mul / div intersect coordinates, add / sub union them
+                    joined[v] = matched if op.kind in ("mul", "div") else ma + mb - matched
         # the loop nest repeats this op's stream under every consumer-nest var
         # ordered above its deepest own var; those levels scale its space
         for v in self.spaces[idx]:

@@ -110,8 +110,11 @@ def test_parse_rejects_a_parallelize_factor_below_2_at_the_directive(factor):
         ("parallelize(i, 2);\n  parallelize(i, 3);", "'i' is parallelized twice"),
         ("block(2, 2);\n  block(1, 1);", "block(...) is given twice"),
         ("density(B, 0.5);\n  density(B, 0.25);", "density of B is given twice"),
+        ("rate(B.k, c.k, 0.5);\n  rate(B.k, c.k, 0.1);", "rate of B.k and c.k is given twice"),
+        # the same pair named the other way round
+        ("rate(B.k, c.k, 0.5);\n  rate(c.k, B.k, 0.1);", "rate of c.k and B.k is given twice"),
     ],
-    ids=["parallelize", "block", "density"],
+    ids=["parallelize", "block", "density", "rate", "rate_reversed"],
 )
 def test_parse_rejects_a_repeated_directive_at_the_repeat(lines, message):
     with pytest.raises(ParseError, match=re.escape(message)) as err:
@@ -136,6 +139,22 @@ def test_validate_rejects_a_directive_on_unknown_names_or_a_bad_density(
 ):
     p = parse_program(SPMV + line + "\n")
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        validate_program(p)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("parallelize(z, 2);", "parallelize(z, 2): unknown index 'z'"),
+        ("rate(B.k, c.k, -0.5);", "rate(B.k, c.k, -0.5): a rate must be at least 0"),
+    ],
+    ids=["parallelize_unknown_index", "rate_negative"],
+)
+def test_validate_rejects_a_parallelize_of_an_unknown_index_and_a_negative_rate(line, message):
+    # both used to pass validation: the unknown index failed only when its
+    # region was lowered, and a negative rate gave a negative estimate
+    p = parse_program(SPMV + line + "\n")
+    with pytest.raises(FrontendError, match=f"^{re.escape(message)}$"):
         validate_program(p)
 
 

@@ -592,6 +592,19 @@ def test_rate_on_a_permuted_copy_holds_for_the_copy():
     assert heuristic.estimate_program(vp).flops == pytest.approx(0.64)
 
 
+def test_a_rate_matches_no_more_coordinates_than_the_sparser_operand():
+    # a rate of 7 once estimated 5404 FLOPs for this 4x4 SpMV, against 28
+    # with both operands dense
+    spmv = SPMV.replace("i = 6; index k = 5", "i = 4; index k = 4").format(
+        body="y(i) = A(i, k) * x(k);"
+    )
+    rated = heuristic.estimate_program(validate_program(parse_program(spmv + "rate(A.k, x.k, 7);")))
+    dense = heuristic.estimate_program(
+        validate_program(parse_program(spmv + "density(A, 1); density(x, 1);"))
+    )
+    assert dense.flops == 28 and rated.flops <= dense.flops
+
+
 @pytest.mark.parametrize(
     "order, message",
     [

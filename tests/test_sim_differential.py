@@ -105,9 +105,9 @@ def _tensor_bytes(t) -> tuple:
     return (t.shape, t.mode_order, t.fill, levels, t.values.tobytes())
 
 
-def _result(engine, graph, tensors, depth):
+def _result(engine, graph, tensors, depth, bandwidth=0.0):
     try:
-        rep = engine(graph, tensors, sim.SimConfig(channel_depth=depth))
+        rep = engine(graph, tensors, sim.SimConfig(channel_depth=depth, bandwidth=bandwidth))
     except Exception as err:  # the outcome is compared, whatever it is
         return (type(err).__name__, str(err)), None
     outputs = {name: _tensor_bytes(t) for name, t in rep.outputs.items()}

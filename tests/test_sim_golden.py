@@ -10,6 +10,11 @@ the others and pins the block edges of inlined producers' indices); and the
 outcome class of every ``schedulable_orders`` order of softmax fused into
 one region (8x8, 40 %, seed 2: at depth 4, 17 of its 24 orders emit
 malformed streams).
+Each region and each softmax order is compiled once and run at depth 1,
+then at depth 4, on tensors prepared afresh from the same inputs, as a
+sweep runs one graph: the depth-4 run reuses the pass 1 of the depth-1
+run wherever that pass raised nothing, so the pinned counters check those
+reruns too.
 The values were taken before the engine became a ready queue.  Regenerate
 them only with a change that means to alter the model:
 ``PYTHONPATH=src python tests/test_sim_golden.py > tests/golden/sim_counters.json``.
@@ -75,67 +80,74 @@ fuse {
 """
 
 
-def program_counters(src: str, depth: int) -> list[dict]:
-    """Each region's report, in region order; later regions read the tensors
-    earlier ones stored.  A region that fails ends the list with its error
-    class, which is why this walks the regions itself rather than calling
-    ``run_program``."""
+def program_counters(src: str) -> dict[str, list[dict]]:
+    """Each depth's region reports, in region order; later regions read the
+    tensors earlier ones stored at that depth.  A region that fails ends
+    its depth's list with its error class, which is why this walks the
+    regions itself rather than calling ``run_program``."""
     vp = validate_program(parse_program(src))
-    env = _env(vp, _inputs(vp))
-    regions = []
+    dense = _inputs(vp)
+    envs = {d: _env(vp, dense) for d in DEPTHS}
+    regions: dict[int, list] = {d: [] for d in DEPTHS}
+    live = list(DEPTHS)  # the depths at which no region has failed yet
     for r in range(len(vp.regions)):
+        if not live:
+            break
         cr = plan_region(vp, r)
         graph = hashlib.sha256(cr.graph.to_json().encode()).hexdigest()
-        try:
-            rep = sim.run(
-                cr.graph, prepare_region(vp, cr, env), sim.SimConfig(channel_depth=depth)
+        for depth in tuple(live):
+            env = envs[depth]
+            try:
+                rep = sim.run(
+                    cr.graph, prepare_region(vp, cr, env), sim.SimConfig(channel_depth=depth)
+                )
+            except FAILURES as err:
+                regions[depth].append({"graph_sha256": graph, "outcome": type(err).__name__})
+                live.remove(depth)
+                continue
+            for _, name in cr.ir.outputs:
+                env[name] = store(vp, name, rep.outputs[name])
+            regions[depth].append(
+                {
+                    "graph_sha256": graph,
+                    "counters": rep.counters(),
+                    "node_cycles": rep.node_cycles,
+                    "node_flops": rep.node_flops,
+                }
             )
-        except FAILURES as err:
-            regions.append({"graph_sha256": graph, "outcome": type(err).__name__})
-            break
-        for _, name in cr.ir.outputs:
-            env[name] = store(vp, name, rep.outputs[name])
-        regions.append(
-            {
-                "graph_sha256": graph,
-                "counters": rep.counters(),
-                "node_cycles": rep.node_cycles,
-                "node_flops": rep.node_flops,
-            }
-        )
-    return regions
+    return {str(d): regions[d] for d in DEPTHS}
 
 
-def softmax_outcomes(depth: int) -> dict[str, str]:
-    """Outcome class of every schedulable order of the fused softmax."""
+def softmax_outcomes() -> dict[str, dict[str, str]]:
+    """Outcome class of every schedulable order of the fused softmax, at
+    each depth."""
     vp = validate_program(parse_program(FUSED_SOFTMAX))
     dense = {"S": oracle.random_dense((8, 8), 0.4, np.random.default_rng(2))}
     want = oracle.evaluate_program(vp, dense)["O"]
-    env = _env(vp, dense)
     ir = resolve_cycles(elaborate_region(vp, 0))
-    outcomes = {}
+    outcomes: dict[str, dict] = {str(d): {} for d in DEPTHS}
     for order in schedulable_orders(vp, ir):
         cr = compile_region(vp, ir, order)
-        try:
-            rep = sim.run(
-                cr.graph, prepare_region(vp, cr, env), sim.SimConfig(channel_depth=depth)
-            )
-        except FAILURES as err:
-            outcome = type(err).__name__
-        else:
-            got = rep.outputs["O"].to_dense()
-            outcome = "ok" if np.allclose(got, want, rtol=1e-9, atol=1e-12) else "wrong"
-        outcomes[",".join(order)] = outcome
+        for depth in DEPTHS:
+            try:
+                rep = sim.run(
+                    cr.graph,
+                    prepare_region(vp, cr, _env(vp, dense)),
+                    sim.SimConfig(channel_depth=depth),
+                )
+            except FAILURES as err:
+                outcome = type(err).__name__
+            else:
+                got = rep.outputs["O"].to_dense()
+                outcome = "ok" if np.allclose(got, want, rtol=1e-9, atol=1e-12) else "wrong"
+            outcomes[str(depth)][",".join(order)] = outcome
     return outcomes
 
 
 def collect() -> dict:
     return {
-        "programs": {
-            name: {str(d): program_counters(src, d) for d in DEPTHS}
-            for name, src in PROGRAMS.items()
-        },
-        "fused_softmax_outcomes": {str(d): softmax_outcomes(d) for d in DEPTHS},
+        "programs": {name: program_counters(src) for name, src in PROGRAMS.items()},
+        "fused_softmax_outcomes": softmax_outcomes(),
     }
 
 
@@ -144,16 +156,22 @@ def golden() -> dict:
     return json.loads(GOLDEN.read_text())
 
 
+@pytest.fixture(scope="module")
+def collected() -> dict:
+    return collect()
+
+
 @pytest.mark.parametrize("depth", DEPTHS)
 @pytest.mark.parametrize("name", sorted(PROGRAMS))
-def test_counters_match_golden(golden, name, depth):
+def test_counters_match_golden(golden, collected, name, depth):
     want = golden["programs"][name][str(depth)]
-    assert program_counters(PROGRAMS[name], depth) == want
+    assert collected["programs"][name][str(depth)] == want
 
 
 @pytest.mark.parametrize("depth", DEPTHS)
-def test_fused_softmax_outcomes_match_golden(golden, depth):
-    assert softmax_outcomes(depth) == golden["fused_softmax_outcomes"][str(depth)]
+def test_fused_softmax_outcomes_match_golden(golden, collected, depth):
+    want = golden["fused_softmax_outcomes"][str(depth)]
+    assert collected["fused_softmax_outcomes"][str(depth)] == want
 
 
 if __name__ == "__main__":

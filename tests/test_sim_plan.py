@@ -1,7 +1,9 @@
 """The channel plan ``sim.run`` builds once per graph, and the classes of
 nodes in it that compute the same streams: pass 1 runs one function per
 class, and every member still gets its own channels, outcome and
-counters, as ``sim_reference``, which runs every node, does."""
+counters, as ``sim_reference``, which runs every node, does.  The plan
+also keeps its last pass 1: a run on equal inputs at another depth or
+bandwidth reuses it and reports what a cold run reports."""
 
 from __future__ import annotations
 
@@ -14,18 +16,21 @@ import numpy as np
 import pytest
 
 from einstream import sim
+from einstream.errors import MalformedStream
 from einstream.frontend import parse_program, validate_program
+from einstream.fusion import elaborate_region, map_user_order, resolve_cycles
 from einstream.graph import DataflowGraph
-from einstream.pipeline import plan_region, prepare_region
+from einstream.pipeline import compile_region, plan_region, prepare_region, schedulable_orders
 from einstream.sim import engine
-from einstream.tensors import COMPRESSED, LevelSpec, SparseTensor
+from einstream.tensors import COMPRESSED, DENSE, LevelSpec, SparseTensor
 
 sys.path.insert(0, str(Path(__file__).parent))
 sys.path.insert(0, str(Path(__file__).parent.parent / "layerbench"))
 import sim_reference  # noqa: E402
-from test_sim_differential import _racing_adders, _regions, _result  # noqa: E402
-from test_pipeline import SPMM, _env, _inputs  # noqa: E402
-from test_sim_engine import build_spmv_graph, spmv_tensors  # noqa: E402
+from test_sim_differential import _racing_adders, _regions, _result, _tensor_bytes  # noqa: E402
+from test_sim_golden import FUSED_SOFTMAX  # noqa: E402
+from test_pipeline import PAR_NESTED, SPMM, SPMV, _env, _inputs, gcn_partition  # noqa: E402
+from test_sim_engine import CC, build_spmv_graph, spmv_tensors  # noqa: E402
 from workloads import WORKLOADS, make_inputs  # noqa: E402
 
 DEPTHS = (1, 4, 10**6)
@@ -143,14 +148,15 @@ def test_order_sweeps_first_orders_have_their_duplicate_counts(name, nodes, dupl
     assert len(_duplicates(graph)) == duplicates
 
 
-def test_pass1_runs_one_function_per_class(monkeypatch):
-    graph, tensors = _first_order("attention")
-    calls = []
+@pytest.fixture
+def calls(monkeypatch) -> list:
+    """The ids of the nodes whose pass-1 functions ``sim.run`` calls."""
+    got = []
     real = engine._node_functions
 
     def counted(fn, nid):
         def run(r):
-            calls.append(nid)
+            got.append(nid)
             return fn(r)
 
         return run
@@ -160,6 +166,11 @@ def test_pass1_runs_one_function_per_class(monkeypatch):
         return counted(fn, node.id), afn and counted(afn, node.id)
 
     monkeypatch.setattr(engine, "_node_functions", functions)
+    return got
+
+
+def test_pass1_runs_one_function_per_class(calls):
+    graph, tensors = _first_order("attention")
     heads = set(graph.nodes) - set(_duplicates(graph))
     want, _ = _result(sim_reference.run, graph, tensors, 4)
     got, _ = _result(sim.run, graph, tensors, 4)
@@ -202,9 +213,109 @@ def test_a_plan_is_freed_with_its_compiled_graph():
     try:
         sim.run(cr.graph, tensors)
         graph = weakref.ref(cr.graph)
-        assert graph() in engine._plans
-        del cr
-        assert graph() is None
+        plan = weakref.ref(engine._plans[cr.graph])
+        assert plan().last is not None
+        held = weakref.ref(tensors["A"])  # the entry's key holds A
+        del cr, tensors
+        assert graph() is None and plan() is None and held() is None
     finally:
         if enabled:
             gc.enable()
+
+
+# one graph swept as a design-space sweep runs it: (depth, bandwidth)
+SWEEP = ((1, 0.0), (4, 0.0), (10**6, 0.0), (4, 8.0))
+RERUN_PROGRAMS = {
+    "spmv": SPMV.format(body="y(i) = A(i, k) * x(k);"),
+    "fused_relu": SPMM.format(extra=""),
+    "fused_softmax": FUSED_SOFTMAX,
+    "gcn_fused": gcn_partition((4,)),
+    "par_nested": PAR_NESTED,
+}
+
+
+def _fresh(vp, cr, dense: dict) -> dict:
+    """``cr``'s tensors compressed afresh from ``dense``: equal bits, new
+    objects."""
+    return prepare_region(vp, cr, _env(vp, dense))
+
+
+@pytest.mark.parametrize("name", sorted(RERUN_PROGRAMS))
+def test_a_rerun_on_equal_inputs_reports_what_a_cold_run_reports(calls, name):
+    vp = validate_program(parse_program(RERUN_PROGRAMS[name]))
+    dense = _inputs(vp)
+    ir = resolve_cycles(elaborate_region(vp, 0))
+    par = {map_user_order(ir, [n])[0]: f for n, f in vp.schedule.parallelize} or None
+    kept = 0
+    for order in schedulable_orders(vp, ir):
+        cr = compile_region(vp, ir, order, par=par, block=vp.schedule.block)
+        hits = 0
+        for depth, bandwidth in SWEEP:
+            cold = DataflowGraph.from_json(cr.graph.to_json())
+            want, _ = _result(sim.run, cold, _fresh(vp, cr, dense), depth, bandwidth)
+            calls.clear()
+            got, _ = _result(sim.run, cr.graph, _fresh(vp, cr, dense), depth, bandwidth)
+            assert got == want, (order, depth, bandwidth)
+            hits += not calls
+        # every run after the first hits, unless pass 1 raised
+        last = engine._plan(cr.graph).last
+        assert hits == (len(SWEEP) - 1 if last is not None else 0)
+        kept += last is not None
+    assert kept
+
+
+def test_a_rerun_on_equal_inputs_calls_no_node_function(calls):
+    graph = build_spmv_graph()
+    sim.run(graph, spmv_tensors(), sim.SimConfig(channel_depth=1))
+    assert sorted(calls) == sorted(graph.nodes)
+    calls.clear()
+    sim.run(graph, spmv_tensors(), sim.SimConfig(channel_depth=4, bandwidth=8))
+    assert calls == []
+
+
+def _spmv_inputs(zero: float) -> dict:
+    """``spmv_tensors`` with ``zero`` stored at B's (0, 1)."""
+    entries = [((0, 0), 2.0), ((0, 1), zero), ((0, 2), 3.0), ((1, 1), 4.0)]
+    return {**spmv_tensors(), "B": SparseTensor.from_coo((2, 3), entries, CC)}
+
+
+MISSES = {
+    "negative_zero": lambda t, cfg: ({**t, "B": _spmv_inputs(-0.0)["B"]}, cfg),
+    "mem_latency": lambda t, cfg: (t, sim.SimConfig(mem_latency=cfg.mem_latency + 1)),
+    "another_format": lambda t, cfg: (
+        {**t, "c": SparseTensor.from_dense(t["c"].to_dense(), [LevelSpec(DENSE)])}, cfg
+    ),
+    "negative_zero_fill": lambda t, cfg: (
+        {**t, "c": SparseTensor((3,), (0,), t["c"].levels, t["c"].values, fill=-0.0)}, cfg
+    ),
+    "another_tensor": lambda t, cfg: (
+        {**t, "c": SparseTensor.from_dense(np.array([3.0, 0.0, 1.0]), [LevelSpec(COMPRESSED)])}, cfg
+    ),
+}
+
+
+@pytest.mark.parametrize("change", sorted(MISSES))
+def test_a_rerun_on_other_inputs_runs_pass_1_again(calls, change):
+    graph = build_spmv_graph()
+    tensors, config = MISSES[change](_spmv_inputs(0.0), sim.SimConfig())
+    sim.run(graph, _spmv_inputs(0.0), sim.SimConfig())
+    calls.clear()
+    got = sim.run(graph, tensors, config)
+    assert calls
+    want = sim.run(DataflowGraph.from_json(graph.to_json()), tensors, config)
+    assert (got.counters(), got.node_cycles, got.node_flops) == (
+        want.counters(), want.node_cycles, want.node_flops
+    )
+    assert got.outputs.keys() == want.outputs.keys()
+    for name, t in got.outputs.items():
+        assert _tensor_bytes(t) == _tensor_bytes(want.outputs[name])
+
+
+def test_a_run_whose_pass_1_raised_keeps_no_entry():
+    # each adder raises in pass 1; a kept traceback would hold its frames
+    graph = _racing_adders(("a", "b"))
+    c = _vector([1.0, 2.0, 3.0, 4.0])
+    for _ in range(2):
+        with pytest.raises(MalformedStream, match="alu inputs desynchronized"):
+            sim.run(graph, c)
+        assert engine._plan(graph).last is None
