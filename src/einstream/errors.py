@@ -75,6 +75,11 @@ class IncompatibleBlocks(ScheduleError):
     """Tensors sharing an index disagree on its block edge."""
 
 
+class PartialBlock(ScheduleError):
+    """A blocked input has a stored block that is not full, and its region
+    has an op that would take the block's padding for stored zeros."""
+
+
 # --- dataflow graph / simulator ------------------------------------------
 
 

@@ -18,7 +18,10 @@ single statement in ``fuse { }`` to order it).  ``parallelize``, ``block``,
 ``density`` and ``rate`` are program-wide directives; a second ``block``, a
 second ``parallelize`` of one index, a second ``density`` of one tensor or
 a second ``rate`` of one pair of dims, in either order, is an error, not an
-override.
+override.  A ``parallelize`` splits its index in each region whose
+expressions use that index and leaves the other regions alone; where a
+region has several vars of that name (a reduction index renamed once per
+use), planning the region raises ``UnsatisfiableOrder``.
 """
 
 from __future__ import annotations

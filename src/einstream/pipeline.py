@@ -20,12 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from . import sim
-from .errors import UnsatisfiableOrder, UnsupportedSchedule
+from .errors import PartialBlock, UnsatisfiableOrder, UnsupportedSchedule
 from .fusion import elaborate_region, map_user_order, plan_copies, region_vars
 from .fusion import is_acyclic, resolve_cycles
 from .table import build_region_graph
 from .tensors import SparseTensor
-from .transforms import block_input, plan_blocking, region_tensors
+from .transforms import block_input, fill_sensitive, plan_blocking, region_tensors
 
 
 def store(vp, name, arr, perm=None) -> SparseTensor:
@@ -151,28 +151,46 @@ def choose_build_order(vp, ir) -> tuple[str, ...]:
     return got[0]
 
 
+def region_par(vp, ir) -> dict | None:
+    """The split factor of each region var that a ``parallelize`` names,
+    or None.  A directive applies to the regions whose expressions use its
+    index and leaves the others alone; an index the region renamed more
+    than once raises ``UnsatisfiableOrder``."""
+    par = {map_user_order(ir, [n])[0]: f for n, f in vp.schedule.parallelize if n in ir.name_map}
+    return par or None
+
+
 def plan_region(vp, r: int) -> CompiledRegion:
     """Region ``r`` lowered at its chosen order, with the program's
     ``parallelize`` and ``block`` directives applied."""
     ir = resolve_cycles(elaborate_region(vp, r))
     order = choose_build_order(vp, ir)
-    par = {map_user_order(ir, [n])[0]: f for n, f in vp.schedule.parallelize}
-    return compile_region(vp, ir, order, par=par or None, block=vp.schedule.block)
+    return compile_region(vp, ir, order, par=region_par(vp, ir), block=vp.schedule.block)
 
 
 def prepare_region(vp, cr: CompiledRegion, env: dict) -> dict:
     """The tensors ``cr``'s graph reads: ``env`` holds every tensor written
     so far in its declared layout; views get their permuted copies, and
-    every input is blocked when the region runs blocked."""
+    every input is blocked when the region runs blocked.  Then an input
+    that ``transforms.fill_sensitive`` marks must hold no zero in its
+    stored blocks (every block full), or this raises ``PartialBlock``."""
     plans = {p.alias: p for p in cr.copy_plans}
     produced = {name for _, name in cr.ir.outputs}
+    sensitive = fill_sensitive(cr.ir) if cr.block is not None else {}
     tens = {}
     for name in region_tensors(vp, cr.ir):
         if name in produced:
             continue
         plan = plans.get(name)
         t = env[name] if plan is None else copy_tensor(vp, plan, env[plan.source])
-        tens[name] = t if cr.block is None else block_input(vp, name, t, cr.block)
+        if cr.block is not None:
+            t = block_input(vp, name, t, cr.block)
+            if name in sensitive and not t.values.all():
+                raise PartialBlock(
+                    f"region {cr.ir.index}: blocked input {name} has a stored block that is"
+                    f" not full, and {sensitive[name]} would read its padding as stored entries"
+                )
+        tens[name] = t
     return tens
 
 

@@ -36,6 +36,27 @@ bench's order_sweep runs each order and data seed at depth 1, then at
 depth 4 on tensors compressed afresh: 253 of an instance's 624 runs hit
 (seed 1), and pass 1 fell from 1.16 to 0.63 s per instance (2-vCPU VM).
 
+*What the entry keeps of pass 2.*  The entry also holds the depth of the
+last run on its traces and where that run's replay stopped, a ``_Stop``:
+each node's position in its replay codes, the tokens in each channel, the
+recv each node waits on, the sends it owes and which nodes finished.
+That is O(nodes + channels) integers and no replay codes (keeping those
+raised order_sweep's peak RSS by 0.6 MB).  The stop is None where the run
+completed, by the replay or by the check.  An execution on channels of
+depth d is one on channels of every depth d' >= d too, and how far each
+node gets does not depend on the schedule (the argument the check rests
+on, below).  So a hit at a depth no smaller than the kept one need not
+start over.  Where the kept run completed, it skips the replay and the
+check.  Otherwise it resumes the replay from the stop: the queue holds the
+nodes that owe sends, in node order, and no channel is marked
+backpressured, since each of its writers is queued (a version that kept
+those marks raised ``TypeError`` where a pop woke a writer whose sends had
+already gone through).  It ends where a replay from the start ends, so the
+outcome, every counter and the ``Deadlock`` message are those of a cold
+run.  This holds because the entry keeps only runs in which no node
+raised.  A hit at a smaller depth and a miss replay from the start, and
+the run's stop replaces the kept one.
+
 *The plan.*  A graph's ``_Net``, the ``validate()`` order, the channels,
 the replay's translate tables and the classes below, is built on the
 graph's first run and kept, weakly keyed by the graph, while its node and
@@ -102,14 +123,16 @@ mostly at depths 1 and 2; the replay then decides.
 
 *The replay* (``_replay``) walks the traces with integer channel
 occupancies under the scheduler the engine has always used: a FIFO ready
-queue that starts with every node in topological order; a node runs
+queue that starts with every node in topological order (from the empty
+state; from a kept stop, with the nodes that owe sends); a node runs
 until it blocks or finishes; a push wakes the reader waiting on that
 channel and a pop the writer backpressured on it, each appended to the
 queue the moment it happens; a node owed sends from a partial send makes
-them first when it runs again.  Only the replay raises: ``Deadlock``,
-naming what each stuck node waits for; and the error a node raised in
-pass 1, once the replay has taken that node up to it, so that the
-ready-queue order decides which of several errors comes first.
+them first when it runs again.  Only the replay decides a failure: it
+returns the stop where no node can move, of which ``run`` raises
+``Deadlock``, naming what each stuck node waits for; and it raises the
+error a node raised in pass 1, once it has taken that node up to it, so
+that the ready-queue order decides which of several errors comes first.
 
 *The size gate.*  The check costs a few dozen numpy calls per node
 whatever its trace length, the replay one Python step per recv or send.
@@ -141,6 +164,8 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import repeat
 from numbers import Integral, Real
+from operator import length_hint
+from typing import NamedTuple
 
 import numpy as np
 
@@ -219,10 +244,14 @@ def run(graph: DataflowGraph, tensors: dict, config: SimConfig | None = None) ->
     net = _plan(graph)
     order = net.order
     key = config.mem_latency, [tensors.get(name) for name in net.inputs]
+    depth = config.channel_depth
     if net.last is not None and _same_inputs(key, net.last[0]):
-        _, runs, traces = net.last
+        _, runs, traces, kept_depth, kept = net.last
         ends, clean = [None] * len(order), True
+        # every execution at the kept depth is one at this depth too
+        resume = depth >= kept_depth
     else:
+        net.last, resume = None, False
         pairs: list = []  # a class member takes its head's functions
         for nid, head in zip(order, net.same):
             if head is None:
@@ -234,20 +263,26 @@ def run(graph: DataflowGraph, tensors: dict, config: SimConfig | None = None) ->
             runs, traces, ends = _pass1(net, afuncs if all(afuncs) else funcs)
         except arrays.Decline:  # an input off the array path: the run on the loops
             runs, traces, ends = _pass1(net, funcs)
-        clean = all(end is None for end in ends)
-        net.last = (key, runs, traces) if clean else None  # errors hold frames
-    depth = config.channel_depth
-    checkable = clean and (
-        sum(map(len, traces)) - sum(map(bytearray.count, traces, repeat(TICK)))
-        >= _CERTIFY_OPS * len(traces)
-    )
-    if checkable:
-        sinks = set(range(len(order))) - set(net.writer)  # no output channel
-        cycles, sink_clocks = _clocks(net, traces, sinks)
-        if not _certify(net, traces, sink_clocks, depth):
-            _replay(net, traces, ends, depth)
-    else:
-        _replay(net, traces, ends, depth)
+        clean = all(end is None for end in ends)  # else keep nothing: errors hold frames
+    cycles = None
+    if not (resume and kept is None):  # else the kept run completed, and so does this one
+        if resume:
+            stop = _replay(net, traces, ends, depth, kept)
+        elif clean and (
+            sum(map(len, traces)) - sum(map(bytearray.count, traces, repeat(TICK)))
+            >= _CERTIFY_OPS * len(traces)
+        ):
+            sinks = set(range(len(order))) - set(net.writer)  # no output channel
+            cycles, sink_clocks = _clocks(net, traces, sinks)
+            certified = _certify(net, traces, sink_clocks, depth)
+            stop = None if certified else _replay(net, traces, ends, depth)
+        else:
+            stop = _replay(net, traces, ends, depth)
+        if clean:
+            net.last = (key, runs, traces, depth, stop)
+        if stop is not None:
+            raise _deadlock(net, stop)
+    if cycles is None:
         cycles, _ = _clocks(net, traces)
     node_flops = {order[i]: r.flops for i, r in enumerate(runs) if r.flops is not None}
     writers = {nid: r for nid, r in zip(order, runs) if graph.nodes[nid].kind.startswith("write")}
@@ -359,8 +394,11 @@ class _Net:
     ports some member has a channel on, as (trace byte, port, value), and
     ``reads[v]`` counts the head inputs that read value v.
 
-    ``inputs`` names the tensors pass 1 reads, and ``last`` is the entry
-    of pass 1 that the module docstring describes.
+    ``inputs`` names the tensors pass 1 reads.  ``last`` is the entry the
+    module docstring describes, ``(key, runs, traces, depth, stop)``: the
+    key, pass 1's node runs and traces, and the depth of the last replay of
+    those traces with the ``_Stop`` where it stopped, or None where that run
+    completed.  It is None until a run in which no node raised.
     """
 
     def __init__(self, graph: DataflowGraph, order: list):
@@ -368,7 +406,7 @@ class _Net:
         self.stamp = (len(graph.nodes), len(graph.edges))
         kinds = ("scan", "vals")
         self.inputs = sorted({n.params["tensor"] for n in graph.nodes.values() if n.kind in kinds})
-        self.last = None  # (key, runs, traces), or None after a run that raised
+        self.last = None  # (key, runs, traces, depth, stop), or None after a run that raised
         index = {nid: i for i, nid in enumerate(order)}
         self.writer, self.reader = [], []
         feed, chans = {}, {}
@@ -440,12 +478,12 @@ class _Net:
         e = self.edges[c]
         return f"{e.src}:{e.src_port}->{e.dst}:{e.dst_port}"
 
-    def replay_ops(self, i: int, trace):
-        """Node i's trace as replay codes."""
+    def replay_ops(self, i: int, trace, start: int = 0):
+        """Node i's trace as replay codes, from code ``start`` on."""
         codes, drop = self.codes[i], self.drops[i]
         if not self.wide:
-            return trace.translate(codes, drop)
-        return codes[np.frombuffer(trace.translate(None, drop), np.uint8)].tolist()
+            return trace.translate(codes, drop)[start:]
+        return codes[np.frombuffer(trace.translate(None, drop), np.uint8)[start:]].tolist()
 
 
 def _pass1(net: _Net, funcs) -> tuple[list, list, list]:
@@ -487,22 +525,46 @@ def _pass1(net: _Net, funcs) -> tuple[list, list, list]:
     return runs, traces, ends
 
 
-def _replay(net: _Net, traces, ends, depth: int) -> None:
+class _Stop(NamedTuple):
+    """Where a replay stopped short of completing: each node's position in
+    its replay codes, the tokens in each channel, the channel each node
+    waits to recv from (or -1), the full channels each node still owes a
+    send (or None), and whether each node finished."""
+
+    pos: list
+    occ: list
+    pending: list
+    owed: list
+    finished: list
+
+
+def _replay(net: _Net, traces, ends, depth: int, start: _Stop | None = None) -> _Stop | None:
     """Run the traces, as replay codes, on channels of ``depth`` tokens
-    under the ready-queue scheduler, counting tokens only.  Raises the
-    first error a node gets to, or ``Deadlock``."""
+    under the ready-queue scheduler, counting tokens only, from ``start``,
+    or from the empty state, in which no node has walked, sent or owes
+    anything.  Returns None when every node finished, or the ``_Stop``
+    where no node could move.  Raises the first error a node gets to."""
     order, nch = net.order, net.nch
     nch2 = 2 * nch
     groups, writer, reader = net.groups, net.writer, net.reader
     n = len(order)
-    ops = [iter(net.replay_ops(i, tr)) for i, tr in enumerate(traces)]
-    occ = [0] * nch  # tokens in each channel
+    if start is None:
+        pos, occ, pending, owed, finished = [0] * n, [0] * nch, [-1] * n, [None] * n, [False] * n
+    else:  # copies, so that a run cut short leaves ``start`` as it was
+        pos, occ, pending, owed, finished = map(list, start)
     waiting = [False] * nch  # its reader waits on it and is not queued
+    for c in pending:
+        if c >= 0:
+            waiting[c] = True
     blocked = [False] * nch  # its writer is backpressured on it, not queued
-    pending = [-1] * n  # the channel a node waits to recv from
-    owed: list = [None] * n  # the full channels a node still owes a send
-    finished = [False] * n
-    ready = deque(range(n))
+    # every node that can move: at the empty state all of them; at a stop,
+    # those that owe sends, which a deeper channel may now take
+    ready = deque(i for i in range(n) if not (finished[i] or pending[i] >= 0))
+    ops, left = [None] * n, [0] * n  # each unfinished node's codes from pos on
+    for i, trace in enumerate(traces):
+        if not finished[i]:
+            codes = net.replay_ops(i, trace, pos[i])
+            ops[i], left[i] = iter(codes), len(codes)
     pop, push = ready.popleft, ready.append
     while ready:
         i = pop()
@@ -580,15 +642,25 @@ def _replay(net: _Net, traces, ends, depth: int) -> None:
                 raise type(end)(f"{order[i]}: {end}") from None
             else:
                 raise end
-    if not all(finished):
-        stuck = []
-        for i, nid in enumerate(order):
-            if owed[i] is not None:
-                chans = ", ".join(net.label(c) for c in owed[i])
-                stuck.append(f"{nid} backpressured on {chans}")
-            elif pending[i] >= 0:
-                stuck.append(f"{nid} awaiting {net.label(pending[i])}")
-        raise Deadlock("no runnable node; " + "; ".join(stuck))
+    if all(finished):
+        return None
+    for i, it in enumerate(ops):
+        if it is not None:  # an iterator over a bytearray or a list knows what it has left
+            pos[i] += left[i] - length_hint(it)
+    return _Stop(pos, occ, pending, owed, finished)
+
+
+def _deadlock(net: _Net, stop: _Stop) -> Deadlock:
+    """The ``Deadlock`` of a replay that stopped at ``stop``, naming what
+    each stuck node waits for."""
+    stuck = []
+    for i, nid in enumerate(net.order):
+        if stop.owed[i] is not None:
+            chans = ", ".join(net.label(c) for c in stop.owed[i])
+            stuck.append(f"{nid} backpressured on {chans}")
+        elif stop.pending[i] >= 0:
+            stuck.append(f"{nid} awaiting {net.label(stop.pending[i])}")
+    return Deadlock("no runnable node; " + "; ".join(stuck))
 
 
 def _clocks(net: _Net, traces, keep=()) -> tuple[list, dict]:

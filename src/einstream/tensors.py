@@ -358,20 +358,19 @@ def block_tensor(t: SparseTensor, block_shape: Sequence[int]) -> SparseTensor:
 
     grid = tuple(t.shape[m] // block_shape[m] for m in range(t.ndim))
     coords, vals = t.coo()
-    bcoords = coords // block_shape
-    # The outer level chain over block coordinates, one unit payload per
-    # stored block; its leaf positions are in storage order, so the blocks'
-    # storage-order ranks are sorted and locate each entry's block.
-    stored = np.unique(bcoords, axis=0)
+    # Each entry's block as one key, its rank in storage order: the sorted
+    # distinct keys are the stored blocks in the order the outer level
+    # chain (one unit payload per block) stores them, and the index of an
+    # entry's key among them is its block's position.
+    mo = list(t.mode_order)
+    sgrid = [grid[m] for m in mo]
+    keys = np.ravel_multi_index(tuple((coords[:, mo] // [block_shape[m] for m in mo]).T), sgrid)
+    stored, at = np.unique(keys, return_inverse=True)
+    bcoords = np.empty((len(stored), t.ndim), dtype=np.int64)
+    bcoords[:, mo] = np.stack(np.unravel_index(stored, sgrid), axis=1)
     marker = _from_arrays(
-        grid, stored, np.ones(len(stored)), outer_formats, t.mode_order, 0.0
+        grid, bcoords, np.ones(len(stored)), outer_formats, t.mode_order, 0.0
     )
-    sgrid = [grid[m] for m in t.mode_order]
-
-    def rank(c):
-        return np.ravel_multi_index(tuple(c[:, list(t.mode_order)].T), sgrid)
-
-    blocks = np.full((marker.nnz, *block_shape), t.fill)
-    at = np.searchsorted(rank(marker.coo()[0]), rank(bcoords))
+    blocks = np.full((len(stored), *block_shape), t.fill)
     blocks[(at, *(coords % block_shape).T)] = vals
     return SparseTensor(t.shape, t.mode_order, marker.levels, blocks, t.fill)

@@ -82,6 +82,42 @@ def plan_blocking(vp, ir, shape) -> BlockInfo | None:
     return BlockInfo(factors=factors, edges=edges)
 
 
+def fill_sensitive(ir) -> dict[str, str]:
+    """The tensors of ``ir``'s views whose values reach an op that tells a
+    stored zero from an absent entry, each with the first such op: a
+    ``max`` reduce, which may pick the zero, or an add or sub whose
+    operands have different vars, whose support is that of an operand
+    with a var the other lacks (``S(i, j) - r(i)`` gives ``-r`` at a stored
+    zero of ``S``, and nothing where ``S`` stores no entry)."""
+
+    def under(*operands) -> list[str]:  # the views these operands read
+        names = []
+        for operand in operands:
+            if operand is None:
+                continue
+            if operand.kind == "view":
+                names.append(ir.views[operand.index].tensor)
+            else:
+                op = ir.ops[operand.index]
+                names += under(op.lhs, op.rhs)
+        return names
+
+    marked: dict[str, str] = {}
+    for op in ir.ops:
+        if op.reduces and op.reduce_kind != "sum":
+            names = under(op.lhs, op.rhs)
+            how = op.reduce_kind
+        elif op.kind in ("add", "sub"):
+            lhs, rhs = set(ir.operand_vars(op.lhs)), set(ir.operand_vars(op.rhs))
+            names = (under(op.lhs) if lhs - rhs else []) + (under(op.rhs) if rhs - lhs else [])
+            how = op.kind
+        else:
+            continue
+        for name in names:
+            marked.setdefault(name, f"{how} {op.name}")
+    return marked
+
+
 def block_input(vp, name: str, tensor, info: BlockInfo):
     """Re-store one input as the grid of dense blocks the blocked graph reads."""
     decl = vp.decl(name)

@@ -17,6 +17,7 @@ from einstream.errors import (
     IncompatibleBlocks,
     IndivisibleExtent,
     ParseError,
+    PartialBlock,
     UnsatisfiableOrder,
     UnsupportedSchedule,
 )
@@ -33,6 +34,7 @@ from einstream.pipeline import (
     store,
 )
 from einstream.table import render_table
+from einstream.transforms import fill_sensitive
 from einstream.tensors import COMPRESSED, DENSE, LevelSpec, SparseTensor
 
 SPMV = """
@@ -69,13 +71,13 @@ GCN_EXPRS = (
 GCN = GCN_DECLS + "\n".join(GCN_EXPRS) + "\nblock(2, 2);\n"
 
 
-def gcn_partition(sizes) -> str:
+def gcn_partition(sizes, directives="block(2, 2);") -> str:
     """The GCN with its expressions fused in consecutive groups of ``sizes``."""
     groups, at = [], 0
     for n in sizes:
         groups.append("fuse { " + " ".join(GCN_EXPRS[at:at + n]) + " }")
         at += n
-    return GCN_DECLS + "\n".join(groups) + "\nblock(2, 2);\n"
+    return GCN_DECLS + "\n".join(groups) + f"\n{directives}\n"
 
 
 # every contiguous partition of the GCN's four expressions into regions
@@ -275,6 +277,22 @@ def test_gcn_partitions_block_every_region_var_by_2(sizes):
     for r in range(len(vp.regions)):
         cr = plan_region(vp, r)
         assert cr.block.factors == dict.fromkeys(cr.ir.extents, 2)
+
+
+@pytest.mark.parametrize("block", ["", "block(2, 2);"], ids=["unblocked", "block2"])
+@pytest.mark.parametrize("sizes", GCN_PARTITIONS, ids=lambda s: "_".join(map(str, s)))
+def test_a_parallelize_splits_only_the_regions_with_its_index(sizes, block):
+    """Only ``Out`` uses ``c``: the region that computes it runs two lanes,
+    and every other region compiles to the graph it has without the
+    directive."""
+    src = gcn_partition(sizes, block + " parallelize(c, 2);")
+    check_program(src)
+    vp, plain = (validate_program(parse_program(s)) for s in (src, gcn_partition(sizes, block)))
+    for r in range(len(sizes)):
+        graphs = [plan_region(p, r).graph.to_json() for p in (vp, plain)]
+        with_c = "c" in elaborate_region(vp, r).name_map
+        assert with_c == (r == len(sizes) - 1)
+        assert (graphs[0] == graphs[1]) == (not with_c)
 
 
 def test_blocked_graphs_survive_a_json_round_trip():
@@ -677,3 +695,60 @@ def test_fused_attention_matches_oracle(block, seed):
 @pytest.mark.parametrize("seed", range(3))
 def test_fused_attention_under_block4_matches_oracle(seed):
     check_program(ATTENTION + "block(4, 4);\n", inputs=_attention_inputs(seed))
+
+
+
+MASKED_S = """
+index i = 4; index j = 4;
+tensor S(i, j): dense(i) -> compressed(j) order(i, j) input;
+"""
+# ops whose result differs between a stored zero and an absent entry, each
+# with the inputs it reads besides S and how the refusal names it
+FILL_SENSITIVE = {
+    "max": ("R(i) = max(S(i, j));", {}, "max R"),
+    "sub": (
+        "tensor r(i): dense(i) order(i) input;\nZ(i, j) = S(i, j) - r(i);",
+        {"r": np.ones(4)},
+        "sub Z",
+    ),
+}
+# row 0 holds only -1, so under block(2, 2) its block at (0, 0) also
+# stores three zeros, which the oracle treats as absent entries
+PARTIAL_S = np.array([[-1.0, 0, 0, 0], [0, 2, 0, 0], [0, 0, 3, 4], [0, 0, 5, 6]])
+# every 2x2 block full or absent
+ALIGNED_S = np.array([[-1.0, -2, 0, 0], [3, 4, 0, 0], [0, 0, -7, 8], [0, 0, 5, -6]])
+
+
+@pytest.mark.parametrize("name", sorted(FILL_SENSITIVE))
+def test_a_partial_block_that_a_fill_sensitive_op_reads_is_refused_before_the_run(name):
+    body, others, op = FILL_SENSITIVE[name]
+    src = MASKED_S + body + "\n"
+    check_program(src, inputs={"S": PARTIAL_S, **others})  # unblocked, it is right
+    blocked = src + "block(2, 2);\n"
+    check_program(blocked, inputs={"S": ALIGNED_S, **others})
+    vp = validate_program(parse_program(blocked))
+    message = (
+        f"region 0: blocked input S has a stored block that is not full, and {op}"
+        " would read its padding as stored entries"
+    )
+    with pytest.raises(PartialBlock, match=f"^{message}$"):
+        run_program(vp, {"S": PARTIAL_S, **others})
+
+
+@pytest.mark.parametrize(
+    "src, want",
+    [
+        (ATTENTION, [{"M": "max R", "Q": "max R", "K": "max R"}]),
+        (SOFTMAX, [{"S": "max R"}, {"S": "sub Z"}, {}, {}]),
+        (GCN, [{}, {}, {}, {}]),
+        (SPMM.format(extra=""), [{}]),
+    ],
+    ids=["attention", "softmax", "gcn", "fused_relu"],
+)
+def test_fill_sensitive_marks_the_inputs_under_a_max_or_a_broadcast_sub(src, want):
+    """Through inlined producers: fused attention's M, Q and K reach the
+    max; a divide, a relu and an add of operands over the same vars mark
+    nothing."""
+    vp = validate_program(parse_program(src))
+    got = [fill_sensitive(resolve_cycles(elaborate_region(vp, r))) for r in range(len(vp.regions))]
+    assert got == want

@@ -4,7 +4,8 @@
 scheduler over bounded channels.  ``sim.run`` must agree with it on the
 outcome (the class and message of the error, or success), on
 ``counters()``, ``node_cycles`` and ``node_flops``, and on the bytes of
-every output: for every program of ``test_pipeline`` at every schedulable
+every output, on a cold run and on one that resumes the replay of a run
+at a smaller depth: for every program of ``test_pipeline`` at every schedulable
 order of every region and at several channel depths, and for programs
 drawn by ``test_oracle``'s strategy; and again with the interleaving check
 tried on every run, however small the graph, with the array pass 1
@@ -15,6 +16,7 @@ set of functions must also end every stream with its one Done.
 
 from __future__ import annotations
 
+import copy
 import sys
 from pathlib import Path
 
@@ -26,13 +28,14 @@ from einstream import sim
 from einstream.sim import arrays, engine
 from einstream.errors import EinstreamError, UnsupportedSchedule
 from einstream.frontend import parse_program, validate_program
-from einstream.fusion import elaborate_region, map_user_order, resolve_cycles
+from einstream.fusion import elaborate_region, resolve_cycles
 from einstream.graph import DONE, DataflowGraph
 from einstream.tensors import COMPRESSED, LevelSpec, SparseTensor
 from einstream.pipeline import (
     compile_region,
     plan_region,
     prepare_region,
+    region_par,
     schedulable_orders,
     store,
 )
@@ -115,12 +118,18 @@ def _result(engine, graph, tensors, depth, bandwidth=0.0):
 
 
 def assert_engines_agree(graph, tensors):
-    """Both engines at every depth; returns the report at the default
-    depth, or None when that run failed."""
+    """Both engines at every depth, ``sim.run`` cold, on a copy of the
+    graph, and on the graph itself, where each run after the first resumes
+    the replay of the one before; returns the report at the default depth,
+    or None when that run failed.  The copy keeps the order of the nodes
+    and edges (a JSON round trip sorts them), on which the order in which
+    a ``Deadlock`` names a stream's channels rests."""
     reports = {}
     for depth in DEPTHS:
         want, _ = _result(sim_reference.run, graph, tensors, depth)
+        cold, _ = _result(sim.run, copy.deepcopy(graph), tensors, depth)
         got, reports[depth] = _result(sim.run, graph, tensors, depth)
+        assert cold == want, f"depth {depth}, cold"
         assert got == want, f"depth {depth}"
     return reports[sim.SimConfig().channel_depth]
 
@@ -132,7 +141,7 @@ def _regions(vp, dense):
     env = _env(vp, dense)
     for r in range(len(vp.regions)):
         ir = resolve_cycles(elaborate_region(vp, r))
-        par = {map_user_order(ir, [n])[0]: f for n, f in vp.schedule.parallelize} or None
+        par = region_par(vp, ir)
         for order in schedulable_orders(vp, ir):
             try:
                 cr = compile_region(vp, ir, order, par=par, block=vp.schedule.block)

@@ -324,8 +324,12 @@ def test_check_declines_a_reader_that_leaves_its_stream_full(monkeypatch, checks
     c = SparseTensor.from_dense(np.array([1.0, 0.0, 3.0]), [LevelSpec(COMPRESSED)])
     with pytest.raises(Deadlock, match="^no runnable node; root backpressured on root:ref->scan_c0:ref$"):
         run(g, {"c": c}, SimConfig(channel_depth=1))
-    assert run(g, {"c": c}, SimConfig(channel_depth=2)).cycles == 1
+    cold = DataflowGraph.from_json(g.to_json())
+    assert run(cold, {"c": c}, SimConfig(channel_depth=2)).cycles == 1
     assert checks.certified == [False, True] and checks.replays == 1
+    # the graph itself resumes its depth-1 replay, with no check
+    assert run(g, {"c": c}, SimConfig(channel_depth=2)).cycles == 1
+    assert checks.certified == [False, True] and checks.replays == 2
 
 
 def test_writer_levels_that_do_not_nest_are_malformed():

@@ -13,8 +13,11 @@ malformed streams).
 Each region and each softmax order is compiled once and run at depth 1,
 then at depth 4, on tensors prepared afresh from the same inputs, as a
 sweep runs one graph: the depth-4 run reuses the pass 1 of the depth-1
-run wherever that pass raised nothing, so the pinned counters check those
-reruns too.
+run wherever that pass raised nothing, and resumes its replay, so the
+pinned counters check those reruns too.  Given the depths on its command
+line, the script runs them in that order instead: ``4 1`` runs depth 4
+first, cold, and depth 1 after it replays from the start, and must print
+the same file.
 The values were taken before the engine became a ready queue.  Regenerate
 them only with a change that means to alter the model:
 ``PYTHONPATH=src python tests/test_sim_golden.py > tests/golden/sim_counters.json``.
@@ -80,16 +83,17 @@ fuse {
 """
 
 
-def program_counters(src: str) -> dict[str, list[dict]]:
-    """Each depth's region reports, in region order; later regions read the
-    tensors earlier ones stored at that depth.  A region that fails ends
-    its depth's list with its error class, which is why this walks the
-    regions itself rather than calling ``run_program``."""
+def program_counters(src: str, depths=DEPTHS) -> dict[str, list[dict]]:
+    """Each depth's region reports, in region order, each region run at
+    ``depths`` in that order; later regions read the tensors earlier ones
+    stored at that depth.  A region that fails ends its depth's list with
+    its error class, which is why this walks the regions itself rather than
+    calling ``run_program``."""
     vp = validate_program(parse_program(src))
     dense = _inputs(vp)
-    envs = {d: _env(vp, dense) for d in DEPTHS}
-    regions: dict[int, list] = {d: [] for d in DEPTHS}
-    live = list(DEPTHS)  # the depths at which no region has failed yet
+    envs = {d: _env(vp, dense) for d in depths}
+    regions: dict[int, list] = {d: [] for d in depths}
+    live = list(depths)  # the depths at which no region has failed yet
     for r in range(len(vp.regions)):
         if not live:
             break
@@ -115,20 +119,20 @@ def program_counters(src: str) -> dict[str, list[dict]]:
                     "node_flops": rep.node_flops,
                 }
             )
-    return {str(d): regions[d] for d in DEPTHS}
+    return {str(d): regions[d] for d in depths}
 
 
-def softmax_outcomes() -> dict[str, dict[str, str]]:
+def softmax_outcomes(depths=DEPTHS) -> dict[str, dict[str, str]]:
     """Outcome class of every schedulable order of the fused softmax, at
-    each depth."""
+    each of ``depths``, in that order."""
     vp = validate_program(parse_program(FUSED_SOFTMAX))
     dense = {"S": oracle.random_dense((8, 8), 0.4, np.random.default_rng(2))}
     want = oracle.evaluate_program(vp, dense)["O"]
     ir = resolve_cycles(elaborate_region(vp, 0))
-    outcomes: dict[str, dict] = {str(d): {} for d in DEPTHS}
+    outcomes: dict[str, dict] = {str(d): {} for d in depths}
     for order in schedulable_orders(vp, ir):
         cr = compile_region(vp, ir, order)
-        for depth in DEPTHS:
+        for depth in depths:
             try:
                 rep = sim.run(
                     cr.graph,
@@ -144,10 +148,10 @@ def softmax_outcomes() -> dict[str, dict[str, str]]:
     return outcomes
 
 
-def collect() -> dict:
+def collect(depths=DEPTHS) -> dict:
     return {
-        "programs": {name: program_counters(src) for name, src in PROGRAMS.items()},
-        "fused_softmax_outcomes": softmax_outcomes(),
+        "programs": {name: program_counters(src, depths) for name, src in PROGRAMS.items()},
+        "fused_softmax_outcomes": softmax_outcomes(depths),
     }
 
 
@@ -174,6 +178,14 @@ def test_fused_softmax_outcomes_match_golden(golden, collected, depth):
     assert collected["fused_softmax_outcomes"][str(depth)] == want
 
 
+def test_descending_depths_collect_what_ascending_ones_do(collected):
+    # depth 4 first replays cold; after depth 1 it resumes that replay
+    assert collect(DEPTHS[::-1]) == collected
+
+
 if __name__ == "__main__":
-    json.dump(collect(), sys.stdout, indent=1, sort_keys=True)
+    depths = tuple(map(int, sys.argv[1:])) or DEPTHS
+    if sorted(depths) != sorted(DEPTHS):
+        sys.exit(f"usage: {sys.argv[0]} [a permutation of {' '.join(map(str, DEPTHS))}]")
+    json.dump(collect(depths), sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")

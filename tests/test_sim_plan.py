@@ -2,11 +2,13 @@
 nodes in it that compute the same streams: pass 1 runs one function per
 class, and every member still gets its own channels, outcome and
 counters, as ``sim_reference``, which runs every node, does.  The plan
-also keeps its last pass 1: a run on equal inputs at another depth or
-bandwidth reuses it and reports what a cold run reports."""
+also keeps its last pass 1 and where its replay stopped: a run on equal
+inputs at another depth or bandwidth reuses the pass, resumes the replay
+when its depth is no smaller, and reports what a cold run reports."""
 
 from __future__ import annotations
 
+import copy
 import gc
 import sys
 import weakref
@@ -18,9 +20,15 @@ import pytest
 from einstream import sim
 from einstream.errors import MalformedStream
 from einstream.frontend import parse_program, validate_program
-from einstream.fusion import elaborate_region, map_user_order, resolve_cycles
+from einstream.fusion import elaborate_region, resolve_cycles
 from einstream.graph import DataflowGraph
-from einstream.pipeline import compile_region, plan_region, prepare_region, schedulable_orders
+from einstream.pipeline import (
+    compile_region,
+    plan_region,
+    prepare_region,
+    region_par,
+    schedulable_orders,
+)
 from einstream.sim import engine
 from einstream.tensors import COMPRESSED, DENSE, LevelSpec, SparseTensor
 
@@ -231,6 +239,7 @@ RERUN_PROGRAMS = {
     "fused_softmax": FUSED_SOFTMAX,
     "gcn_fused": gcn_partition((4,)),
     "par_nested": PAR_NESTED,
+    "fused_relu_block2": SPMM.replace("index k = 5", "index k = 4").format(extra="block(2, 2);"),
 }
 
 
@@ -245,13 +254,13 @@ def test_a_rerun_on_equal_inputs_reports_what_a_cold_run_reports(calls, name):
     vp = validate_program(parse_program(RERUN_PROGRAMS[name]))
     dense = _inputs(vp)
     ir = resolve_cycles(elaborate_region(vp, 0))
-    par = {map_user_order(ir, [n])[0]: f for n, f in vp.schedule.parallelize} or None
+    par = region_par(vp, ir)
     kept = 0
     for order in schedulable_orders(vp, ir):
         cr = compile_region(vp, ir, order, par=par, block=vp.schedule.block)
         hits = 0
         for depth, bandwidth in SWEEP:
-            cold = DataflowGraph.from_json(cr.graph.to_json())
+            cold = copy.deepcopy(cr.graph)  # keeps the node and edge order
             want, _ = _result(sim.run, cold, _fresh(vp, cr, dense), depth, bandwidth)
             calls.clear()
             got, _ = _result(sim.run, cr.graph, _fresh(vp, cr, dense), depth, bandwidth)
@@ -262,6 +271,61 @@ def test_a_rerun_on_equal_inputs_reports_what_a_cold_run_reports(calls, name):
         assert hits == (len(SWEEP) - 1 if last is not None else 0)
         kept += last is not None
     assert kept
+
+
+# the depths a sweep may run one graph at, in this order: rising, falling,
+# then one depth twice
+RESUMES = (1, 2, 4, 10**6, 10**6, 4, 1, 2, 2)
+# the programs with an order whose replay deadlocks after some node moved,
+# so that a deeper rerun resumes it midway
+STOPS_MIDWAY = {"fused_relu", "fused_relu_block2", "gcn_fused"}
+
+
+@pytest.fixture
+def walks(monkeypatch) -> list:
+    """(node, first code) for each node's replay codes a replay takes."""
+    got = []
+    real = engine._Net.replay_ops
+
+    def spy(net, i, trace, start=0):
+        got.append((i, start))
+        return real(net, i, trace, start)
+
+    monkeypatch.setattr(engine._Net, "replay_ops", spy)
+    return got
+
+
+@pytest.mark.parametrize("name", sorted(RERUN_PROGRAMS))
+def test_a_resumed_replay_reports_what_a_cold_run_reports(walks, name):
+    """A rerun on equal inputs at a depth no smaller than its entry's goes
+    on from where the kept replay stopped: it takes each unfinished node's
+    codes from the node's kept position and no finished node's, or none at
+    all when the kept replay completed.  Each run is checked against a
+    cold run on a copy of the graph that keeps its node and edge order."""
+    vp = validate_program(parse_program(RERUN_PROGRAMS[name]))
+    dense = _inputs(vp)
+    ir = resolve_cycles(elaborate_region(vp, 0))
+    resumed, midway = 0, 0
+    for order in schedulable_orders(vp, ir):
+        cr = compile_region(vp, ir, order, par=region_par(vp, ir), block=vp.schedule.block)
+        for depth in RESUMES:
+            want, _ = _result(sim.run, copy.deepcopy(cr.graph), _fresh(vp, cr, dense), depth)
+            net = engine._plans.get(cr.graph)
+            last = net and net.last
+            walks.clear()
+            got, _ = _result(sim.run, cr.graph, _fresh(vp, cr, dense), depth)
+            assert got == want, (order, depth)
+            if last is None or depth < last[3]:  # from the start, or not at all
+                assert walks in ([], [(i, 0) for i in range(len(cr.graph.nodes))])
+                continue
+            stop = last[4]
+            left = [] if stop is None else [
+                (i, at) for i, (at, done) in enumerate(zip(stop.pos, stop.finished)) if not done
+            ]
+            assert walks == left, (order, depth)
+            resumed += 1
+            midway += any(at for _, at in left)
+    assert resumed and bool(midway) == (name in STOPS_MIDWAY)
 
 
 def test_a_rerun_on_equal_inputs_calls_no_node_function(calls):
