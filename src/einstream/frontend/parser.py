@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import ParseError
-from ..tensors import COMPRESSED, COORDINATE, DENSE, LevelSpec
+from ..tensors import COMPRESSED, DENSE, LevelSpec
 from .program import (
     Access,
     Bin,
@@ -44,7 +44,6 @@ from .program import (
 )
 
 _PUNCT = ("->", "(", ")", "{", "}", ",", ";", "=", "+", "-", "*", "/", ":", ".")
-_LEVEL_KINDS = {"dense": DENSE, "compressed": COMPRESSED, "coordinate": COORDINATE}
 
 
 @dataclass(frozen=True)
@@ -221,14 +220,14 @@ class _Parser:
         by_dim: dict[str, LevelSpec] = {}
         while True:
             kind_tok = self.next()
-            if kind_tok.text not in _LEVEL_KINDS:
+            if kind_tok.text not in (DENSE, COMPRESSED):
                 self.fail(f"unknown level kind {kind_tok.text!r}", kind_tok)
             (dim,) = self.ident_list()
             if dim not in dims:
                 self.fail(f"{dim!r} is not a dimension of {name}", kind_tok)
             if dim in by_dim:
                 self.fail(f"dimension {dim!r} given two formats", kind_tok)
-            by_dim[dim] = LevelSpec(_LEVEL_KINDS[kind_tok.text])
+            by_dim[dim] = LevelSpec(kind_tok.text)
             if self.peek().text != "->":
                 break
             self.next()

@@ -2,10 +2,7 @@
 
 from __future__ import annotations
 
-from ..tensors import COMPRESSED, COORDINATE, DENSE
 from .program import EinsumProgram, _num
-
-_KIND_NAMES = {DENSE: "dense", COMPRESSED: "compressed", COORDINATE: "coordinate"}
 
 
 def render_program(program: EinsumProgram) -> str:
@@ -16,7 +13,7 @@ def render_program(program: EinsumProgram) -> str:
         out.append("")
     for decl in program.decls.values():
         chain = " -> ".join(
-            f"{_KIND_NAMES[f.kind]}({d})" for d, f in zip(decl.dims, decl.formats)
+            f"{f.kind}({d})" for d, f in zip(decl.dims, decl.formats)
         )
         order = ", ".join(decl.dims[m] for m in decl.mode_order)
         role = f" {decl.role}" if decl.role in ("input", "output") else ""

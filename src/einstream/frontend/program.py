@@ -5,9 +5,10 @@ tensor accesses with ``* / + -`` and pointwise wrappers (relu, exp, gelu,
 scale(c, .), max(.)).  Indices present in the body but not on the left-hand
 side are reduction indices; each additive term reduces over its own ones.
 
-Pointwise ops use stored-entry semantics: they apply to stored (nonzero)
-values and map the zero fill to zero, so results do not depend on whether an
-intermediate was materialized or streamed.
+An absent entry is 0.0 in every tensor.  Pointwise ops use stored-entry
+semantics: they apply to stored values and map an absent entry to zero, so
+results do not depend on whether an intermediate was materialized or
+streamed.
 """
 
 from __future__ import annotations

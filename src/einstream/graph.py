@@ -16,7 +16,7 @@ Node kinds
 root       emits a single position then Done; seeds outermost scanners
 scan       expands parent positions into (coordinate, position) pairs for
            one storage level; adds one nesting level
-vals       turns positions into stored values (absent position -> fill)
+vals       turns positions into stored values (absent position -> 0.0)
 repeat     repeats its current data element once per control token;
            advances on control stops
 intersect  co-iterates two (crd, payload) fibers, keeping matches
@@ -208,11 +208,13 @@ class DataflowGraph:
     # -- serialization --
 
     def to_json(self) -> str:
+        """Nodes and edges in insertion order, in which the simulator numbers
+        channels, so that ``from_json`` gives a graph that runs the same."""
         doc = {
             "version": 1,
             "nodes": [
                 {"id": n.id, "kind": n.kind, "params": _jsonable(n.params)}
-                for n in sorted(self.nodes.values(), key=lambda n: n.id)
+                for n in self.nodes.values()
             ],
             "edges": [
                 {
@@ -220,9 +222,7 @@ class DataflowGraph:
                     "dst": [e.dst, e.dst_port],
                     "kind": e.kind,
                 }
-                for e in sorted(
-                    self.edges, key=lambda e: (e.src, e.src_port, e.dst, e.dst_port)
-                )
+                for e in self.edges
             ],
         }
         return json.dumps(doc, indent=2, sort_keys=True)

@@ -69,14 +69,14 @@ class CostEstimate:
 def measured_densities(tensors: dict) -> dict:
     """Density fractions of concrete tensors, for feeding the model.
 
-    An unblocked tensor counts its non-fill values, so the padding a dense
+    An unblocked tensor counts its nonzero values, so the padding a dense
     level stores does not count; a blocked tensor counts every slot of its
     stored blocks (its block density).
     """
     out = {}
     for name, t in tensors.items():
         size = math.prod(t.shape)
-        stored = t.nnz if t.is_blocked else int(np.count_nonzero(t.values != t.fill))
+        stored = t.nnz if t.is_blocked else int(np.count_nonzero(t.values))
         out[name] = stored / size if size else 1.0
     return out
 

@@ -276,10 +276,8 @@ def vals(run, tensor, mem_latency: int):
     p = v[stored]
     if len(p) and (p.min() < 0 or p.max() >= len(values)):
         raise Decline("position out of range")
-    out = np.zeros((len(c), *values.shape[1:]))
+    out = np.zeros((len(c), *values.shape[1:]))  # NULL reads 0.0
     out[stored] = values[p]
-    if ref.null is not None:  # a blocked tensor's fill is a block of zeros
-        out[ref.null] = 0.0 if tensor.is_blocked else tensor.fill
     run.outs["val"] = Stream(c, out, None)
     fresh = elem & _prev(c != ELEM, True)  # the first element of a fiber
     patterns = (

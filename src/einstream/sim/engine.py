@@ -22,8 +22,8 @@ or bandwidth would only recompute it.  The graph's plan (below) keeps one
 entry: the last run's key and its pass-1 runs and traces.  The key is
 ``mem_latency`` and the tensors that the graph's ``scan`` and ``vals``
 nodes name (``_Net.inputs``).  A tensor matches if it is the same object,
-or else equal bit for bit, compared in place: shape, mode order, fill,
-each level's kind and size or segments and coords, and values; so 0.0
+or else equal bit for bit, compared in place: shape, mode order, each
+level's kind and size or segments and coords, and values; so 0.0
 against -0.0 is a miss.  The key holds the tensors themselves, no copies
 and no hashes.  A hit skips ``_node_functions`` and pass 1; pass 2, the
 clocks and ``_finalize`` run as on a miss, whose result replaces the
@@ -317,7 +317,7 @@ def _same_tensor(a, b) -> bool:
         return True
     return (
         type(a) is SparseTensor is type(b)
-        and (a.shape, a.mode_order, repr(a.fill)) == (b.shape, b.mode_order, repr(b.fill))
+        and (a.shape, a.mode_order) == (b.shape, b.mode_order)
         and a.levels == b.levels  # kind and size, or segments and coords
         # float64 viewed as int64: equal bits, not equal numbers
         and np.array_equal(a.values.view(np.int64), b.values.view(np.int64))
@@ -859,7 +859,6 @@ def _finalize(graph: DataflowGraph, nodes: dict):
         coords = np.empty((len(scoords), ndim), dtype=np.int64)
         coords[:, mode_order] = np.array(scoords, dtype=np.int64).reshape(-1, ndim)
         formats = [LevelSpec(k) for k in p["formats"]]
-        fill = p.get("fill", 0.0)
         block_shape = p.get("block_shape")
         if block_shape:
             bs = tuple(block_shape)
@@ -870,15 +869,13 @@ def _finalize(graph: DataflowGraph, nodes: dict):
             blk, *off = np.nonzero(blocks)
             grid = tuple(s // b for s, b in zip(p["shape"], bs))
             kept = np.unique(blk)
-            stored = _from_arrays(
-                grid, coords[kept], np.ones(len(kept)), formats, mode_order, fill
-            )
+            stored = _from_arrays(grid, coords[kept], np.ones(len(kept)), formats, mode_order)
             slots = math.prod(bs)
             coords = coords[blk] * bs + np.stack(off, axis=1)
             vals = blocks[(blk, *off)]
         else:
             vals = np.array(flat_vals, dtype=np.float64)
-        tensor = _from_arrays(p["shape"], coords, vals, formats, mode_order, fill)
+        tensor = _from_arrays(p["shape"], coords, vals, formats, mode_order)
         if not block_shape:
             stored, slots = tensor, 1
         outputs[name] = tensor

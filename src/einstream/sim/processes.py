@@ -176,11 +176,11 @@ def run_scan(run, tensor, level_idx: int, mem_latency: int, mult=None, stride=No
 def run_vals(run, tensor, mem_latency: int):
     IN, VAL = 0, 1
     if tensor.is_blocked:
-        fill = np.zeros(tensor.values.shape[1:])
+        zero = np.zeros(tensor.values.shape[1:])  # what NULL reads
         values = list(tensor.values)  # one view per block, shared by its reads
-        elem_bytes = ELEMENT_BYTES * fill.size
+        elem_bytes = ELEMENT_BYTES * zero.size
     else:
-        fill = tensor.fill
+        zero = 0.0
         values = tensor.values.tolist()
         elem_bytes = ELEMENT_BYTES
     tr, out = run.trace, run.outs["val"].append
@@ -200,7 +200,7 @@ def run_vals(run, tensor, mem_latency: int):
             out(DONE)
             break
         try:
-            val = fill if tok is NULL else values[tok]
+            val = zero if tok is NULL else values[tok]
         except Exception:
             tr.append(IN)  # the recv happened; the lookup failed
             raise

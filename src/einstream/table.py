@@ -700,7 +700,6 @@ def _emit_output(
         "shape": shape,
         "mode_order": mode_order,
         "formats": formats,
-        "fill": 0.0,
         "lane": lane,
     }
     if b.block:

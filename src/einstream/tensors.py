@@ -4,15 +4,15 @@ A tensor is stored as a chain of per-mode levels in storage (mode) order plus a
 flat value array.  Level kinds:
 
  - dense: positions are implicit (parent * size + coord), no arrays stored
- - compressed: segment pointers per parent position plus sorted coordinates
- - coordinate: same arrays as compressed but tagged as a coordinate list
-   (COO-style storage); coordinates are unique within a fiber here as well
+ - compressed: segment pointers per parent position plus sorted coordinates,
+   unique within a fiber
 
 CSR is dense->compressed, CSC the same after permuting modes, CSF compressed on
-all modes, COO coordinate on all modes.  A blocked tensor is its block grid:
-its levels index blocks, one per mode, and its values are
-``(blocks, *block_shape)``, one dense block per stored grid position, so the
-block shape lives only in ``values.shape[1:]``.
+all modes.  An absent entry is 0.0 in every tensor, as it is to every node
+of the simulator.  A blocked tensor is its block grid: its levels index
+blocks, one per mode, and its values are ``(blocks, *block_shape)``, one
+dense block per stored grid position, so the block shape lives only in
+``values.shape[1:]``.
 
 ``SparseTensor.coo()`` is the one walk over the levels: ``to_dense``,
 ``permute_modes``, ``unblock`` and ``block_tensor`` read a tensor through
@@ -22,6 +22,7 @@ such arrays; blocked tensors come only from ``block_tensor``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -31,11 +32,11 @@ from .errors import (
     CoordinateOutOfBounds,
     DuplicateCoordinate,
     IllegalFormatCombination,
+    TensorError,
 )
 
 DENSE = "dense"
 COMPRESSED = "compressed"
-COORDINATE = "coordinate"
 
 INDEX_BYTES = 4
 ELEMENT_BYTES = 8
@@ -58,10 +59,8 @@ class DenseLevel:
         return 0
 
 
-class _ArrayLevel:
-    """Common base for segment/coordinate array levels."""
-
-    kind = ""
+class CompressedLevel:
+    kind = COMPRESSED
 
     def __init__(self, segments, coords):
         self.segments = _frozen(np.asarray(segments, dtype=np.int64))
@@ -82,14 +81,6 @@ class _ArrayLevel:
         return f"{type(self).__name__}(segments={self.segments.tolist()}, coords={self.coords.tolist()})"
 
 
-class CompressedLevel(_ArrayLevel):
-    kind = COMPRESSED
-
-
-class CoordinateLevel(_ArrayLevel):
-    kind = COORDINATE
-
-
 @dataclass(frozen=True)
 class LevelSpec:
     """Declared format of one storage level (frontend-facing)."""
@@ -97,7 +88,7 @@ class LevelSpec:
     kind: str
 
     def __post_init__(self):
-        if self.kind not in (DENSE, COMPRESSED, COORDINATE):
+        if self.kind not in (DENSE, COMPRESSED):
             raise IllegalFormatCombination(f"unknown level kind {self.kind!r}")
 
 
@@ -109,14 +100,18 @@ class SparseTensor:
         ``mode_order[d]``; for a blocked tensor it indexes blocks.
     :param values: one value per leaf position, or one block per leaf
         position, ``(positions, *block_shape)``, for a blocked tensor.
+    :param fill: the value of an absent entry; only +0.0 is accepted.
     """
 
+    fill = 0.0
+
     def __init__(self, shape, mode_order, levels, values, fill: float = 0.0):
+        if not (fill == 0.0 and math.copysign(1.0, fill) > 0):
+            raise TensorError(f"fill {fill!r}: an absent entry is 0.0")
         self.shape = tuple(int(s) for s in shape)
         self.mode_order = tuple(int(m) for m in mode_order)
         self.levels = list(levels)
         self.values = _frozen(np.asarray(values, dtype=np.float64))
-        self.fill = float(fill)
         self._check()
 
     # -- construction ------------------------------------------------------
@@ -127,7 +122,6 @@ class SparseTensor:
         entries: Iterable[tuple[tuple[int, ...], float]],
         formats: Sequence[LevelSpec],
         mode_order: Sequence[int] | None = None,
-        fill: float = 0.0,
     ) -> "SparseTensor":
         """Build a tensor from coordinate/value pairs.
 
@@ -143,22 +137,21 @@ class SparseTensor:
         crd = np.array([c for c, _ in entries], dtype=np.int64)
         crd = crd.reshape(len(entries), ndim)
         vals = np.array([v for _, v in entries], dtype=np.float64)
-        return _from_arrays(shape, crd, vals, formats, mode_order, fill)
+        return _from_arrays(shape, crd, vals, formats, mode_order)
 
     @staticmethod
     def from_dense(
         array,
         formats: Sequence[LevelSpec] | None = None,
         mode_order: Sequence[int] | None = None,
-        fill: float = 0.0,
     ) -> "SparseTensor":
-        """Compress a dense array, dropping fill-valued entries."""
+        """Compress a dense array, dropping its zeros (-0.0 included)."""
         arr = np.asarray(array, dtype=np.float64)
         if formats is None:
             formats = [LevelSpec(COMPRESSED)] * arr.ndim
-        at = np.nonzero(arr != fill)
+        at = np.nonzero(arr)
         crd = np.stack(at, axis=1)
-        return _from_arrays(arr.shape, crd, arr[at], formats, mode_order, fill)
+        return _from_arrays(arr.shape, crd, arr[at], formats, mode_order)
 
     # -- views -------------------------------------------------------------
 
@@ -187,11 +180,11 @@ class SparseTensor:
         """Logical coordinates, ``(n, ndim)``, and values, ``(n,)``, of the
         stored entries in storage order.
 
-        Blocked tensors give only the non-fill slots of stored blocks, row
+        Blocked tensors give only the nonzero slots of stored blocks, row
         major within a block; unblocked tensors give every stored slot,
-        including explicit fill values.  The walk goes level by level: a
-        dense level repeats each parent position ``size`` times, a
-        compressed or coordinate level expands it into its segment.
+        including explicit zeros.  The walk goes level by level: a dense
+        level repeats each parent position ``size`` times, a compressed
+        level expands it into its segment.
         """
         pos = np.zeros(1, dtype=np.int64)
         scoords: list[np.ndarray] = []
@@ -213,14 +206,14 @@ class SparseTensor:
             coords[:, m] = scoords[d]
         vals = self.values[pos]
         if self.is_blocked:
-            blk, *intra = np.nonzero(vals != self.fill)
+            blk, *intra = np.nonzero(vals)
             bs = self.values.shape[1:]
             coords = coords[blk] * bs + np.stack(intra, axis=1)
             vals = vals[(blk, *intra)]
         return coords, vals
 
     def to_dense(self) -> np.ndarray:
-        out = np.full(self.shape, self.fill, dtype=np.float64)
+        out = np.zeros(self.shape)
         coords, vals = self.coo()
         out[tuple(coords.T)] = vals
         return out
@@ -235,16 +228,16 @@ class SparseTensor:
             raise IllegalFormatCombination("cannot permute a blocked tensor")
         if formats is None:
             formats = self.formats
-        return _from_arrays(self.shape, *self.coo(), formats, new_mode_order, self.fill)
+        return _from_arrays(self.shape, *self.coo(), formats, new_mode_order)
 
     def block(self, block_shape: Sequence[int]) -> "SparseTensor":
         """Rebuild as a grid of dense blocks.
 
         A block is stored iff it holds a stored slot of this tensor, even
-        when every such slot holds the fill value: explicit fill entries
-        and the padding of a dense level count.  So a 4x4 dense->dense
-        tensor with one nonzero stores all four of its 2x2 blocks, and the
-        same tensor stored compressed on both modes stores one.
+        when every such slot holds zero: explicit zeros and the padding of
+        a dense level count.  So a 4x4 dense->dense tensor with one nonzero
+        stores all four of its 2x2 blocks, and the same tensor stored
+        compressed on both modes stores one.
         """
         return block_tensor(self, block_shape)
 
@@ -253,7 +246,7 @@ class SparseTensor:
             return self
         if formats is None:
             formats = [LevelSpec(COMPRESSED)] * self.ndim
-        return _from_arrays(self.shape, *self.coo(), formats, self.mode_order, self.fill)
+        return _from_arrays(self.shape, *self.coo(), formats, self.mode_order)
 
     # -- misc --------------------------------------------------------------
 
@@ -262,7 +255,6 @@ class SparseTensor:
             isinstance(other, SparseTensor)
             and self.shape == other.shape
             and self.mode_order == other.mode_order
-            and self.fill == other.fill
             and len(self.levels) == len(other.levels)
             and all(a == b for a, b in zip(self.levels, other.levels))
             and np.array_equal(self.values, other.values)
@@ -283,7 +275,7 @@ class SparseTensor:
             )
 
 
-def _from_arrays(shape, crd, vals, formats, mode_order, fill) -> SparseTensor:
+def _from_arrays(shape, crd, vals, formats, mode_order) -> SparseTensor:
     """``from_coo`` on an (entries, ndim) coordinate array and its values.
 
     Entries are sorted in storage order; level by level, each entry's
@@ -330,13 +322,12 @@ def _from_arrays(shape, crd, vals, formats, mode_order, fill) -> SparseTensor:
             new = np.ones(len(c), dtype=bool)
             new[1:] = (pos[1:] != pos[:-1]) | (c[1:] != c[:-1])
             segments = np.searchsorted(pos[new], np.arange(npos + 1))
-            cls = CompressedLevel if spec.kind == COMPRESSED else CoordinateLevel
-            levels.append(cls(segments, c[new]))
+            levels.append(CompressedLevel(segments, c[new]))
             pos = np.cumsum(new) - 1
             npos = int(segments[-1])
-    values = np.full(npos, fill, dtype=np.float64)
+    values = np.zeros(npos)
     values[pos] = vals
-    return SparseTensor(shape, mode_order, levels, values, fill)
+    return SparseTensor(shape, mode_order, levels, values)
 
 
 def block_tensor(t: SparseTensor, block_shape: Sequence[int]) -> SparseTensor:
@@ -368,9 +359,7 @@ def block_tensor(t: SparseTensor, block_shape: Sequence[int]) -> SparseTensor:
     stored, at = np.unique(keys, return_inverse=True)
     bcoords = np.empty((len(stored), t.ndim), dtype=np.int64)
     bcoords[:, mo] = np.stack(np.unravel_index(stored, sgrid), axis=1)
-    marker = _from_arrays(
-        grid, bcoords, np.ones(len(stored)), outer_formats, t.mode_order, 0.0
-    )
-    blocks = np.full((len(stored), *block_shape), t.fill)
+    marker = _from_arrays(grid, bcoords, np.ones(len(stored)), outer_formats, t.mode_order)
+    blocks = np.zeros((len(stored), *block_shape))
     blocks[(at, *(coords % block_shape).T)] = vals
-    return SparseTensor(t.shape, t.mode_order, marker.levels, blocks, t.fill)
+    return SparseTensor(t.shape, t.mode_order, marker.levels, blocks)

@@ -31,7 +31,7 @@ from einstream.frontend import (
     render_program,
     validate_program,
 )
-from einstream.tensors import COMPRESSED, COORDINATE, DENSE, LevelSpec
+from einstream.tensors import COMPRESSED, DENSE, LevelSpec
 
 SPMV = """
 index i = 2; index k = 3;
@@ -166,6 +166,14 @@ def test_validate_accepts_a_density_and_rate_on_an_inferred_tensor():
 def test_parse_rejects_unknown_level_kind():
     with pytest.raises(ParseError):
         parse_program("index i = 2;\ntensor A(i): banded(i) order(i);\n")
+
+
+def test_parse_rejects_a_coordinate_level():
+    # every sparse level is compressed: `coordinate` is not a level kind
+    src = "index i = 2; index k = 3;\ntensor A(i, k): compressed(i) -> coordinate(k) order(i, k);\n"
+    with pytest.raises(ParseError, match="unknown level kind 'coordinate'") as err:
+        parse_program(src)
+    assert (err.value.line, err.value.col) == (2, 34)
 
 
 def test_parse_rejects_empty_fuse():
@@ -328,7 +336,7 @@ def test_validate_rejects_an_assignment_off_its_declared_dims():
 def test_round_trip_fixed_program():
     src = """
     index i = 4; index j = 4; index k = 4;
-    tensor A(i, k): compressed(i) -> coordinate(k) order(i, k) input;
+    tensor A(i, k): compressed(i) -> compressed(k) order(i, k) input;
     tensor X(k, j): dense(k) -> compressed(j) order(j, k) input;
     fuse {
         T(i, j) = scale(0.5, A(i, k) * X(k, j));
@@ -350,7 +358,7 @@ def test_round_trip_fixed_program():
 def _random_program(rng: np.random.Generator) -> EinsumProgram:
     idx_names = ["i", "j", "k", "l", "m", "n"][: rng.integers(2, 6)]
     extents = {v: int(rng.integers(2, 9)) for v in idx_names}
-    kinds = [DENSE, COMPRESSED, COORDINATE]
+    kinds = [DENSE, COMPRESSED]
     decls = {}
     for t in range(rng.integers(2, 5)):
         name = f"T{t}"
@@ -358,7 +366,7 @@ def _random_program(rng: np.random.Generator) -> EinsumProgram:
         dims = tuple(
             idx_names[i] for i in rng.choice(len(idx_names), size=rank, replace=False)
         )
-        formats = tuple(LevelSpec(kinds[rng.integers(0, 3)]) for _ in dims)
+        formats = tuple(LevelSpec(kinds[rng.integers(0, len(kinds))]) for _ in dims)
         order = tuple(int(m) for m in rng.permutation(rank))
         role = ["input", None][rng.integers(0, 2)]
         decls[name] = TensorDecl(name, dims, formats, order, role)

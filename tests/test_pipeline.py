@@ -13,6 +13,7 @@ import pytest
 
 from einstream import heuristic, oracle, sim
 from einstream.errors import (
+    Deadlock,
     EinstreamError,
     IncompatibleBlocks,
     IndivisibleExtent,
@@ -312,6 +313,23 @@ def test_blocked_graphs_survive_a_json_round_trip():
         for name, t in want.outputs.items():
             assert got.outputs[name].to_dense().tobytes() == t.to_dense().tobytes()
             env[name] = store(vp, name, t)
+
+
+def test_a_graph_read_back_from_json_deadlocks_as_the_graph_does():
+    """``to_json`` keeps the order in which the simulator numbers channels,
+    so a ``Deadlock`` of the copy names a stream's owed channels in the
+    graph's order."""
+    vp = validate_program(parse_program(MATMUL.format(order="order(i, k, j);")))
+    cr = plan_region(vp, 0)
+    assert cr.order == ("i", "u0", "j")
+    tensors = prepare_region(vp, cr, _env(vp, _inputs(vp)))
+    messages = []
+    for g in (cr.graph, DataflowGraph.from_json(cr.graph.to_json())):
+        with pytest.raises(Deadlock) as err:
+            sim.run(g, tensors, sim.SimConfig(channel_depth=1))
+        messages.append(str(err.value))
+    assert "ls_B_j backpressured on" in messages[0]
+    assert messages[1] == messages[0]
 
 
 @pytest.mark.parametrize(

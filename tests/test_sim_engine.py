@@ -367,7 +367,7 @@ def test_graph_json_round_trip():
     "corrupt",
     [
         lambda doc: doc["edges"][0]["dst"].__setitem__(1, "bogus"),
-        lambda doc: doc["edges"][0].__setitem__("kind", "ref"),
+        lambda doc: next(e for e in doc["edges"] if e["kind"] != "ref").__setitem__("kind", "ref"),
         lambda doc: doc["nodes"].append(dict(doc["nodes"][0])),
     ],
     ids=["unknown_port", "wrong_stream_kind", "duplicate_id"],

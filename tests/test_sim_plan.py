@@ -349,9 +349,6 @@ MISSES = {
     "another_format": lambda t, cfg: (
         {**t, "c": SparseTensor.from_dense(t["c"].to_dense(), [LevelSpec(DENSE)])}, cfg
     ),
-    "negative_zero_fill": lambda t, cfg: (
-        {**t, "c": SparseTensor((3,), (0,), t["c"].levels, t["c"].values, fill=-0.0)}, cfg
-    ),
     "another_tensor": lambda t, cfg: (
         {**t, "c": SparseTensor.from_dense(np.array([3.0, 0.0, 1.0]), [LevelSpec(COMPRESSED)])}, cfg
     ),

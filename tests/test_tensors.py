@@ -12,17 +12,16 @@ from einstream.errors import (
     CoordinateOutOfBounds,
     DuplicateCoordinate,
     IllegalFormatCombination,
+    TensorError,
 )
 from einstream.graph import DONE, DataflowGraph, Stop
 from einstream.sim import engine
 from einstream.tensors import (
     COMPRESSED,
-    COORDINATE,
     DENSE,
     ELEMENT_BYTES,
     INDEX_BYTES,
     CompressedLevel,
-    CoordinateLevel,
     DenseLevel,
     LevelSpec,
     SparseTensor,
@@ -34,7 +33,6 @@ B_DENSE = np.array([[2.0, 0.0, 3.0], [0.0, 4.0, 0.0]])
 
 CSR = [LevelSpec(DENSE), LevelSpec(COMPRESSED)]
 CSF = [LevelSpec(COMPRESSED), LevelSpec(COMPRESSED)]
-COO = [LevelSpec(COORDINATE), LevelSpec(COORDINATE)]
 
 
 def test_csr_arrays():
@@ -54,7 +52,7 @@ def test_csc_arrays():
 
 
 def test_to_dense_round_trip():
-    for fmts in (CSR, CSF, COO, [LevelSpec(DENSE), LevelSpec(DENSE)]):
+    for fmts in (CSR, CSF, [LevelSpec(DENSE), LevelSpec(DENSE)]):
         for order in ((0, 1), (1, 0)):
             t = SparseTensor.from_coo((2, 3), B_ENTRIES, fmts, order)
             np.testing.assert_array_equal(t.to_dense(), B_DENSE)
@@ -74,6 +72,19 @@ def test_explicit_zero_preserved():
     assert t.values.tolist() == [0.0]
     coords, vals = t.coo()
     assert (coords.tolist(), vals.tolist()) == ([[0, 1]], [0.0])
+
+
+@pytest.mark.parametrize("fill", [0.5, -0.0], ids=["half", "negative_zero"])
+def test_a_tensor_refuses_every_fill_but_zero(fill):
+    # A = [[0.5, 1], [0.5, 0.5]] with fill 0.5 stores only A[0, 1]; the
+    # simulator reads an absent entry as 0.0, so y(i) = A(i, k) * x(k) at
+    # x = [1, 1] would come out [1, 0], not [1.5, 1]
+    a = SparseTensor.from_coo((2, 2), [((0, 1), 1.0)], CSR)
+    with pytest.raises(TensorError, match="an absent entry is 0.0"):
+        SparseTensor(a.shape, a.mode_order, a.levels, a.values, fill)
+    assert SparseTensor(a.shape, a.mode_order, a.levels, a.values, 0.0) == a
+    with pytest.raises(TypeError):
+        SparseTensor.from_dense([[0.5, 1.0], [0.5, 0.5]], CSR, fill=fill)
 
 
 def test_duplicate_rejected():
@@ -132,7 +143,7 @@ def _random_tensor(rng, ndim):
         if rng.random() < density
     ]
     entries = [(c, float(rng.uniform(0.5, 2.0))) for c in coords]
-    kinds = [str(rng.choice([DENSE, COMPRESSED, COORDINATE])) for _ in range(ndim)]
+    kinds = [str(rng.choice([DENSE, COMPRESSED])) for _ in range(ndim)]
     order = tuple(rng.permutation(ndim).tolist())
     t = SparseTensor.from_coo(shape, entries, [LevelSpec(k) for k in kinds], order)
     return t, shape, entries
@@ -152,7 +163,7 @@ def test_random_formats_against_dense_reference():
         np.testing.assert_array_equal(t.permute_modes(perm).to_dense(), ref)
 
 
-def _loop_from_coo(shape, entries, formats, mode_order, fill):
+def _loop_from_coo(shape, entries, formats, mode_order):
     """Reference construction: group entries fiber by fiber in Python."""
     rows = sorted((tuple(c[m] for m in mode_order), float(v)) for c, v in entries)
     levels, fibers = [], [rows]
@@ -170,11 +181,10 @@ def _loop_from_coo(shape, entries, formats, mode_order, fill):
         if spec.kind == DENSE:
             levels.append(DenseLevel(size))
         else:
-            cls = CompressedLevel if spec.kind == COMPRESSED else CoordinateLevel
-            levels.append(cls(segments, coords))
+            levels.append(CompressedLevel(segments, coords))
         fibers = nxt
-    values = [fib[0][1] if fib else fill for fib in fibers]
-    return SparseTensor(shape, mode_order, levels, values, fill)
+    values = [fib[0][1] if fib else 0.0 for fib in fibers]
+    return SparseTensor(shape, mode_order, levels, values)
 
 
 def test_from_coo_matches_loop_reference():
@@ -184,11 +194,11 @@ def test_from_coo_matches_loop_reference():
         _, shape, entries = _random_tensor(rng, ndim)
         entries = [(c, 0.0 if rng.random() < 0.2 else v) for c, v in entries]
         rng.shuffle(entries)
-        kinds = rng.choice([DENSE, COMPRESSED, COORDINATE], size=ndim)
+        kinds = rng.choice([DENSE, COMPRESSED], size=ndim)
         formats = [LevelSpec(str(k)) for k in kinds]
         order = tuple(rng.permutation(ndim).tolist())
-        got = SparseTensor.from_coo(shape, entries, formats, order, fill=0.5)
-        want = _loop_from_coo(shape, entries, formats, order, 0.5)
+        got = SparseTensor.from_coo(shape, entries, formats, order)
+        want = _loop_from_coo(shape, entries, formats, order)
         assert got == want
         assert [lvl.kind for lvl in got.levels] == [f.kind for f in formats]
 
@@ -240,7 +250,7 @@ def _loop_walk(t):
 
 
 def _loop_entries(t):
-    """Reference ``coo()`` as (logical coords, value) pairs: the non-fill
+    """Reference ``coo()`` as (logical coords, value) pairs: the nonzero
     slots of stored blocks, or every stored slot of an unblocked tensor, in
     storage order."""
     out = []
@@ -250,7 +260,7 @@ def _loop_entries(t):
             bs = t.values.shape[1:]
             for intra in itertools.product(*(range(b) for b in bs)):
                 v = float(block[intra])
-                if v != t.fill:
+                if v != 0.0:
                     logical = [0] * t.ndim
                     for d, m in enumerate(t.mode_order):
                         logical[m] = scoords[d] * bs[m] + intra[m]
@@ -264,7 +274,7 @@ def _loop_entries(t):
 
 
 def _loop_to_dense(t):
-    out = np.full(t.shape, t.fill, dtype=np.float64)
+    out = np.zeros(t.shape)
     for coords, val in _loop_entries(t):
         out[coords] = val
     return out
@@ -275,7 +285,7 @@ def _loop_block_tensor(t, block_shape, outer_formats=None):
     marker chain."""
     if t.is_blocked:
         unblocked = [LevelSpec(COMPRESSED)] * t.ndim
-        t = SparseTensor.from_coo(t.shape, _loop_entries(t), unblocked, t.mode_order, t.fill)
+        t = SparseTensor.from_coo(t.shape, _loop_entries(t), unblocked, t.mode_order)
     if outer_formats is None:
         outer_formats = [LevelSpec(DENSE)] + [LevelSpec(COMPRESSED)] * (t.ndim - 1)
         if t.ndim == 1:
@@ -285,10 +295,8 @@ def _loop_block_tensor(t, block_shape, outer_formats=None):
     for coords, val in _loop_entries(t):
         bidx = tuple(coords[m] // block_shape[m] for m in range(t.ndim))
         intra = tuple(coords[m] % block_shape[m] for m in range(t.ndim))
-        blocks.setdefault(bidx, np.full(block_shape, t.fill)).__setitem__(intra, val)
-    marker = SparseTensor.from_coo(
-        grid, [(b, 1.0) for b in blocks], outer_formats, t.mode_order, 0.0
-    )
+        blocks.setdefault(bidx, np.zeros(block_shape)).__setitem__(intra, val)
+    marker = SparseTensor.from_coo(grid, [(b, 1.0) for b in blocks], outer_formats, t.mode_order)
     logical_blocks = []
     for scoords, _pos in _loop_walk(marker):
         logical = [0] * t.ndim
@@ -296,11 +304,11 @@ def _loop_block_tensor(t, block_shape, outer_formats=None):
             logical[m] = scoords[d]
         logical_blocks.append(tuple(logical))
     vals = (
-        np.stack([blocks.get(b, np.full(block_shape, t.fill)) for b in logical_blocks])
+        np.stack([blocks.get(b, np.zeros(block_shape)) for b in logical_blocks])
         if logical_blocks
         else np.zeros((0, *block_shape))
     )
-    return SparseTensor(t.shape, t.mode_order, marker.levels, vals, t.fill)
+    return SparseTensor(t.shape, t.mode_order, marker.levels, vals)
 
 
 def _loop_expand_blocks(records, mode_order, block_shape, block_perm):
@@ -351,10 +359,9 @@ def _writer_transcripts(t, block_perm):
 
 def _assert_same_bytes(got, want):
     assert (got.shape, got.mode_order) == (want.shape, want.mode_order)
-    assert np.float64(got.fill).tobytes() == np.float64(want.fill).tobytes()
     assert [type(lvl) for lvl in got.levels] == [type(lvl) for lvl in want.levels]
     for a, b in zip(got.levels, want.levels):
-        if isinstance(a, (CompressedLevel, CoordinateLevel)):
+        if isinstance(a, CompressedLevel):
             assert a.segments.tobytes() == b.segments.tobytes()
             assert a.coords.tobytes() == b.coords.tobytes()
         else:
@@ -373,7 +380,7 @@ def _assert_walk_matches_loop(t):
     assert t.to_dense().tobytes() == _loop_to_dense(t).tobytes()
 
 
-KINDS = st.sampled_from([DENSE, COMPRESSED, COORDINATE])
+KINDS = st.sampled_from([DENSE, COMPRESSED])
 
 
 @st.composite
@@ -383,10 +390,9 @@ def walk_cases(draw):
     ndim = draw(st.integers(1, 3))
     block = tuple(draw(st.integers(1, 3)) for _ in range(ndim))
     shape = tuple(b * draw(st.integers(1, 3)) for b in block)
-    fill = draw(st.sampled_from([0.0, 0.5]))
     size = int(np.prod(shape))
     cells = sorted(draw(st.sets(st.integers(0, size - 1), max_size=size)))
-    values = st.sampled_from([fill, 0.0, -0.0, 1.5, -2.0, 0.25])
+    values = st.sampled_from([0.0, -0.0, 1.5, -2.0, 0.25])
     entries = [
         (tuple(int(i) for i in np.unravel_index(c, shape)), draw(values)) for c in cells
     ]
@@ -398,7 +404,7 @@ def walk_cases(draw):
     def order():
         return tuple(draw(st.permutations(range(ndim))))
 
-    t = SparseTensor.from_coo(shape, entries, formats(), order(), fill)
+    t = SparseTensor.from_coo(shape, entries, formats(), order())
     outer = formats() if draw(st.booleans()) else None
     return t, block, outer, order(), formats(), order()
 
@@ -410,7 +416,7 @@ def test_array_walk_matches_loop_reference(case):
     _assert_walk_matches_loop(t)
     _assert_same_bytes(
         t.permute_modes(new_order, new_formats),
-        SparseTensor.from_coo(t.shape, _loop_entries(t), new_formats, new_order, t.fill),
+        SparseTensor.from_coo(t.shape, _loop_entries(t), new_formats, new_order),
     )
     _assert_same_bytes(block_tensor(t, block), _loop_block_tensor(t, block))
     # the rest also covers block grids in other formats, which only the
@@ -419,7 +425,7 @@ def test_array_walk_matches_loop_reference(case):
     _assert_walk_matches_loop(blocked)
     _assert_same_bytes(
         blocked.unblock(new_formats),
-        SparseTensor.from_coo(t.shape, _loop_entries(blocked), new_formats, t.mode_order, t.fill),
+        SparseTensor.from_coo(t.shape, _loop_entries(blocked), new_formats, t.mode_order),
     )
     _assert_same_bytes(blocked.block(block), _loop_block_tensor(blocked, block))
 
@@ -432,7 +438,7 @@ def test_array_walk_matches_loop_reference(case):
     for d, recs in enumerate(crds):
         nodes[g.add("write_crd", f"w{d}", tensor="T", level=d)] = SimpleNamespace(records=recs)
     kinds = [lvl.kind for lvl in blocked.levels]
-    params = dict(tensor="T", shape=t.shape, mode_order=t.mode_order, formats=kinds, fill=0.0)
+    params = dict(tensor="T", shape=t.shape, mode_order=t.mode_order, formats=kinds)
     vid = g.add("write_val", "wv", block_shape=block, block_perm=block_perm, **params)
     nodes[vid] = SimpleNamespace(records=[blk for _, blk in records] + [DONE])
     outputs, bytes_written = engine._finalize(g, nodes)
