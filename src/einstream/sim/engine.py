@@ -121,6 +121,26 @@ builds one interleaving only (sinks by pass-1 clock, every other node as
 late as its readers allow), so it may decline a run that completes,
 mostly at depths 1 and 2; the replay then decides.
 
+It builds the interleaving one node at a time, as a list of recvs: a
+node's sends go just before its readers' recvs of their tokens, and its
+own recvs are inserted among those already placed.  Insertion never
+reorders what is placed, so each channel checked when its writer is
+placed stays right; the only need is that every reader of a node's
+channels is placed before the node.  Every reverse topological order
+meets it and builds an interleaving that, when every check passes, is an
+execution; so any such order proves completion, and a decline still
+falls back to the replay.  After each node every placed channel whose
+writer is not yet placed moves up by the recvs inserted before it, so
+the order sets the cost: ``_Net.visits`` places each node as soon as the
+last reader of its channels is placed (a stack seeded from the sinks, in
+node order), and the plan keeps it from its first check.  Against
+reverse node order it cuts the recv ranks moved per check from 295k to
+174k on the bench's spmm_fused (fused ``relu(A*X+b)`` at 128³, depth 4)
+and, at depth 10**6 on inputs drawn as the bench draws them, from 1.65M
+to 0.47M with ``parallelize(i, 4)``, from 5.4M to 0.57M on fused
+attention at 16/16/4 and from 8.1M to 0.52M on softmax at 64, but only
+from 3.48M to 2.85M on the fused GCN at 64/32/16/8.
+
 *The replay* (``_replay``) walks the traces with integer channel
 occupancies under the scheduler the engine has always used: a FIFO ready
 queue that starts with every node in topological order (from the empty
@@ -138,10 +158,13 @@ that the ready-queue order decides which of several errors comes first.
 whatever its trace length, the replay one Python step per recv or send.
 Below ``_CERTIFY_OPS`` replay ops per node the check costs more than the
 replay it saves, so small graphs go straight to the replay.  On fused
-``relu(A*X+b)`` (2-vCPU VM) the check path was 14 % slower than the
-replay at 270 ops per node, 6 % faster at 550 and 17 % faster at 1500;
-the gate sits at 1000.  A declined check is paid on top of the replay.
-Either path gives the same outcome.
+``relu(A*X+b)`` (2-vCPU VM, median of 21 interleaved ``sim.run``s, each
+with its pass 1) the check path was 3 % slower than the replay at 290
+ops per node, 4 % faster at 400, 10 % at 560, 18 % at 980 and 30 % at
+1530.  A declined check is paid on top of the replay, and every bench
+order_sweep run between 300 and 1000 ops per node deadlocks (12 per
+instance, all at depth 1), so the gate stays at 1000.  Either path gives
+the same outcome.
 
 Only a run that completes reports clocks; they are taken after the
 replay, or before the check, whose interleaving starts from the sinks'
@@ -149,10 +172,22 @@ recv clocks.  A node's clock at trace entry i is
 ``c_i = s_i + max(0, max_{j <= i} (a_j - s_j))``, with ``s`` its own
 clock (the ticks before i) and ``a_j`` the send time of the token popped
 at recv j; one ``np.maximum.accumulate`` per node gives its send times
-and final clock.  The clocks advance one cycle per processed element plus
-memory latency per fiber fetch; the dataflow cycle count is the largest
-final clock.  With a finite bandwidth the report takes the rooflined
-maximum of dataflow cycles and total traffic divided by bandwidth.
+and final clock.  The tick counts ``s`` are int32, as a trace is far
+shorter than 2**31 bytes (pass 1 would hold billions of tokens first),
+and one int64 array holds the wait ``a_j - s_j`` at each recv, then its
+running maximum, then, with ``s`` added, the clock.  Both scans gather
+with ``compress`` and ``nonzero`` where the result dies with its node,
+and with a boolean mask where it is kept (send times, sink recv clocks,
+recv ranks): on an 80,936-byte trace of fused ``relu(A*X+b)`` at 128³
+(2-vCPU VM, numpy 2.4) ``compress`` took 125 µs against 175, but it
+builds an int64 index array first, and freeing that just before a kept
+array fragments the heap (with ``compress`` everywhere, gcn_blocked's
+peak RSS rose by 0.2-0.45 MB).  The int32 ``cumsum`` took 245 µs
+against 276 in int64.  The clocks advance one cycle per processed
+element plus memory latency per fiber fetch; the dataflow cycle count is
+the largest final clock.  With a finite bandwidth the report takes the
+rooflined maximum of dataflow cycles and total traffic divided by
+bandwidth.
 """
 
 from __future__ import annotations
@@ -161,7 +196,7 @@ import math
 import weakref
 from collections import deque
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from itertools import repeat
 from numbers import Integral, Real
 from operator import length_hint
@@ -474,6 +509,32 @@ class _Net:
             self.codes.append(np.asarray(codes) if self.wide else bytes(codes).ljust(256, b"\0"))
             self.drops.append(bytes(drop))
 
+    @cached_property
+    def visits(self) -> list:
+        """The nodes with an output channel in the order ``_certify``
+        places them: each as soon as every reader of its channels is
+        placed.  A stack seeded from the sinks, in node order, so a writer
+        comes right after the last of its readers that is not a sink.
+        Built on the first check and kept."""
+        left = [0] * len(self.order)  # node -> its channels whose reader is unplaced
+        for w in self.writer:
+            left[w] += 1
+        stack, visits = [], []
+
+        def place(i):
+            for _, _, c in self.ins[i]:
+                w = self.writer[c]
+                left[w] -= 1
+                if not left[w]:
+                    stack.append(w)
+
+        for i in [i for i, n in enumerate(left) if not n]:  # the sinks
+            place(i)
+        while stack:
+            visits.append(stack.pop())
+            place(visits[-1])
+        return visits
+
     def label(self, c: int) -> str:
         e = self.edges[c]
         return f"{e.src}:{e.src_port}->{e.dst}:{e.dst_port}"
@@ -679,18 +740,18 @@ def _clocks(net: _Net, traces, keep=()) -> tuple[list, dict]:
             cycles[i] = cycles[head]
             continue
         codes = np.frombuffer(trace, dtype=np.uint8)
-        clock = np.cumsum(codes == TICK)
-        wait = np.zeros(len(codes), dtype=np.int64)
+        ticks = np.cumsum(codes == TICK, dtype=np.int32)  # fewer than 2**31 trace bytes
+        clock = np.zeros(len(codes), dtype=np.int64)  # the wait, then the clock
         for code, (_, v, _) in enumerate(net.ins[i]):
-            sent, at = times[v], np.flatnonzero(codes == code)
+            sent, at = times[v], (codes == code).nonzero()[0]
             if len(at) > len(sent):
                 at = at[: len(sent)]
-            wait[at] = sent[: len(at)] - clock[at]
+            clock[at] = sent[: len(at)] - ticks[at]
             readers[v] -= 1
             if not readers[v]:
                 del times[v]
-        np.maximum.accumulate(wait, out=wait)
-        clock += wait
+        np.maximum.accumulate(clock, out=clock)
+        clock += ticks
         for code, _, v in net.keeps[i]:
             times[v] = clock[codes == code]
         cycles[i] = int(clock[-1]) if len(clock) else 0
@@ -708,11 +769,16 @@ def _certify(net: _Net, traces, sink_clocks: dict, depth: int) -> bool:
 
     The order holds recvs only, as ranks.  It starts with the sinks' recvs
     (nodes without an output channel) by pass-1 clock, then node, then
-    trace position.  Each other node, in reverse topological order, puts
-    its send of token k just before the earliest recv of token k among its
+    trace position.  Each other node, in ``net.visits`` order, puts its
+    send of token k just before the earliest recv of token k among its
     readers and every other event just before its own next placed event (a
     reverse running minimum of insertion points), checks its channels, and
-    inserts its recvs."""
+    inserts its recvs.  Any reverse topological order would be sound, since
+    insertion never reorders placed recvs and a channel is checked once,
+    when its writer is placed.  ``visits`` places each node right after
+    the last reader of its channels, so few placed channels wait for their
+    writer, and each of those moves up after every node.  The plan builds
+    that order on its first check and keeps it."""
     rank: dict[int, np.ndarray] = {}  # channel -> rank of each recv, once placed
     # sink_clocks holds the sinks in node order, each in trace order, so a
     # stable sort by clock breaks ties by node, then trace position
@@ -722,23 +788,27 @@ def _certify(net: _Net, traces, sink_clocks: dict, depth: int) -> bool:
     placed[np.argsort(clock, kind="stable")] = np.arange(total, dtype=np.int32)
     for i in sink_clocks:
         codes = np.frombuffer(traces[i], dtype=np.uint8)
-        got = codes[codes < len(net.ins[i])]
+        got = codes.compress(codes < len(net.ins[i]))
         mine, placed = placed[: len(got)], placed[len(got) :]
         for code, (_, _, c) in enumerate(net.ins[i]):
             rank[c] = mine[got == code]
 
-    for i in reversed(range(len(traces))):
-        if i in sink_clocks:
-            continue
+    for i in net.visits:
         ins, nin = net.ins[i], len(net.ins[i])
-        sends = [(q, net.streams[s]) for q, (_, s) in enumerate(net.outs[i], nin) if s is not None]
-        wanted = np.zeros(256, dtype=bool)  # trace byte -> a recv, or a send on a channel
-        wanted[:nin] = True
-        wanted[[q for q, _ in sends]] = True
+        sends, idle = [], []  # (trace byte, channels) of each connected port; the others
+        for q, (_, s) in enumerate(net.outs[i], nin):
+            if s is None:
+                idle.append(q)
+            else:
+                sends.append((q, net.streams[s]))
         codes = np.frombuffer(traces[i], dtype=np.uint8)
-        events = codes[wanted[codes]]
+        keep = codes != TICK  # recvs, and sends on a port with a channel
+        for q in idle:
+            keep &= codes != q
+        events = codes.compress(keep)
+        del keep  # as large as the trace, and not needed past this point
         place = np.full(len(events), total, dtype=np.int32)  # goal, then insertion point
-        at = [np.flatnonzero(events == q) for q, _ in sends]
+        at = [(events == q).nonzero()[0] for q, _ in sends]
         for k, (_, chans) in zip(at, sends):
             first = place[k]  # rank of each token's earliest recv
             for c in chans:
@@ -755,10 +825,10 @@ def _certify(net: _Net, traces, sink_clocks: dict, depth: int) -> bool:
                 if len(r) < len(late) or not (r[: len(late)] < late).all():
                     return False
         got = events < nin
-        into = place[got]
+        into = place.compress(got)
         for r in rank.values():  # each moves up by the recvs inserted before it
             r += np.searchsorted(into, r, side="right")
-        mine, got = into + np.arange(len(into), dtype=np.int32), events[got]
+        mine, got = into + np.arange(len(into), dtype=np.int32), events.compress(got)
         for code, (_, _, c) in enumerate(ins):
             rank[c] = mine[got == code]
         total += len(into)

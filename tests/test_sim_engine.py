@@ -15,12 +15,19 @@ import pytest
 from einstream.errors import Deadlock, GraphError, MalformedStream
 from einstream.frontend import parse_program, validate_program
 from einstream.graph import DONE, DataflowGraph
-from einstream.pipeline import run_program
+from einstream.pipeline import plan_region, prepare_region, run_program
 from einstream.sim import SimConfig, engine, run
 from einstream.tensors import COMPRESSED, LevelSpec, SparseTensor
 
 sys.path.insert(0, str(Path(__file__).parent))
-from test_pipeline import SPMM, _inputs, check_program  # noqa: E402
+from test_pipeline import (  # noqa: E402
+    ATTENTION,
+    SPMM,
+    _attention_inputs,
+    _env,
+    _inputs,
+    check_program,
+)
 from test_sim_differential import _on_arrays  # noqa: E402
 
 CC = [LevelSpec(COMPRESSED), LevelSpec(COMPRESSED)]
@@ -256,6 +263,44 @@ def test_check_accepts_fused_relu_at_32_without_a_replay(checks):
     sizes = "index i = 32; index k = 32; index j = 32;"
     check_program(SPMM.format(extra="").replace("index i = 6; index k = 5; index j = 4;", sizes))
     assert checks.certified == [True] and checks.replays == 0
+
+
+RELU_PAR4 = SPMM.format(extra="parallelize(i, 4);").replace(
+    "index i = 6; index k = 5; index j = 4;", "index i = 16; index k = 16; index j = 16;"
+)
+CHECKED = pytest.mark.parametrize(
+    "src, inputs",
+    [(RELU_PAR4, None), (ATTENTION, _attention_inputs(0))],
+    ids=["fused_relu_par4", "fused_attention"],
+)
+
+
+@CHECKED
+@pytest.mark.parametrize("depth", [4, 10**6])
+def test_check_accepts_without_a_replay(monkeypatch, checks, src, inputs, depth):
+    # were the check to decline these, the run would only be slower
+    monkeypatch.setattr(engine, "_CERTIFY_OPS", 0)
+    check_program(src, inputs=inputs, depth=depth)
+    assert checks.certified == [True] and checks.replays == 0
+
+
+@CHECKED
+def test_check_places_each_writer_after_its_readers(monkeypatch, checks, src, inputs):
+    monkeypatch.setattr(engine, "_CERTIFY_OPS", 0)
+    vp = validate_program(parse_program(src))
+    cr = plan_region(vp, 0)
+    tensors = prepare_region(vp, cr, _env(vp, inputs if inputs is not None else _inputs(vp)))
+    run(cr.graph, tensors, SimConfig(channel_depth=10**6))
+    net = engine._plan(cr.graph)
+    visits = net.visits
+    # a shallower depth checks again, on the kept pass 1
+    run(cr.graph, tensors, SimConfig(channel_depth=4))
+    assert checks.certified == [True, True] and checks.replays == 0
+    assert engine._plan(cr.graph) is net and net.visits is visits
+    assert sorted(visits) == sorted(set(net.writer))  # each node with a channel, once
+    at = {i: k for k, i in enumerate(visits)}
+    for w, r in zip(net.writer, net.reader):
+        assert r not in at or at[r] < at[w]  # else r is a sink, placed first
 
 
 @pytest.fixture
