@@ -45,7 +45,6 @@ class View:
     vars: tuple[str, ...]  # per storage level, outer to inner
     dims: tuple[str, ...]  # the source's declared index per storage level
     formats: tuple[str, ...]  # level kinds per storage level
-    maps: tuple = ()  # pointwise chain on this operand's values
 
 
 @dataclass(frozen=True)
@@ -408,7 +407,6 @@ def plan_copies(ir: RegionIR, order) -> list[CopyPlan]:
             tuple(view.vars[d] for d in perm),
             tuple(view.dims[d] for d in perm),
             tuple(view.formats[d] for d in perm),
-            view.maps,
         )
         plans.append(CopyPlan(alias, view.tensor, perm))
     return plans

@@ -43,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..frontend.program import apply_pointwise_array
-from ..graph import DONE, NULL, Stop
+from ..graph import DONE, Stop
 from ..tensors import ELEMENT_BYTES, INDEX_BYTES, DenseLevel
 from .processes import TICK, fold
 
@@ -61,16 +61,18 @@ class Stream(NamedTuple):
     null: np.ndarray | None  # True where a token is NULL; None when none is
 
 
-def to_tokens(s: Stream) -> list:
-    """A ``Stream`` as the token list its loop would have built."""
-    toks = s.val.tolist() if s.val.ndim == 1 else list(s.val)
-    code = s.code
-    for k in np.flatnonzero(code != ELEM).tolist():
-        toks[k] = DONE if code[k] == END else Stop(int(code[k]))
-    if s.null is not None:
-        for k in np.flatnonzero(s.null).tolist():
-            toks[k] = NULL
-    return toks
+def from_tokens(toks: list) -> Stream:
+    """A token list without NULL as a ``Stream``, with 0 at the
+    boundaries."""
+    code = np.array(
+        [END if t is DONE else t.level if t.__class__ is Stop else ELEM for t in toks],
+        dtype=np.int8,
+    )
+    elem = code == ELEM
+    elems = np.array([t for t, e in zip(toks, elem.tolist()) if e])
+    val = np.zeros((len(toks), *elems.shape[1:]), dtype=elems.dtype)
+    val[elem] = elems
+    return Stream(code, val, None)
 
 
 # --- helpers -------------------------------------------------------------
@@ -688,4 +690,4 @@ def write(run, port: str):
     s = run.ins[port]
     _check(s)
     run.trace = _weave((bytes((0,)), bytes((0, TICK))), (s.code == ELEM).view(np.uint8))
-    run.records = to_tokens(s)
+    run.records = s

@@ -118,8 +118,9 @@ too, and how far each node gets is the same under every schedule that
 runs until no node can move.  The ready-queue replay is such a schedule,
 so it would complete as well: an accepted run skips it.  The check
 builds one interleaving only (sinks by pass-1 clock, every other node as
-late as its readers allow), so it may decline a run that completes,
-mostly at depths 1 and 2; the replay then decides.
+late as its readers allow), so it may decline a run that completes, at
+any depth: fused ``relu(A*X+b)`` at 128³ under ``parallelize(i, 4)`` is
+declined at depth 4.  The replay then decides.
 
 It builds the interleaving one node at a time, as a list of recvs: a
 node's sends go just before its readers' recvs of their tokens, and its
@@ -188,6 +189,12 @@ element plus memory latency per fiber fetch; the dataflow cycle count is
 the largest final clock.  With a finite bandwidth the report takes the
 rooflined maximum of dataflow cycles and total traffic divided by
 bandwidth.
+
+**Writer reconstruction** (``_finalize``) turns each lane's writer
+streams into a ``SparseTensor`` in loop order, one compressed level per
+``write_crd`` stream (``_lane`` states the empty-fiber rule), and reads
+its entries with ``SparseTensor.coo()``, the one level walk of
+``tensors``, for scalar and blocked writers alike.
 """
 
 from __future__ import annotations
@@ -205,8 +212,10 @@ from typing import NamedTuple
 import numpy as np
 
 from ..errors import Deadlock, GraphError, MalformedStream, RepeatUnderflow
-from ..graph import DONE, DataflowGraph, Stop, node_ports
-from ..tensors import ELEMENT_BYTES, INDEX_BYTES, LevelSpec, SparseTensor, _from_arrays
+from ..graph import DataflowGraph, node_ports
+from ..tensors import (
+    ELEMENT_BYTES, INDEX_BYTES, CompressedLevel, LevelSpec, SparseTensor, _from_arrays
+)
 from . import arrays
 from . import processes as loop
 from .processes import TICK, NodeRun
@@ -838,71 +847,71 @@ def _certify(net: _Net, traces, sink_clocks: dict, depth: int) -> bool:
 # --- result reconstruction ------------------------------------------------
 
 
-def _nest(tokens, depth: int):
-    """Parse a recorded token stream into nested lists of the given depth."""
-    root: list = []
-    stack = [root]
-    for _ in range(depth - 1):
-        new: list = []
-        stack[-1].append(new)
-        stack.append(new)
-    for tok in tokens:
-        if tok is DONE:
-            break
-        if isinstance(tok, Stop):
-            n = tok.level + 1
-            if n > depth - 1:
-                raise MalformedStream(f"stop {tok} too deep for writer depth {depth}")
-            for _ in range(n):
-                stack.pop()
-            for _ in range(n):
-                new = []
-                stack[-1].append(new)
-                stack.append(new)
-        else:
-            stack[-1].append(tok)
-    return root
+def _lane(name: str, g: dict) -> SparseTensor:
+    """One lane's writer streams as a tensor in loop order: a compressed
+    level per ``write_crd`` stream, the ``write_val`` payload as values.
 
-
-def _lane_entries(name: str, g: dict) -> tuple[list, list]:
-    """One lane's coordinate tuples, in stream order, and its values."""
-    ndim = len(g["levels"])
-    trees = [_nest(g["levels"][d], d + 1) for d in range(ndim)]
-    # Values pair with innermost coordinates flat, in arrival order; the
-    # value stream may still carry separators for groups whose outer
-    # coordinate was dropped, so its nesting cannot be trusted.
-    flat_vals = [t for t in g["vals"] if not isinstance(t, Stop) and t is not DONE]
-    # depth-first over the coordinate trees, in stream order
-    scoords: list = []
-    stack = [(0, (), ())]
-    while stack:
-        d, pos_path, crd_path = stack.pop()
-        node_list = trees[d]
-        for q in pos_path:
-            if q >= len(node_list):
+    The level-d stream holds level d's fibers in order.  Every stop closes
+    one fiber, and Done the last.  Stops above level 0 group the fibers,
+    one group per fiber of level d - 1, which that fiber's stop one level
+    up closes.  A group holds one fiber per element of its fiber, except
+    that an empty fiber's group holds a single empty fiber with no parent.
+    So level 0 has no stop, and the fibers with a parent are level d's
+    segments.  Values pair with the last level's coordinates in arrival
+    order; the value stream's stops may still close groups whose
+    coordinate was dropped, so they are ignored.
+    """
+    p = g["params"]
+    levels = []
+    for d in range(len(g["levels"])):
+        code, crd, _ = g["levels"][d]
+        ends = (code != arrays.ELEM).nonzero()[0]  # the stop or Done closing each fiber
+        stop = code[ends]
+        if stop.max() >= d:
+            raise MalformedStream(f"writer {name}: stop S{stop.max()} too deep for level {d}")
+        cum = ends - np.arange(len(ends))  # coordinates up to each fiber's end
+        size = cum.copy()
+        size[1:] -= cum[:-1]
+        if d:  # the stops that level d - 1 implies, and the fibers with a parent
+            span = np.maximum(up, 1)
+            want = np.zeros(span.sum(), np.int8)
+            want[span.cumsum() - 1] = above + (above >= 0)
+            if len(want) != len(stop) or (want != stop).any():
+                k = np.append(want[: len(stop)] != stop[: len(want)], True).argmax()
                 raise MalformedStream(
-                    f"writer {name}: level {d} has no fiber under level"
-                    f" {d - 1} coordinates {crd_path}"
+                    f"writer {name}: level {d} has no fiber per level {d - 1} coordinate,"
+                    f" from its fiber {k} on"
                 )
-            node_list = node_list[q]
-        if d == ndim - 1:
-            scoords.extend(crd_path + (crd,) for crd in node_list)
-        else:
-            for idx in range(len(node_list) - 1, -1, -1):
-                stack.append((d + 1, pos_path + (idx,), crd_path + (node_list[idx],)))
-    if len(scoords) != len(flat_vals):
-        raise MalformedStream(
-            f"writer {name}: {len(flat_vals)} values for {len(scoords)} coordinates"
-        )
-    return scoords, flat_vals
+            keep = (up > 0).repeat(span)
+            if size[~keep].any():
+                raise MalformedStream(
+                    f"writer {name}: level {d} has coordinates under an empty level {d - 1} fiber"
+                )
+            cum = cum[keep]
+        levels.append(CompressedLevel(np.concatenate(([0], cum)), crd[code == arrays.ELEM]))
+        up, above = size, stop
+    v = g["vals"]
+    vals = v.val[v.code == arrays.ELEM]
+    n = len(levels[-1].coords)
+    if len(vals) != n:
+        raise MalformedStream(f"writer {name}: {len(vals)} values for {n} coordinates")
+    bs = p.get("block_shape")
+    if bs:  # stream layout to logical: axis perm[m] holds mode m
+        perm = p["block_perm"]
+        vals = vals.reshape(-1, *(bs[m] for m in np.argsort(perm)))
+        vals = vals.transpose(0, *(a + 1 for a in perm))
+    return SparseTensor(p["shape"], p["mode_order"], levels, vals)
 
 
 def _finalize(graph: DataflowGraph, nodes: dict):
     """Each writer's tensor, scalar and in loop order with the writer's
-    formats, and the bytes written.  A parallel result has one set of
-    writers per lane; the lanes hold disjoint entries, which make one
-    tensor.  A blocked writer stores whole blocks, so it is charged the
-    outer levels and slots of the blocks that hold a nonzero."""
+    formats, and the bytes written.  A writer's ``records`` is the
+    ``arrays.Stream`` it read.  A parallel result has one set of writers
+    per lane; the lanes hold disjoint entries, which make one tensor.  A
+    lane's entries are the ``coo()`` of its ``_lane``: every stored slot of
+    a scalar lane, the nonzero slots of a blocked one.  A blocked writer
+    stores whole blocks, so it is charged the outer levels and slots of
+    the blocks that hold a nonzero."""
     groups: dict[str, dict] = {}  # tensor -> lane -> its writers' records
     for node in graph.nodes.values():
         if node.kind.startswith("write"):
@@ -918,36 +927,18 @@ def _finalize(graph: DataflowGraph, nodes: dict):
     outputs: dict[str, SparseTensor] = {}
     bytes_written = 0
     for name, lanes in groups.items():
-        scoords, flat_vals = [], []
-        for g in lanes.values():
-            c, v = _lane_entries(name, g)
-            scoords += c
-            flat_vals += v
-        p = g["params"]
-        ndim = len(g["levels"])
-        mode_order = tuple(p["mode_order"])
-        coords = np.empty((len(scoords), ndim), dtype=np.int64)
-        coords[:, mode_order] = np.array(scoords, dtype=np.int64).reshape(-1, ndim)
+        p = next(iter(lanes.values()))["params"]  # the same in every lane but "lane"
+        coords, vals = map(np.concatenate, zip(*(_lane(name, g).coo() for g in lanes.values())))
         formats = [LevelSpec(k) for k in p["formats"]]
-        block_shape = p.get("block_shape")
-        if block_shape:
-            bs = tuple(block_shape)
-            perm = p["block_perm"]  # stream axis per logical mode
-            stream_shape = [bs[m] for m in np.argsort(perm)]
-            blocks = np.array(flat_vals, dtype=np.float64).reshape(-1, *stream_shape)
-            blocks = blocks.transpose(0, *(a + 1 for a in perm))
-            blk, *off = np.nonzero(blocks)
-            grid = tuple(s // b for s, b in zip(p["shape"], bs))
-            kept = np.unique(blk)
-            stored = _from_arrays(grid, coords[kept], np.ones(len(kept)), formats, mode_order)
+        tensor = stored = _from_arrays(p["shape"], coords, vals, formats, p["mode_order"])
+        slots = 1
+        bs = p.get("block_shape")
+        if bs:
+            grid = [s // b for s, b in zip(p["shape"], bs)]
+            keys = np.unique(np.ravel_multi_index(tuple((coords // bs).T), grid))
+            blocks = np.stack(np.unravel_index(keys, grid), axis=1)
+            stored = _from_arrays(grid, blocks, np.ones(len(blocks)), formats, p["mode_order"])
             slots = math.prod(bs)
-            coords = coords[blk] * bs + np.stack(off, axis=1)
-            vals = blocks[(blk, *off)]
-        else:
-            vals = np.array(flat_vals, dtype=np.float64)
-        tensor = _from_arrays(p["shape"], coords, vals, formats, mode_order)
-        if not block_shape:
-            stored, slots = tensor, 1
         outputs[name] = tensor
         bytes_written += (
             stored.values.size * slots * ELEMENT_BYTES

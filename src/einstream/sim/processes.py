@@ -10,7 +10,8 @@ given:
   (inputs, then outputs) for a recv or a send on it, or ``TICK`` when the
   node's own clock advances one cycle;
 * ``flops`` (None until the node accounts any, even 0), ``bytes_read``
-  (each address counted once) and, for writers, ``records``.
+  (each address counted once) and, for writers, ``records``: the stream
+  read, as the ``arrays.Stream`` that ``engine._finalize`` takes.
 
 The own clock counts one cycle per processed element plus ``mem_latency``
 cycles per fiber fetch; waiting for tokens is left out, and the engine
@@ -75,7 +76,7 @@ class NodeRun:
         self.trace = bytearray()
         self.flops = None
         self.bytes_read = 0
-        self.records: list = []
+        self.records = None
 
 
 def _merge(pending, level):
@@ -774,6 +775,8 @@ def run_crddrop_outer(run):
 
 
 def run_write(run, port: str):
+    from .arrays import from_tokens  # local: arrays imports this module
+
     IN = 0
     tr = run.trace
     for tok in run.ins[port]:
@@ -784,7 +787,7 @@ def run_write(run, port: str):
             tr.append(TICK)
     else:
         tr.append(IN)
-    run.records = run.ins[port]
+    run.records = from_tokens(run.ins[port])
 
 
 def run_par(run, factor: int, nstreams: int):

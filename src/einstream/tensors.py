@@ -15,9 +15,10 @@ dense block per stored grid position, so the block shape lives only in
 ``values.shape[1:]``.
 
 ``SparseTensor.coo()`` is the one walk over the levels: ``to_dense``,
-``permute_modes``, ``unblock`` and ``block_tensor`` read a tensor through
-it as whole arrays.  ``_from_arrays`` builds every unblocked tensor from
-such arrays; blocked tensors come only from ``block_tensor``.
+``permute_modes``, ``unblock``, ``block_tensor`` and the simulator's
+writer reconstruction (``sim.engine._finalize``) read a tensor through it
+as whole arrays.  ``_from_arrays`` builds every unblocked tensor from such
+arrays; blocked tensors come only from ``block_tensor`` and blocked writers.
 """
 
 from __future__ import annotations
@@ -190,17 +191,17 @@ class SparseTensor:
         scoords: list[np.ndarray] = []
         for lvl in self.levels:
             if lvl.kind == DENSE:
-                fan = np.full(len(pos), lvl.size)
-                crd = np.tile(np.arange(lvl.size), len(pos))
-                pos = np.repeat(pos * lvl.size, fan) + crd
+                fan = lvl.size
+                crd = np.tile(np.arange(fan), len(pos))
+                pos = (pos * fan).repeat(fan) + crd
             else:
                 start = lvl.segments[pos]
                 fan = lvl.segments[pos + 1] - start
                 # parents' segments back to back; `first` is where each starts
-                first = np.cumsum(fan) - fan
-                pos = np.repeat(start - first, fan) + np.arange(int(fan.sum()))
+                first = fan.cumsum() - fan
+                pos = (start - first).repeat(fan) + np.arange(int(fan.sum()))
                 crd = lvl.coords[pos]
-            scoords = [np.repeat(c, fan) for c in scoords] + [crd]
+            scoords = [c.repeat(fan) for c in scoords] + [crd]
         coords = np.empty((len(pos), self.ndim), dtype=np.int64)
         for d, m in enumerate(self.mode_order):
             coords[:, m] = scoords[d]
@@ -294,14 +295,14 @@ def _from_arrays(shape, crd, vals, formats, mode_order) -> SparseTensor:
     if len(formats) != ndim:
         raise IllegalFormatCombination(f"{len(formats)} level formats for {ndim} modes")
 
-    outside = np.any((crd < 0) | (crd >= np.array(shape, dtype=np.int64)), axis=1)
+    outside = (crd < 0) | (crd >= np.array(shape, dtype=np.int64))
     if outside.any():
-        coords = tuple(int(c) for c in crd[np.argmax(outside)])
+        coords = tuple(int(c) for c in crd[outside.any(axis=1).argmax()])
         raise CoordinateOutOfBounds(f"coordinate {coords} outside {shape}")
     sc = crd[:, list(mode_order)]
     order = np.lexsort(sc.T[::-1]) if ndim else np.arange(len(vals))
     sc, vals = sc[order], np.asarray(vals, dtype=np.float64)[order]
-    same = np.all(sc[1:] == sc[:-1], axis=1)
+    same = (sc[1:] == sc[:-1]).all(axis=1)
     if same.any():
         coords = [0] * ndim
         for d, c in enumerate(sc[np.argmax(same)]):
@@ -321,9 +322,9 @@ def _from_arrays(shape, crd, vals, formats, mode_order) -> SparseTensor:
         else:
             new = np.ones(len(c), dtype=bool)
             new[1:] = (pos[1:] != pos[:-1]) | (c[1:] != c[:-1])
-            segments = np.searchsorted(pos[new], np.arange(npos + 1))
+            segments = pos[new].searchsorted(np.arange(npos + 1))
             levels.append(CompressedLevel(segments, c[new]))
-            pos = np.cumsum(new) - 1
+            pos = new.cumsum() - 1
             npos = int(segments[-1])
     values = np.zeros(npos)
     values[pos] = vals

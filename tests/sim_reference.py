@@ -11,7 +11,8 @@ yields one of two effect tuples and is resumed by the scheduler:
 Everything else a node does is a direct update of the ``NodeContext`` that
 ``build_process`` hands it: ``clock`` (one cycle per processed element, plus
 memory latency per fiber fetch), ``add_flops``, ``touch`` (bytes read,
-counted once per distinct key) and ``records`` (a writer's transcript).
+counted once per distinct key) and ``records`` (a writer's transcript, a
+``Stream`` from its Done on, as ``engine._finalize`` takes it).
 
 A node runs until it blocks: on a recv from an empty channel, or a send
 into a full one.  A push wakes the reader blocked on that channel and a
@@ -31,6 +32,7 @@ import numpy as np
 from einstream.errors import Deadlock, GraphError, MalformedStream, RepeatUnderflow
 from einstream.frontend.program import apply_pointwise, apply_pointwise_array
 from einstream.graph import DONE, NULL, DataflowGraph, Stop
+from einstream.sim.arrays import from_tokens
 from einstream.sim.engine import SimConfig, SimReport, _finalize
 from einstream.tensors import DenseLevel, INDEX_BYTES, ELEMENT_BYTES
 
@@ -604,6 +606,7 @@ def proc_write(ctx, port: str):
         tok = yield ("recv", port)
         ctx.records.append(tok)
         if tok is DONE:
+            ctx.records = from_tokens(ctx.records)
             return
         if not isinstance(tok, Stop):
             ctx.clock += 1

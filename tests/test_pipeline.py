@@ -550,6 +550,38 @@ def test_parallelize_rejections(par, message):
         compile_region(vp, ir, order, par=par)
 
 
+def test_parallelizing_above_a_keyed_reduction_is_rejected():
+    # j lies between the reduced u0 and the one unreduced var below u0
+    vp = validate_program(parse_program("""
+index j = 3; index k = 2; index l = 4;
+tensor A(k, j, l): dense(k) -> compressed(j) -> compressed(l) order(k, j, l) input;
+Y(j) = A(k, j, l);
+"""))
+    ir = resolve_cycles(elaborate_region(vp, 0))
+    assert schedulable_orders(vp, ir) == [("u0", "j", "u1")]
+    message = (
+        "parallelizing 'j' would split the keyed reduction over 'u0';"
+        " parallelize an outer index instead"
+    )
+    with pytest.raises(UnsupportedSchedule, match=f"^{re.escape(message)}$"):
+        compile_region(vp, ir, ("u0", "j", "u1"), par={"j": 2})
+
+
+def test_only_dense_levels_run_out_of_storage_order():
+    vp = validate_program(parse_program("""
+index i = 2; index j = 3; index k = 4;
+tensor A(i, j, k): dense(i) -> dense(j) -> compressed(k) order(i, j, k) input;
+Y(i, j, k) = A(i, j, k);
+"""))
+    ir = resolve_cycles(elaborate_region(vp, 0))
+    message = (
+        "A stores ('i', 'j', 'k') but the order iterates ('j', 'i', 'k'); only dense"
+        " levels can run out of storage order - use a permuted copy or reorder"
+    )
+    with pytest.raises(UnsupportedSchedule, match=f"^{re.escape(message)}$"):
+        compile_region(vp, ir, ("j", "i", "k"))
+
+
 def test_nesting_edges():
     assert nesting_edges(("i", "k"), (DENSE, "compressed")) == {("i", "k")}
     assert nesting_edges(("i", "k"), ("compressed", DENSE)) == set()

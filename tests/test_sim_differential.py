@@ -43,6 +43,7 @@ from einstream.pipeline import (
 sys.path.insert(0, str(Path(__file__).parent))
 sys.path.insert(0, str(Path(__file__).parent.parent / "layerbench"))
 import sim_reference  # noqa: E402
+from test_sim_arrays import to_tokens  # noqa: E402
 from workloads import GCN_UNFUSED  # noqa: E402
 from test_oracle import programs  # noqa: E402
 from test_sim_golden import FUSED_SOFTMAX  # noqa: E402
@@ -333,7 +334,7 @@ def _pass1_streams(graph, tensors, on_arrays: bool):
         raised = any(end is not None for end in ends)
     except arrays.Decline:
         raised = True  # the nodes after the declining one never ran
-    tokens = [arrays.to_tokens(t) if isinstance(t, arrays.Stream) else t for t in streams]
+    tokens = [to_tokens(t) if isinstance(t, arrays.Stream) else t for t in streams]
     return tokens, raised
 
 

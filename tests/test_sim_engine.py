@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -14,23 +15,28 @@ import pytest
 
 from einstream.errors import Deadlock, GraphError, MalformedStream
 from einstream.frontend import parse_program, validate_program
-from einstream.graph import DONE, DataflowGraph
+from einstream.graph import DONE, DataflowGraph, Stop
 from einstream.pipeline import plan_region, prepare_region, run_program
 from einstream.sim import SimConfig, engine, run
+from einstream.sim.arrays import from_tokens
 from einstream.tensors import COMPRESSED, LevelSpec, SparseTensor
 
 sys.path.insert(0, str(Path(__file__).parent))
 from test_pipeline import (  # noqa: E402
     ATTENTION,
+    PAR_NESTED,
     SPMM,
     _attention_inputs,
     _env,
     _inputs,
     check_program,
 )
+from test_sim_arrays import to_tokens  # noqa: E402
 from test_sim_differential import _on_arrays  # noqa: E402
 
-CC = [LevelSpec(COMPRESSED), LevelSpec(COMPRESSED)]
+CMP = LevelSpec(COMPRESSED)
+CC = [CMP, CMP]
+S0, S1, S2 = Stop(0), Stop(1), Stop(2)
 
 
 def build_spmv_graph() -> DataflowGraph:
@@ -377,20 +383,87 @@ def test_check_declines_a_reader_that_leaves_its_stream_full(monkeypatch, checks
     assert checks.certified == [False, True] and checks.replays == 2
 
 
+def _finalize(levels, vals):
+    """``engine._finalize`` on one lane of tensor Y, 3 wide on each of its
+    ``len(levels)`` modes, whose writers read these token lists."""
+    g = DataflowGraph()
+    records = {}
+    for d, tokens in enumerate(levels):
+        w = g.add("write_crd", f"w_{d}", tensor="Y", level=d)
+        records[w] = SimpleNamespace(records=from_tokens(tokens))
+    ndim = len(levels)
+    w = g.add("write_val", "w_v", tensor="Y", shape=[3] * ndim, mode_order=list(range(ndim)),
+              formats=["compressed"] * ndim)
+    records[w] = SimpleNamespace(records=from_tokens(vals))
+    return engine._finalize(g, records)
+
+
 def test_writer_levels_that_do_not_nest_are_malformed():
     # two outer coordinates but one inner fiber: coordinate 1 has no fiber
-    g = DataflowGraph()
-    g.add("write_crd", "w_i", tensor="Y", level=0)
-    g.add("write_crd", "w_j", tensor="Y", level=1)
-    g.add("write_val", "w_v", tensor="Y", shape=[2, 2], mode_order=[0, 1],
-          formats=["compressed", "compressed"], fill=0.0)
-    records = {
-        "w_i": SimpleNamespace(records=[0, 1, DONE]),
-        "w_j": SimpleNamespace(records=[1, DONE]),
-        "w_v": SimpleNamespace(records=[2.0, DONE]),
-    }
     with pytest.raises(MalformedStream, match=r"^writer Y: level 1 has no fiber"):
-        engine._finalize(g, records)
+        _finalize([[0, 1, DONE], [1, DONE]], [2.0, DONE])
+
+
+@pytest.mark.parametrize(
+    "levels, vals, message",
+    [
+        # level 0 is one fiber: it has no stop
+        ([[0, S0, 1, DONE]], [1.0, 2.0, DONE], "writer Y: stop S0 too deep for level 0"),
+        # at level 2, S1 closes a level-1 group; only Done closes more
+        ([[0, DONE], [1, DONE], [0, S2, 1, DONE]], [1.0, 2.0, DONE],
+         "writer Y: stop S2 too deep for level 2"),
+        # the level-1 fiber under i = 0 closes with S0, so its group must
+        # close with S1
+        ([[0, 1, DONE], [1, S0, 2, DONE], [0, S0, 1, DONE]], [1.0, 2.0, DONE],
+         "writer Y: level 2 has no fiber per level 1 coordinate, from its fiber 0 on"),
+        # the single fiber under an empty level-0 fiber has no parent
+        ([[DONE], [1, DONE]], [1.0, DONE],
+         "writer Y: level 1 has coordinates under an empty level 0 fiber"),
+        ([[0, 1, DONE], [1, S0, 0, DONE]], [2.0, DONE], "writer Y: 1 values for 2 coordinates"),
+    ],
+    ids=["stop_at_level_0", "stop_too_deep", "wrong_group_stop", "orphan", "values"],
+)
+def test_malformed_writer_streams(levels, vals, message):
+    with pytest.raises(MalformedStream, match=f"^{re.escape(message)}$"):
+        _finalize(levels, vals)
+
+
+def test_an_empty_fiber_holds_one_empty_fiber_below_it():
+    # the j fiber under i = 0 is empty, beside i = 1's fiber [2]; the k
+    # level holds one empty fiber for it, which has no parent
+    y = _finalize([[0, 1, DONE], [S0, 2, DONE], [S1, 0, 2, DONE]], [1.5, -2.0, DONE])[0]["Y"]
+    assert y == SparseTensor.from_coo((3, 3, 3), [((1, 2, 0), 1.5), ((1, 2, 2), -2.0)], [CMP] * 3)
+
+
+def test_each_written_tensor_keeps_its_own_shape_and_formats():
+    g = DataflowGraph()
+    records = {}
+    for name, shape, kind in (("Y", [3], "compressed"), ("Z", [5], "dense")):
+        records[g.add("write_crd", f"w_{name}", tensor=name, level=0)] = SimpleNamespace(
+            records=from_tokens([2, DONE])
+        )
+        w = g.add("write_val", f"w_{name}_v", tensor=name, shape=shape, mode_order=[0],
+                  formats=[kind])
+        records[w] = SimpleNamespace(records=from_tokens([1.5, DONE]))
+    outputs, _ = engine._finalize(g, records)
+    assert outputs["Y"] == SparseTensor.from_coo((3,), [((2,), 1.5)], [CMP])
+    assert outputs["Z"] == SparseTensor.from_coo((5,), [((2,), 1.5)], [LevelSpec("dense")])
+
+
+def test_a_lane_with_an_empty_fiber_matches_the_oracle(monkeypatch):
+    """The empty-fiber rule on a compiled program: under PAR_NESTED's j
+    split, lane 2 writes i = 0 and 2, with no j under i = 0, and its k
+    level holds one empty fiber for that empty j fiber."""
+    lanes = []
+    real = engine._lane
+
+    def spy(name, g):
+        lanes.append([to_tokens(g["levels"][d]) for d in range(len(g["levels"]))])
+        return real(name, g)
+
+    monkeypatch.setattr(engine, "_lane", spy)
+    check_program(PAR_NESTED)
+    assert [[0, 2, DONE], [S0, 2, DONE], [S1, 1, 3, 4, DONE]] in lanes
 
 
 def test_a_node_with_more_ports_than_a_trace_byte_names_is_refused():

@@ -6,10 +6,11 @@ and channel depths 1 and 4, each region's ``counters()``, ``node_cycles``
 and ``node_flops`` beside the sha256 of its compiled graph's ``to_json()``,
 so a compiler change that alters a graph fails here too
 (``gcn_2_2_block2``, the blocked GCN fused in two regions, was added after
-the others and pins the block edges of inlined producers' indices); and the
-outcome class of every ``schedulable_orders`` order of softmax fused into
-one region (8x8, 40 %, seed 2: at depth 4, 17 of its 24 orders emit
-malformed streams).
+the others and pins the block edges of inlined producers' indices), and the
+sha256 of each output's coordinates and values, so an output that moves by
+one bit fails here as well; and the outcome class of every
+``schedulable_orders`` order of softmax fused into one region (8x8, 40 %,
+seed 2: at depth 4, 17 of its 24 orders emit malformed streams).
 Each region and each softmax order is compiled once and run at depth 1,
 then at depth 4, on tensors prepared afresh from the same inputs, as a
 sweep runs one graph: the depth-4 run reuses the pass 1 of the depth-1
@@ -83,6 +84,14 @@ fuse {
 """
 
 
+def output_sha256(t) -> str:
+    """The sha256 of a tensor's stored coordinates (little-endian int64)
+    and values (little-endian float64), in storage order."""
+    coords, vals = t.coo()
+    data = coords.astype("<i8").tobytes() + vals.astype("<f8").tobytes()
+    return hashlib.sha256(data).hexdigest()
+
+
 def program_counters(src: str, depths=DEPTHS) -> dict[str, list[dict]]:
     """Each depth's region reports, in region order, each region run at
     ``depths`` in that order; later regions read the tensors earlier ones
@@ -117,6 +126,9 @@ def program_counters(src: str, depths=DEPTHS) -> dict[str, list[dict]]:
                     "counters": rep.counters(),
                     "node_cycles": rep.node_cycles,
                     "node_flops": rep.node_flops,
+                    "outputs_sha256": {
+                        name: output_sha256(rep.outputs[name]) for _, name in cr.ir.outputs
+                    },
                 }
             )
     return {str(d): regions[d] for d in depths}

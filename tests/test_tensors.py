@@ -16,6 +16,7 @@ from einstream.errors import (
 )
 from einstream.graph import DONE, DataflowGraph, Stop
 from einstream.sim import engine
+from einstream.sim.arrays import from_tokens
 from einstream.tensors import (
     COMPRESSED,
     DENSE,
@@ -436,11 +437,13 @@ def test_array_walk_matches_loop_reference(case):
     g = DataflowGraph()
     nodes = {}
     for d, recs in enumerate(crds):
-        nodes[g.add("write_crd", f"w{d}", tensor="T", level=d)] = SimpleNamespace(records=recs)
+        nodes[g.add("write_crd", f"w{d}", tensor="T", level=d)] = SimpleNamespace(
+            records=from_tokens(recs)
+        )
     kinds = [lvl.kind for lvl in blocked.levels]
     params = dict(tensor="T", shape=t.shape, mode_order=t.mode_order, formats=kinds)
     vid = g.add("write_val", "wv", block_shape=block, block_perm=block_perm, **params)
-    nodes[vid] = SimpleNamespace(records=[blk for _, blk in records] + [DONE])
+    nodes[vid] = SimpleNamespace(records=from_tokens([blk for _, blk in records] + [DONE]))
     outputs, bytes_written = engine._finalize(g, nodes)
     entries = _loop_expand_blocks(records, t.mode_order, block, block_perm)
     formats = [LevelSpec(k) for k in kinds]
