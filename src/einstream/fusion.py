@@ -78,6 +78,11 @@ class RegionIR:
     edges: set = field(default_factory=set)
     name_map: dict = field(default_factory=dict)  # source name -> region vars
     copies: dict = field(default_factory=dict)  # view index -> True
+    # heuristic.estimate_region's results for this IR, by (order, densities,
+    # rates).  An IR is not mutated after its first estimate: resolve_cycles
+    # runs before any, and compile_region rewrites only its own copy, first.
+    # Not an init field, so every dataclasses.replace copy starts empty.
+    estimates: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def operand_vars(self, operand: Operand) -> tuple[str, ...]:
         if operand.kind == "view":

@@ -18,12 +18,26 @@ simulator's once-per-slot accounting: each stored operand view contributes
 its expected value slots at element width plus position/coordinate
 metadata at index width; intermediates count only when a region boundary
 materializes them.
+
+An estimate depends only on the region IR, the order, the densities and the
+rates, so ``estimate_region`` keeps each one on its IR
+(``RegionIR.estimates``), keyed by the order and the sorted items of both
+dicts; a value's sign is part of the key, since 0.0 == -0.0.  A hit skips
+``check_order`` and the estimator; every call returns a fresh
+``CostEstimate`` and output-density dict, so a caller that mutates its
+result cannot change the next one.  A call that raises keeps nothing.  This
+rests on an IR not being mutated after its first estimate:
+``resolve_cycles`` runs before any, and ``compile_region`` rewrites only its
+own copy, whose ``estimates`` start empty, and does so first.  The bench's
+order_sweep estimates each order at 6 data seeds and 2 depths on one
+compiled IR, and the inputs' measured densities repeat: 52 estimator builds
+per instance instead of 624 (seed 1).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -283,7 +297,24 @@ class _Estimator:
 def estimate_region(vp, ir, order, hin: HeuristicInput) -> tuple[CostEstimate, dict]:
     """Cost of one fused region at ``order``, which must name every region
     var once and keep the storage nesting; also returns estimated output
-    densities."""
+    densities.  Each result is kept on ``ir`` and returned as a copy."""
+    key = (tuple(order), _items(hin.densities), _items(hin.rates))
+    kept = ir.estimates.get(key)
+    if kept is None:
+        kept = ir.estimates[key] = _estimate(vp, ir, order, hin)
+    cost, out_rho = kept
+    return replace(
+        cost, per_expression=dict(cost.per_expression), materialized=list(cost.materialized)
+    ), dict(out_rho)
+
+
+def _items(d: dict) -> tuple:
+    """``d``'s items in key order, each value with its sign: 0.0 == -0.0,
+    but a density of -0.0 can give an output density of -0.0."""
+    return tuple(sorted((k, v, math.copysign(1.0, v)) for k, v in d.items()))
+
+
+def _estimate(vp, ir, order, hin: HeuristicInput) -> tuple[CostEstimate, dict]:
     check_order(ir, tuple(order))
     est = _Estimator(ir, order, hin)
     out_rho: dict[str, float] = {}

@@ -173,18 +173,30 @@ recv clocks.  A node's clock at trace entry i is
 ``c_i = s_i + max(0, max_{j <= i} (a_j - s_j))``, with ``s`` its own
 clock (the ticks before i) and ``a_j`` the send time of the token popped
 at recv j; one ``np.maximum.accumulate`` per node gives its send times
-and final clock.  The tick counts ``s`` are int32, as a trace is far
-shorter than 2**31 bytes (pass 1 would hold billions of tokens first),
-and one int64 array holds the wait ``a_j - s_j`` at each recv, then its
-running maximum, then, with ``s`` added, the clock.  Both scans gather
-with ``compress`` and ``nonzero`` where the result dies with its node,
-and with a boolean mask where it is kept (send times, sink recv clocks,
-recv ranks): on an 80,936-byte trace of fused ``relu(A*X+b)`` at 128³
-(2-vCPU VM, numpy 2.4) ``compress`` took 125 µs against 175, but it
-builds an int64 index array first, and freeing that just before a kept
-array fragments the heap (with ``compress`` everywhere, gcn_blocked's
-peak RSS rose by 0.2-0.45 MB).  The int32 ``cumsum`` took 245 µs
-against 276 in int64.  The clocks advance one cycle per processed
+and final clock.  The scan covers events only, the trace bytes that are
+not ticks: one mask gives the events (``compress``) and their positions
+(``nonzero``, cast to int32 once the mask is freed, as a trace is far
+shorter than 2**31 bytes; pass 1 would hold billions of tokens first),
+and the position ``p_j`` of event j turns in place into ``s_j = p_j -
+j``.  One int64 array holds the wait ``a_j - s_j`` at each recv (0 at a
+send), then its running maximum, then, with ``s`` added, the clock; the
+final clock is the tick count plus the last running maximum.  A scan of
+every byte gives each tick a wait of 0.  Those zeros move the running
+maximum only while it is negative, which needs a first event that is a
+recv after ticks (a send waits 0, and a recv before any tick waits a
+send time), so a negative first wait is clamped to 0.  Against that byte
+scan, on every ``_clocks`` call of one seed-1 instance of each bench
+workload (best of 15 interleaved calls, summed; 2-vCPU VM) it took 7.2
+ms against 8.8 on spmm_fused, 3.3 against 3.8 on gcn_blocked and 189
+against 204 over order_sweep's 260 calls, and its tracemalloc peak on
+spmm_fused fell from 1.77 to 1.64 MiB.  Both scans gather with
+``compress`` and ``nonzero`` where the result dies with its node, and
+with a boolean mask where it is kept (send times, sink recv clocks, recv
+ranks): on an 80,936-byte trace of fused ``relu(A*X+b)`` at 128³ (2-vCPU
+VM, numpy 2.4) ``compress`` took 125 µs against 175, but it builds an
+int64 index array first, and freeing that just before a kept array
+fragments the heap (with ``compress`` everywhere, gcn_blocked's peak RSS
+rose by 0.2-0.45 MB).  The clocks advance one cycle per processed
 element plus memory latency per fiber fetch; the dataflow cycle count is
 the largest final clock.  With a finite bandwidth the report takes the
 rooflined maximum of dataflow cycles and total traffic divided by
@@ -749,23 +761,30 @@ def _clocks(net: _Net, traces, keep=()) -> tuple[list, dict]:
             cycles[i] = cycles[head]
             continue
         codes = np.frombuffer(trace, dtype=np.uint8)
-        ticks = np.cumsum(codes == TICK, dtype=np.int32)  # fewer than 2**31 trace bytes
-        clock = np.zeros(len(codes), dtype=np.int64)  # the wait, then the clock
+        mask = codes != TICK
+        ev = codes.compress(mask)  # the recvs and sends
+        ticks = mask.nonzero()[0]
+        del mask  # as large as the trace
+        ticks = ticks.astype(np.int32)  # fewer than 2**31 trace bytes
+        ticks -= np.arange(len(ev), dtype=np.int32)  # the ticks before each event
+        clock = np.zeros(len(ev), dtype=np.int64)  # the wait, then the clock
         for code, (_, v, _) in enumerate(net.ins[i]):
-            sent, at = times[v], (codes == code).nonzero()[0]
+            sent, at = times[v], (ev == code).nonzero()[0]
             if len(at) > len(sent):
                 at = at[: len(sent)]
             clock[at] = sent[: len(at)] - ticks[at]
             readers[v] -= 1
             if not readers[v]:
                 del times[v]
+        if len(clock) and clock[0] < 0:
+            clock[0] = 0  # a recv after ticks: a clock never runs behind its own ticks
         np.maximum.accumulate(clock, out=clock)
+        cycles[i] = len(codes) - len(ev) + (int(clock[-1]) if len(clock) else 0)
         clock += ticks
         for code, _, v in net.keeps[i]:
-            times[v] = clock[codes == code]
-        cycles[i] = int(clock[-1]) if len(clock) else 0
+            times[v] = clock[ev == code]
         if i in want:
-            got[i] = clock[codes < len(net.ins[i])]
+            got[i] = clock[ev < len(net.ins[i])]
     kept = {i: got[i if net.same[i] is None else net.same[i]] for i in sorted(keep)}
     return cycles, kept
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 import copy
 import gc
 import itertools
+import math
 import re
 
 import numpy as np
@@ -688,6 +689,7 @@ def test_estimate_refuses_an_order_the_lowering_refuses(order, message):
     ir = resolve_cycles(elaborate_region(vp, 0))
     with pytest.raises(UnsatisfiableOrder, match=f"^{message}$"):
         heuristic.estimate_region(vp, ir, order, heuristic.HeuristicInput.from_schedule(vp))
+    assert not ir.estimates  # a call that raises keeps nothing
 
 
 def test_estimate_of_a_tensor_named_like_a_copy_reads_its_own_declaration():
@@ -710,6 +712,98 @@ def test_measured_density_ignores_dense_padding():
         "P": 2 / 16,
         "B": 8 / 16,  # two stored 2x2 blocks
     }
+
+
+GCN_DENSITIES = {"A": 0.2, "X": 0.5, "W1": 1.0, "W2": 1.0}
+GCN_RATES = {("A", "k", "X", "k"): 0.5}
+
+
+def _fused_gcn():
+    """The GCN in one region (``block(2, 2)`` declared), its IR and the
+    orders the lowering accepts."""
+    vp = validate_program(parse_program(gcn_partition((4,))))
+    ir = resolve_cycles(elaborate_region(vp, 0))
+    return vp, ir, schedulable_orders(vp, ir)
+
+
+def _fresh_estimate(vp, order, hin):
+    return heuristic.estimate_region(vp, resolve_cycles(elaborate_region(vp, 0)), order, hin)
+
+
+def test_a_kept_estimate_equals_a_fresh_one_and_is_handed_out_as_a_copy():
+    vp, ir, orders = _fused_gcn()
+    hin = heuristic.HeuristicInput(dict(GCN_DENSITIES), dict(GCN_RATES))
+    first, first_rho = heuristic.estimate_region(vp, ir, orders[0], hin)
+    for name in first.per_expression:
+        first.per_expression[name] += 1.0
+    first.materialized.append("H1")
+    first_rho["Out"] = 2.0
+    second = heuristic.estimate_region(vp, ir, orders[0], hin)
+    assert len(ir.estimates) == 1
+    assert second == _fresh_estimate(vp, orders[0], hin)
+
+
+@pytest.mark.parametrize("change", ["order", "density", "rate"])
+def test_a_changed_order_density_or_rate_misses(change):
+    vp, ir, orders = _fused_gcn()
+    order, dens, rates = orders[0], dict(GCN_DENSITIES), dict(GCN_RATES)
+    first = heuristic.estimate_region(vp, ir, order, heuristic.HeuristicInput(dens, rates))
+    if change == "order":
+        order = orders[-1]
+    elif change == "density":
+        dens = {**dens, "X": 0.25}
+    else:
+        rates = {("A", "k", "X", "k"): 0.25}
+    hin = heuristic.HeuristicInput(dens, rates)
+    second = heuristic.estimate_region(vp, ir, order, hin)
+    assert len(ir.estimates) == 2
+    assert second != first and second == _fresh_estimate(vp, order, hin)
+
+
+def test_a_density_of_minus_zero_misses_the_one_of_zero():
+    # 0.0 == -0.0, but the output density keeps the sign
+    vp = validate_program(parse_program(SPMM.format(extra="")))
+    ir = resolve_cycles(elaborate_region(vp, 0))
+    order = choose_build_order(vp, ir)
+    for zero in (0.0, -0.0):
+        hin = heuristic.HeuristicInput({"A": zero, "X": zero, "b": zero})
+        _, out_rho = heuristic.estimate_region(vp, ir, order, hin)
+        assert math.copysign(1.0, out_rho["Y"]) == math.copysign(1.0, zero)
+    assert len(ir.estimates) == 2
+
+
+def test_a_compiled_copy_keeps_its_own_estimates():
+    """``compile_region``'s copy starts with no estimates, and a blocked
+    copy's differ from its source IR's."""
+    vp, ir, orders = _fused_gcn()
+    hin = heuristic.HeuristicInput(dict(GCN_DENSITIES), dict(GCN_RATES))
+    for order in orders:
+        unblocked = heuristic.estimate_region(vp, ir, order, hin)
+        cr = compile_region(vp, ir, order, block=(2, 2))
+        assert not cr.ir.estimates
+        blocked = heuristic.estimate_region(vp, cr.ir, order, hin)
+        assert len(cr.ir.estimates) == 1 and blocked != unblocked
+        fresh = compile_region(vp, resolve_cycles(elaborate_region(vp, 0)), order, block=(2, 2))
+        assert blocked == heuristic.estimate_region(vp, fresh.ir, order, hin)
+    assert len(ir.estimates) == len(orders)
+
+
+def test_twelve_estimates_of_two_inputs_build_the_estimator_twice(monkeypatch):
+    """The bench's sweep estimates each compiled order at 6 data seeds and
+    2 depths, and the measured densities repeat."""
+    builds = []
+
+    class Counting(heuristic._Estimator):
+        def __init__(self, *args):
+            builds.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(heuristic, "_Estimator", Counting)
+    vp, ir, orders = _fused_gcn()
+    for _ in range(6):
+        for dens in (GCN_DENSITIES, {**GCN_DENSITIES, "A": 0.3}):
+            heuristic.estimate_region(vp, ir, orders[0], heuristic.HeuristicInput(dict(dens)))
+    assert len(builds) == 2
 
 
 # the fully fused attention of layerbench's order_sweep workload, q = k = 8, d = 4

@@ -12,6 +12,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from einstream.errors import Deadlock, GraphError, MalformedStream
 from einstream.frontend import parse_program, validate_program
@@ -19,6 +21,7 @@ from einstream.graph import DONE, DataflowGraph, Stop
 from einstream.pipeline import plan_region, prepare_region, run_program
 from einstream.sim import SimConfig, engine, run
 from einstream.sim.arrays import from_tokens
+from einstream.sim.processes import TICK
 from einstream.tensors import COMPRESSED, LevelSpec, SparseTensor
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -381,6 +384,73 @@ def test_check_declines_a_reader_that_leaves_its_stream_full(monkeypatch, checks
     # the graph itself resumes its depth-1 replay, with no check
     assert run(g, {"c": c}, SimConfig(channel_depth=2)).cycles == 1
     assert checks.certified == [False, True] and checks.replays == 2
+
+
+def _root_to_scan():
+    """A root whose ``ref`` feeds a scan: trace byte 0 is the root's send
+    and the scan's recv, and the scan's bytes 1 and 2 are its sends."""
+    g = DataflowGraph()
+    g.connect(g.add("root"), "ref", g.add("scan", "scan_c0", tensor="c", level=0), "ref", "ref")
+    return engine._plan(g)
+
+
+def test_a_recv_after_ticks_never_runs_behind_its_own_ticks():
+    # the root sends at cycle 2; the scan ticks 5 times first, so its token
+    # is 3 cycles old when popped, and the pop waits for nothing
+    net = _root_to_scan()
+    traces = [bytearray([TICK, TICK, 0]), bytearray([TICK] * 5 + [0, TICK, 2])]
+    cycles, kept = engine._clocks(net, traces, keep=[1])
+    assert cycles == [2, 6]
+    assert kept[1].tolist() == [5]
+
+
+def _byte_clocks(net, traces, keep=()):
+    """``engine._clocks`` one trace byte at a time: a tick adds a cycle, a
+    recv raises the wait to its token's send time less the ticks so far (a
+    read past the end of a stream waits for nothing), and a node's clock is
+    its ticks plus its wait.  A class member takes its head's results."""
+    times, cycles, recvs = {}, [0] * len(traces), {}
+    for i, trace in enumerate(traces):
+        head = net.same[i]
+        if head is not None:
+            cycles[i], recvs[i] = cycles[head], recvs[head]
+            continue
+        ins = net.ins[i]
+        sends = {code: [] for code, _, _ in net.keeps[i]}
+        popped, ticks, wait, recvs[i] = [0] * len(ins), 0, 0, []
+        for code in trace:
+            if code == TICK:
+                ticks += 1
+            elif code < len(ins):
+                sent, k = times[ins[code][1]], popped[code]
+                popped[code] += 1
+                if k < len(sent):
+                    wait = max(wait, sent[k] - ticks)
+                recvs[i].append(ticks + wait)
+            elif code in sends:
+                sends[code].append(ticks + wait)
+        for code, _, v in net.keeps[i]:
+            times[v] = sends[code]
+        cycles[i] = ticks + wait
+    return cycles, {i: recvs[i] for i in sorted(keep)}
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(st.data())
+def test_clocks_equal_a_scan_of_every_trace_byte(data):
+    """Random traces on a graph with a fan-out, a reconvergence and a class
+    of two reduces; reads may run past the end of a stream."""
+    g, _ = _value_plus_its_total()
+    g.connect("vals_c", "val", g.add("reduce", "total_again", op="sum"), "in", "val")
+    net = engine._plan(g)
+    assert net.same.count(None) == len(net.order) - 1
+    traces = []
+    for ins, outs in zip(net.ins, net.outs):
+        codes = st.sampled_from([TICK, *range(len(ins) + len(outs))])
+        traces.append(bytearray(data.draw(st.lists(codes, max_size=24))))
+    keep = data.draw(st.sets(st.sampled_from(range(len(traces)))))
+    cycles, kept = engine._clocks(net, traces, keep)
+    assert (cycles, {i: r.tolist() for i, r in kept.items()}) == _byte_clocks(net, traces, keep)
 
 
 def _finalize(levels, vals):
