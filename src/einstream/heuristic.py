@@ -13,11 +13,12 @@ fully dense programs are estimated exactly.  Output density follows
 
 Storage formats matter: a dense level emits every slot of a present parent
 fiber (padding included), so its occupancy marginal is 1, while compressed
-levels prune to fibers with stored entries.  Memory traffic mirrors the
-simulator's once-per-slot accounting: each stored operand view contributes
-its expected value slots at element width plus position/coordinate
-metadata at index width; intermediates count only when a region boundary
-materializes them.
+levels prune to fibers with stored entries.  Memory traffic charges each
+stored operand view its expected value slots at element width plus
+position/coordinate metadata at index width; intermediates count only when
+a region boundary materializes them.  That is not the simulator's
+accounting, which reads a dense inner level only where a join reaches it,
+while this charges all of its stored slots (ROADMAP item 2).
 
 An estimate depends only on the region IR, the order, the densities and the
 rates, so ``estimate_region`` keeps each one on its IR
@@ -28,10 +29,7 @@ dicts; a value's sign is part of the key, since 0.0 == -0.0.  A hit skips
 result cannot change the next one.  A call that raises keeps nothing.  This
 rests on an IR not being mutated after its first estimate:
 ``resolve_cycles`` runs before any, and ``compile_region`` rewrites only its
-own copy, whose ``estimates`` start empty, and does so first.  The bench's
-order_sweep estimates each order at 6 data seeds and 2 depths on one
-compiled IR, and the inputs' measured densities repeat: 52 estimator builds
-per instance instead of 624 (seed 1).
+own copy, whose ``estimates`` start empty, and does so first.
 """
 
 from __future__ import annotations

@@ -2,12 +2,13 @@
 runs.
 
 Each loop function of ``processes`` takes one Python step per token.
-This module implements most node kinds a second time; ``engine`` says
-which kinds have one here and when they run.  Here a stream is a
-``Stream``: an int8 ``code`` per token (``ELEM``, ``END`` for Done, or k
-for ``Stop(k)``), a ``val`` payload (int64 coordinates and positions, or
-float64 values; arbitrary at boundaries) and a ``null`` mask where a union
-padded the stream with NULL.  In a blocked run a value payload holds one
+This module implements most node kinds a second time;
+``engine._node_functions`` says which kinds have one here, and
+``engine.run`` when they run.  Here a stream is a ``Stream``: an int8
+``code`` per token (``ELEM``, ``END`` for Done, or k for ``Stop(k)``), a
+``val`` payload (int64 coordinates and positions, or float64 values;
+arbitrary at boundaries) and a ``null`` mask where a union padded the
+stream with NULL.  In a blocked run a value payload holds one
 block per token: its shape is ``(n, *block_shape)``, and the nodes that
 only move tokens carry the trailing axes along.  Each array function
 reads and writes a ``NodeRun`` as its loop does, with streams in ``ins``

@@ -2,7 +2,11 @@
 
 Nodes are Kahn processes over channels of a fixed depth: a node blocks on
 a recv from an empty channel and on a send into a full one, and
-``Deadlock`` means no node can move while some are unfinished.
+``Deadlock`` means no node can move while some are unfinished.  ``run``
+computes every token in pass 1 and decides the outcome at the configured
+depth in pass 2.  Each docstring below states the invariant its code
+relies on, and why each speed device is there; the measurements behind
+those devices are in the project's CHANGES.md.
 
 **Pass 1 may ignore depth.**  Each node is deterministic in the tokens it
 reads (Kahn 1974), so the tokens on every channel are the same under any
@@ -10,203 +14,31 @@ schedule and any depth; depth only decides how far the run gets.  Nor
 does depth move a clock: holding send n back until pickup n - depth
 would only raise the token's time to a pickup made earlier by the same
 reader, whose clock never decreases, so the reader's clock at pickup n is
-already at least that late.  Pass 1 therefore calls a node's function
-(``processes``) once, on the complete token lists of its inputs, and
-frees each stream once all its readers have run.  Each function sends
-Done last on every port, as the trace contract in ``processes`` asks;
-the engine relies on that and does not check it.
+already at least that late.  So ``_pass1`` calls each node's function
+once, on the complete token lists of its inputs, and keeps the trace it
+records under the contract of ``processes``.  ``_node_functions`` gives
+a node its loop in ``processes`` and, where it has one, its array
+function in ``arrays``; their traces are byte-equal, so nothing after
+pass 1 can tell them apart.
 
-*What the plan keeps of pass 1.*  Pass 1 reads nothing of a run's config
-but ``mem_latency``, so a sweep that runs one graph again at another depth
-or bandwidth would only recompute it.  The graph's plan (below) keeps one
-entry: the last run's key and its pass-1 runs and traces.  The key is
-``mem_latency`` and the tensors that the graph's ``scan`` and ``vals``
-nodes name (``_Net.inputs``).  A tensor matches if it is the same object,
-or else equal bit for bit, compared in place: shape, mode order, each
-level's kind and size or segments and coords, and values; so 0.0
-against -0.0 is a miss.  The key holds the tensors themselves, no copies
-and no hashes.  A hit skips ``_node_functions`` and pass 1; pass 2, the
-clocks and ``_finalize`` run as on a miss, whose result replaces the
-entry.  A run in which a node raised in pass 1 is not kept: each error's
-traceback holds its node's frames and token lists, and the replay's
-``raise`` ties those frames back to the plan in a reference cycle, so
-kept runs would live until a collection (a version that kept them raised
-order_sweep's peak RSS by 12 MB).  The entry dies with the plan.  The
-bench's order_sweep runs each order and data seed at depth 1, then at
-depth 4 on tensors compressed afresh: 253 of an instance's 624 runs hit
-(seed 1), and pass 1 fell from 1.16 to 0.63 s per instance (2-vCPU VM).
-
-*What the entry keeps of pass 2.*  The entry also holds the depth of the
-last run on its traces and where that run's replay stopped, a ``_Stop``:
-each node's position in its replay codes, the tokens in each channel, the
-recv each node waits on, the sends it owes and which nodes finished.
-That is O(nodes + channels) integers and no replay codes (keeping those
-raised order_sweep's peak RSS by 0.6 MB).  The stop is None where the run
-completed, by the replay or by the check.  An execution on channels of
-depth d is one on channels of every depth d' >= d too, and how far each
-node gets does not depend on the schedule (the argument the check rests
-on, below).  So a hit at a depth no smaller than the kept one need not
-start over.  Where the kept run completed, it skips the replay and the
-check.  Otherwise it resumes the replay from the stop: the queue holds the
-nodes that owe sends, in node order, and no channel is marked
-backpressured, since each of its writers is queued (a version that kept
-those marks raised ``TypeError`` where a pop woke a writer whose sends had
-already gone through).  It ends where a replay from the start ends, so the
-outcome, every counter and the ``Deadlock`` message are those of a cold
-run.  This holds because the entry keeps only runs in which no node
-raised.  A hit at a smaller depth and a miss replay from the start, and
-the run's stop replaces the kept one.
-
-*The plan.*  A graph's ``_Net``, the ``validate()`` order, the channels,
-the replay's translate tables and the classes below, is built on the
-graph's first run and kept, weakly keyed by the graph, while its node and
-edge counts stay as they were; ``add`` and ``connect`` only append, so a
-grown graph gets a new one.  Nodes of one kind with equal params whose
-inputs are the same streams compute the same streams, trace, FLOPs and
-bytes: a class, whose head is its earliest node.  Fused graphs recompute
-a shared subexpression under each use, so classes are common: over the
-bench's order_sweep, 38 % of attention's nodes and 29 % of softmax8's
-are not heads.  Pass 1 calls one function per class and gives the rest
-of the class the head's run, trace and error; ``_clocks`` gives them its
-send times and final clock.  Every member keeps its own channels, so the
-replay, the check and every counter see each node as before.  Writers
-are never merged.  The plan's ``validate()`` is the only validation a
-compiled graph gets: the lowering relies on ``add`` and ``connect``,
-which check ports and stream kinds, and leaves unconnected inputs and
-cycles to the first run.
-
-*Which functions run a node.*  ``_node_functions`` reads a node's kind
-and params once and builds its two pass-1 functions: its loop in
-``processes``, one Python step per token, and its array function in
-``arrays``, which computes the outputs, trace and counters over whole
-arrays.  Their traces are byte-equal, so the rest of the run cannot tell
-them apart.  Every kind has a loop; an alu op outside
-``processes.ARRAY_OPS``, an unknown map fn, a scalar ``reduce`` (one
-without ``zero_shape``) and ``par`` have no array function.
-Blocked runs have them: a payload is then one block per token.  A
-blocked alu's two functions share the one ``processes.block_op`` built
-here, whose ``contraction`` adds its products in a fixed order, so a
-batch of blocks gets the bits each block gets alone.  ``run`` takes the
-array functions when every node has one, else the loops.  Array
-functions cover the happy path only; any input off it (a stream without
-its one Done at the end, boundaries that disagree, stop levels that do
-not match, a NULL where the loop would raise or hand a blocked alu a
-scalar) makes one raise ``arrays.Decline``, and the whole run restarts on
-the loops, which alone raise errors and record error traces.  There is
-no size gate: on short streams numpy's per-call cost can exceed the loops
-it replaces, but stored entries do not say where.  Over the orders of
-fused ``relu(A*X+b)`` at 16³ (about 300 entries; 2-vCPU VM, sum of the
-best of 7 ``sim.run``s per order at depths 1 and 4) the arrays took 12.8
-ms against the loops' 9.2, and over those of the fused GCN at 16/16/8/8
-(275 entries) 38.5 against 39.9; at 128³ (10,649 entries) pass 1 falls
-from 64 to 16 ms.  That cost is why a scalar ``reduce`` has no array
-function: with one (a scratch version, not kept), the fully fused
-attention of the bench's order_sweep took 6.51 s of ``sim.run`` per
-instance against the loops' 3.10.
-
-**Pass 2 decides the outcome**, either by a check that proves the run
-completes or by a replay.
-
-*The check* (``_certify``) is tried when no node raised.  It looks for
-one interleaving of every node's whole trace, recvs and sends only, in
-which each recv comes after the send of its token and each send of token
-k + depth after the recv of token k on every channel of its stream.
-Such an interleaving is an execution on channels of that depth in which
-every node runs to its end.  A depth-d channel is a Kahn channel plus a
-reverse channel of d credits, so the bounded network is a Kahn network
+**Pass 2 decides the outcome.**  A depth-d channel is a Kahn channel plus
+a reverse channel of d credits, so the bounded network is a Kahn network
 too, and how far each node gets is the same under every schedule that
-runs until no node can move.  The ready-queue replay is such a schedule,
-so it would complete as well: an accepted run skips it.  The check
-builds one interleaving only (sinks by pass-1 clock, every other node as
-late as its readers allow), so it may decline a run that completes, at
-any depth: fused ``relu(A*X+b)`` at 128³ under ``parallelize(i, 4)`` is
-declined at depth 4.  The replay then decides.
+runs until no node can move.  ``_certify``, tried when no node raised and
+the graph passes the size gate ``_CERTIFY_OPS``, looks for one
+interleaving of the traces that is an execution on depth-d channels in
+which every node runs to its end.  The ready-queue replay (``_replay``)
+is a schedule that runs until no node can move, so where the check
+accepts, the replay would complete as well, and ``run`` skips it.  The
+check builds one interleaving only, so it may decline a run that
+completes; the replay then decides.  Only the replay decides a failure,
+and only it raises: it returns the ``_Stop`` where no node can move, of
+which ``run`` raises ``Deadlock``, and it raises the error a node raised
+in pass 1 once it has taken that node up to it, so the ready-queue order
+decides which of several errors comes first.
 
-It builds the interleaving one node at a time, as a list of recvs: a
-node's sends go just before its readers' recvs of their tokens, and its
-own recvs are inserted among those already placed.  Insertion never
-reorders what is placed, so each channel checked when its writer is
-placed stays right; the only need is that every reader of a node's
-channels is placed before the node.  Every reverse topological order
-meets it and builds an interleaving that, when every check passes, is an
-execution; so any such order proves completion, and a decline still
-falls back to the replay.  After each node every placed channel whose
-writer is not yet placed moves up by the recvs inserted before it, so
-the order sets the cost: ``_Net.visits`` places each node as soon as the
-last reader of its channels is placed (a stack seeded from the sinks, in
-node order), and the plan keeps it from its first check.  Against
-reverse node order it cuts the recv ranks moved per check from 295k to
-174k on the bench's spmm_fused (fused ``relu(A*X+b)`` at 128³, depth 4)
-and, at depth 10**6 on inputs drawn as the bench draws them, from 1.65M
-to 0.47M with ``parallelize(i, 4)``, from 5.4M to 0.57M on fused
-attention at 16/16/4 and from 8.1M to 0.52M on softmax at 64, but only
-from 3.48M to 2.85M on the fused GCN at 64/32/16/8.
-
-*The replay* (``_replay``) walks the traces with integer channel
-occupancies under the scheduler the engine has always used: a FIFO ready
-queue that starts with every node in topological order (from the empty
-state; from a kept stop, with the nodes that owe sends); a node runs
-until it blocks or finishes; a push wakes the reader waiting on that
-channel and a pop the writer backpressured on it, each appended to the
-queue the moment it happens; a node owed sends from a partial send makes
-them first when it runs again.  Only the replay decides a failure: it
-returns the stop where no node can move, of which ``run`` raises
-``Deadlock``, naming what each stuck node waits for; and it raises the
-error a node raised in pass 1, once it has taken that node up to it, so
-that the ready-queue order decides which of several errors comes first.
-
-*The size gate.*  The check costs a few dozen numpy calls per node
-whatever its trace length, the replay one Python step per recv or send.
-Below ``_CERTIFY_OPS`` replay ops per node the check costs more than the
-replay it saves, so small graphs go straight to the replay.  On fused
-``relu(A*X+b)`` (2-vCPU VM, median of 21 interleaved ``sim.run``s, each
-with its pass 1) the check path was 3 % slower than the replay at 290
-ops per node, 4 % faster at 400, 10 % at 560, 18 % at 980 and 30 % at
-1530.  A declined check is paid on top of the replay, and every bench
-order_sweep run between 300 and 1000 ops per node deadlocks (12 per
-instance, all at depth 1), so the gate stays at 1000.  Either path gives
-the same outcome.
-
-Only a run that completes reports clocks; they are taken after the
-replay, or before the check, whose interleaving starts from the sinks'
-recv clocks.  A node's clock at trace entry i is
-``c_i = s_i + max(0, max_{j <= i} (a_j - s_j))``, with ``s`` its own
-clock (the ticks before i) and ``a_j`` the send time of the token popped
-at recv j; one ``np.maximum.accumulate`` per node gives its send times
-and final clock.  The scan covers events only, the trace bytes that are
-not ticks: one mask gives the events (``compress``) and their positions
-(``nonzero``, cast to int32 once the mask is freed, as a trace is far
-shorter than 2**31 bytes; pass 1 would hold billions of tokens first),
-and the position ``p_j`` of event j turns in place into ``s_j = p_j -
-j``.  One int64 array holds the wait ``a_j - s_j`` at each recv (0 at a
-send), then its running maximum, then, with ``s`` added, the clock; the
-final clock is the tick count plus the last running maximum.  A scan of
-every byte gives each tick a wait of 0.  Those zeros move the running
-maximum only while it is negative, which needs a first event that is a
-recv after ticks (a send waits 0, and a recv before any tick waits a
-send time), so a negative first wait is clamped to 0.  Against that byte
-scan, on every ``_clocks`` call of one seed-1 instance of each bench
-workload (best of 15 interleaved calls, summed; 2-vCPU VM) it took 7.2
-ms against 8.8 on spmm_fused, 3.3 against 3.8 on gcn_blocked and 189
-against 204 over order_sweep's 260 calls, and its tracemalloc peak on
-spmm_fused fell from 1.77 to 1.64 MiB.  Both scans gather with
-``compress`` and ``nonzero`` where the result dies with its node, and
-with a boolean mask where it is kept (send times, sink recv clocks, recv
-ranks): on an 80,936-byte trace of fused ``relu(A*X+b)`` at 128³ (2-vCPU
-VM, numpy 2.4) ``compress`` took 125 µs against 175, but it builds an
-int64 index array first, and freeing that just before a kept array
-fragments the heap (with ``compress`` everywhere, gcn_blocked's peak RSS
-rose by 0.2-0.45 MB).  The clocks advance one cycle per processed
-element plus memory latency per fiber fetch; the dataflow cycle count is
-the largest final clock.  With a finite bandwidth the report takes the
-rooflined maximum of dataflow cycles and total traffic divided by
-bandwidth.
-
-**Writer reconstruction** (``_finalize``) turns each lane's writer
-streams into a ``SparseTensor`` in loop order, one compressed level per
-``write_crd`` stream (``_lane`` states the empty-fiber rule), and reads
-its entries with ``SparseTensor.coo()``, the one level walk of
-``tensors``, for scalar and blocked writers alike.
+Only a run that completes reports clocks (``_clocks``).  ``_finalize``
+turns each writer's streams into a ``SparseTensor``.
 """
 
 from __future__ import annotations
@@ -279,8 +111,10 @@ class SimReport:
         }
 
 
-# Replay ops per node below which the interleaving check is not tried: on
-# small graphs numpy's per-call overhead makes it cost more than the replay.
+# Replay ops per node below which the interleaving check is not tried: the
+# check costs a few dozen numpy calls per node whatever its trace length,
+# the replay one Python step per op, and a declined check is paid on top of
+# the replay, so on small graphs the check costs more than it saves.
 _CERTIFY_OPS = 1000
 
 # graph -> its _Net, built on the graph's first run; add and connect only
@@ -289,6 +123,10 @@ _plans: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _plan(graph: DataflowGraph) -> _Net:
+    """The graph's ``_Net``, built with ``validate()``'s order.  That is the
+    only validation a compiled graph gets: the lowering relies on ``add``
+    and ``connect``, which check ports and stream kinds, and leaves
+    unconnected inputs and cycles to the first run."""
     net = _plans.get(graph)
     if net is None or net.stamp != (len(graph.nodes), len(graph.edges)):
         net = _plans[graph] = _Net(graph, graph.validate())
@@ -296,6 +134,34 @@ def _plan(graph: DataflowGraph) -> _Net:
 
 
 def run(graph: DataflowGraph, tensors: dict, config: SimConfig | None = None) -> SimReport:
+    """Simulate ``graph`` on ``tensors`` under ``config``.
+
+    The plan keeps one pass-1 entry, ``_Net.last``: the last run's key,
+    its node runs and traces, the depth of their last replay and the
+    ``_Stop`` where that replay stopped, or None where the run completed.
+    Pass 1 reads nothing of the config but ``mem_latency``, so the key is
+    that and the tensors the graph's scans and vals read (``_Net.inputs``,
+    matched by ``_same_inputs``), and a sweep that runs one graph again at
+    another depth or bandwidth hits.  A hit skips ``_node_functions`` and
+    pass 1.  An execution on depth-d channels is one on deeper channels
+    too, and how far each node gets does not depend on the schedule, so a
+    hit at a depth no smaller than the kept one skips pass 2 where the
+    kept run completed and otherwise resumes the replay from its stop.
+    Either ends as a cold run ends, with its outcome, counters and
+    ``Deadlock`` message, since the entry keeps only runs in which no node
+    raised; which of several errors the replay meets first depends on its
+    queue.  Such a run could not be kept cheaply either: each error's
+    traceback holds its node's frames and token lists, and the replay's
+    ``raise`` ties those frames back to the plan in a reference cycle, so
+    a kept run would live until a collection.  A miss, or a hit at a
+    smaller depth, replays from the start, and its stop replaces the kept
+    one.
+
+    The check needs the sinks' recv clocks, so where it is tried the
+    clocks come first; else they are taken once the run completed.  The
+    dataflow cycle count is the largest final clock; with a finite
+    bandwidth, ``cycles`` is the larger of that and the total traffic over
+    the bandwidth."""
     config = config or SimConfig()
     net = _plan(graph)
     order = net.order
@@ -383,8 +249,10 @@ def _same_tensor(a, b) -> bool:
 def _node_functions(node, tensors: dict, mem_latency: int):
     """``node``'s pass-1 functions ``(loop, array)``: its loop in
     ``processes`` and its array function in ``arrays``, or None where it
-    has none.  Parameters and tensors are looked up here, so a missing one
-    raises before any node runs."""
+    has none; this table is the one record of which kinds have one, and
+    ``run`` takes the array functions only when every node has one.
+    Parameters and tensors are looked up here, so a missing one raises
+    before any node runs."""
     kind, p = node.kind, node.params
     if kind == "root":
         return loop.run_root, arrays.root
@@ -413,7 +281,8 @@ def _node_functions(node, tensors: dict, mem_latency: int):
         return partial(loop.run_map, fn=fn), partial(arrays.map_, fn=fn) if known else None
     if kind == "reduce":
         kw = {"op": p["op"], "intra": tuple(p.get("intra", ())), "zero_shape": p.get("zero_shape")}
-        afn = partial(arrays.reduce, **kw) if kw["zero_shape"] else None  # blocked only
+        # blocked only: on scalars, numpy's per-call cost would exceed the loop
+        afn = partial(arrays.reduce, **kw) if kw["zero_shape"] else None
         return partial(loop.run_reduce, **kw), afn
     if kind == "red1":
         return loop.run_red1, arrays.red1
@@ -430,31 +299,35 @@ def _node_functions(node, tensors: dict, mem_latency: int):
 
 
 class _Net:
-    """The channels between the nodes of ``order``, one per edge, and the
-    classes of nodes that compute the same streams.
+    """A graph's plan: the channels between the nodes of ``order``, one per
+    edge, their replay codes, and the classes of nodes that compute the
+    same streams.
 
     A stream is an output port with at least one channel; each of its
     tokens goes to every one of them.  ``outs[i]`` lists node i's output
     ports as (port, stream or None) and ``ins[i]`` its input ports as
     (port, value, channel), both in ``node_ports`` order, so the position
-    of a port is its byte in node i's trace.  In a replay trace a recv is
+    of a port is its byte in node i's trace.  In replay codes a recv is
     its channel ``c``, a send ``nch + c`` when its port has the one channel
-    ``c``, and ``2 * nch + g`` when it has the channels ``groups[g]``.
+    ``c``, and ``2 * nch + g`` when it has the channels ``groups[g]``; most
+    ports have one channel, and their own code spares the replay a loop
+    over a group.
 
     ``same[i]`` is the earliest node, in ``order``, that computes node i's
     streams, or None: a node of the same kind with equal params whose
     inputs are the same values.  Node functions depend on their input
-    tokens only, so the two runs are equal.  Writers are never merged.  A
-    value is the tokens of an output port of a class head, which every
-    member's stream on that port carries; ``keeps[i]`` lists the head i's
-    ports some member has a channel on, as (trace byte, port, value), and
-    ``reads[v]`` counts the head inputs that read value v.
+    tokens only, so the two runs are equal.  Fused graphs recompute a
+    shared subexpression under each use, so ``_pass1`` and ``_clocks`` run
+    each class once and give its other members the head's results; every
+    member keeps its own channels, so pass 2 and the counters see each
+    node.  Writers are never merged.  A value is the tokens of an output
+    port of a class head, which every member's stream on that port
+    carries; ``keeps[i]`` lists the head i's ports some member has a
+    channel on, as (trace byte, port, value), and ``reads[v]`` counts the
+    head inputs that read value v.
 
-    ``inputs`` names the tensors pass 1 reads.  ``last`` is the entry the
-    module docstring describes, ``(key, runs, traces, depth, stop)``: the
-    key, pass 1's node runs and traces, and the depth of the last replay of
-    those traces with the ``_Stop`` where it stopped, or None where that run
-    completed.  It is None until a run in which no node raised.
+    ``inputs`` names the tensors pass 1 reads, and ``last`` is ``run``'s
+    pass-1 entry, ``(key, runs, traces, depth, stop)``, or None.
     """
 
     def __init__(self, graph: DataflowGraph, order: list):
@@ -536,7 +409,9 @@ class _Net:
         places them: each as soon as every reader of its channels is
         placed.  A stack seeded from the sinks, in node order, so a writer
         comes right after the last of its readers that is not a sink.
-        Built on the first check and kept."""
+        After each node, every placed channel whose writer is not yet
+        placed moves up by the recvs inserted before it, so this order
+        keeps those channels few.  Built on the first check and kept."""
         left = [0] * len(self.order)  # node -> its channels whose reader is unplaced
         for w in self.writer:
             left[w] += 1
@@ -561,7 +436,11 @@ class _Net:
         return f"{e.src}:{e.src_port}->{e.dst}:{e.dst_port}"
 
     def replay_ops(self, i: int, trace, start: int = 0):
-        """Node i's trace as replay codes, from code ``start`` on."""
+        """Node i's trace as replay codes, from code ``start`` on, without
+        ticks and sends on ports without a channel.  While every code fits
+        a byte (not ``wide``), that is one ``bytes.translate`` and the
+        replay iterates bytes, which is cheaper than the int-array gather
+        and the list it builds otherwise."""
         codes, drop = self.codes[i], self.drops[i]
         if not self.wide:
             return trace.translate(codes, drop)[start:]
@@ -611,7 +490,8 @@ class _Stop(NamedTuple):
     """Where a replay stopped short of completing: each node's position in
     its replay codes, the tokens in each channel, the channel each node
     waits to recv from (or -1), the full channels each node still owes a
-    send (or None), and whether each node finished."""
+    send (or None), and whether each node finished: integers per node and
+    channel, and no replay codes, which are as long as the traces."""
 
     pos: list
     occ: list
@@ -625,7 +505,16 @@ def _replay(net: _Net, traces, ends, depth: int, start: _Stop | None = None) -> 
     under the ready-queue scheduler, counting tokens only, from ``start``,
     or from the empty state, in which no node has walked, sent or owes
     anything.  Returns None when every node finished, or the ``_Stop``
-    where no node could move.  Raises the first error a node gets to."""
+    where no node could move.  Raises the first error a node gets to.
+
+    The scheduler is a FIFO ready queue that starts with every node that
+    can move, in node order (topological).  A node runs until it blocks or
+    finishes; a push wakes the reader waiting on that channel and a pop
+    the writer backpressured on it, each appended to the queue the moment
+    it happens; a node owed sends from a partial send makes them first
+    when it runs again.  From a stop, no channel starts backpressured:
+    each writer that owes a send is queued, and a mark would let a pop
+    wake it again after its sends went through."""
     order, nch = net.order, net.nch
     nch2 = 2 * nch
     groups, writer, reader = net.groups, net.writer, net.reader
@@ -750,7 +639,28 @@ def _clocks(net: _Net, traces, keep=()) -> tuple[list, dict]:
     trace against the send times of the tokens it pops, once per class;
     and, for the nodes in ``keep``, the clock at each of their recvs.  A
     read past the end of a stream gets no wait: such a run cannot
-    complete, so its clocks are never reported."""
+    complete, so its clocks are never reported.
+
+    A node's clock at trace entry i is ``c_i = s_i + max(0, max_{j <= i}
+    (a_j - s_j))``, with ``s`` its own clock (the ticks before i) and
+    ``a_j`` the send time of the token popped at recv j.  The scan covers
+    events only, the trace bytes that are not ticks: one mask gives the
+    events (``compress``) and their positions (``nonzero``, cast to int32
+    once the mask is freed, as a trace is far shorter than 2**31 bytes),
+    and the position ``p_j`` of event j turns in place into ``s_j = p_j -
+    j``.  One int64 array holds the wait ``a_j - s_j`` at each recv (0 at
+    a send), then its running maximum, then, with ``s`` added, the clock;
+    the final clock is the tick count plus the last running maximum.  A
+    scan of every byte would give each tick a wait of 0.  Those zeros move
+    the running maximum only while it is negative, which needs a first
+    event that is a recv after ticks (a send waits 0, and a recv before
+    any tick waits a send time), so a negative first wait is clamped to 0.
+
+    This scan and ``_certify`` gather with ``compress`` and ``nonzero``
+    where the result dies with its node, as that is the faster, and with a
+    boolean mask where it is kept (send times, sink recv clocks, recv
+    ranks): ``compress`` builds an index array first, and freeing that
+    just before a kept array fragments the heap."""
     times: dict[int, np.ndarray] = {}  # value -> send time of each token
     readers = net.reads.copy()
     want = {i if net.same[i] is None else net.same[i] for i in keep}
@@ -803,10 +713,7 @@ def _certify(net: _Net, traces, sink_clocks: dict, depth: int) -> bool:
     reverse running minimum of insertion points), checks its channels, and
     inserts its recvs.  Any reverse topological order would be sound, since
     insertion never reorders placed recvs and a channel is checked once,
-    when its writer is placed.  ``visits`` places each node right after
-    the last reader of its channels, so few placed channels wait for their
-    writer, and each of those moves up after every node.  The plan builds
-    that order on its first check and keeps it."""
+    when its writer is placed; ``net.visits`` says why it takes that one."""
     rank: dict[int, np.ndarray] = {}  # channel -> rank of each recv, once placed
     # sink_clocks holds the sinks in node order, each in trace order, so a
     # stable sort by clock breaks ties by node, then trace position

@@ -36,11 +36,10 @@ Trace contract, which every node kind must meet:
 * Depend on nothing but the input tokens: not on channel depth, other
   nodes or the order nodes run in.
 
-Most kinds have a second implementation over whole arrays in ``arrays``
-(``engine`` says which run).  It must give this module's trace bytes,
-outputs, ``flops`` and ``bytes_read`` on the happy path and decline
-everywhere else (``tests/test_sim_arrays.py``), so a change to one of
-those loops changes its array function too.
+Most kinds have a second implementation over whole arrays in ``arrays``,
+which states what it must match; ``tests/test_sim_arrays.py`` holds the
+two together, so a change to one of these loops changes its array
+function too.
 
 Boundary emission uses a single pending stop per producer: a new boundary
 at a deeper level merges into the pending one (same closure point); at the

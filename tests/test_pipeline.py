@@ -18,6 +18,7 @@ from einstream.errors import (
     EinstreamError,
     IncompatibleBlocks,
     IndivisibleExtent,
+    MalformedStream,
     ParseError,
     PartialBlock,
     UnsatisfiableOrder,
@@ -236,6 +237,66 @@ def check_program(src, seed=0, inputs=None, depth=4):
 )
 def test_program_matches_oracle(src, inputs):
     check_program(src, inputs=inputs)
+
+
+# Programs the stream grammar fails on today, because it cannot tell "no
+# fibers" from "one empty fiber" (ROADMAP item 3).  Each xfail is strict:
+# the fix that makes one match the oracle must remove its marker.
+COPY3 = """
+index i = 3; index j = 2; index k = 3;
+tensor A(i, j, k): dense(i) -> compressed(j) -> compressed(k) order(i, j, k) input;
+tensor Y(i, j, k): dense(i) -> compressed(j) -> compressed(k) order(i, j, k) output;
+Y(i, j, k) = A(i, j, k);
+"""
+COPY3_A = np.zeros((3, 2, 3))  # row 1 holds no entry
+COPY3_A[0, 1, 2], COPY3_A[2, 0, 0], COPY3_A[2, 1, 1] = 1.0, 2.0, 3.0
+
+# PAIR3 without parallelize, and with a second operand at 40 %
+PRODUCT3 = """
+index i = 4; index j = 3; index k = 5;
+tensor A(i, j, k): dense(i) -> compressed(j) -> compressed(k) order(i, j, k) input;
+tensor C(i, j, k): dense(i) -> compressed(j) -> compressed(k) order(i, j, k) input;
+Y(i, j, k) = A(i, j, k) * C(i, j, k);
+"""
+
+# a max over a quotient whose divisor stores no entry
+MAX_OVER_ZERO_DIVISOR = """
+index i = 3; index j = 2;
+tensor T0(i): compressed(i) order(i) input;
+tensor T1(j): compressed(j) order(j) input;
+tensor T2(i): compressed(i) order(i) input;
+O(i) = max(T0(i) * T1(j) / T2(i));
+"""
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=MalformedStream,
+    reason="cd_Y_j: crddrop outer stream early boundary S0",
+)
+@pytest.mark.parametrize("depth", [4, 10**6])
+def test_copy_of_a_3_level_tensor_with_an_empty_row_matches_oracle(depth):
+    check_program(COPY3, inputs={"A": COPY3_A}, depth=depth)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=MalformedStream,
+    reason="writer Y: level 2 has no fiber per level 1 coordinate",
+)
+@pytest.mark.parametrize("seed", range(4))
+def test_unfused_product_of_two_sparse_3_level_tensors_matches_oracle(seed):
+    check_program(PRODUCT3, seed=seed)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=MalformedStream,
+    reason="alu_O: alu inputs desynchronized: 0.0 vs Done",
+)
+def test_max_over_a_divisor_with_no_stored_entry_matches_oracle():
+    inputs = {"T0": np.array([1.0, 2.0, 0.0]), "T1": np.array([1.0, -1.0]), "T2": np.zeros(3)}
+    check_program(MAX_OVER_ZERO_DIVISOR, inputs=inputs)
 
 
 def test_parallelize_scales_the_modelled_cycles():
