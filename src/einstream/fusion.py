@@ -78,11 +78,15 @@ class RegionIR:
     edges: set = field(default_factory=set)
     name_map: dict = field(default_factory=dict)  # source name -> region vars
     copies: dict = field(default_factory=dict)  # view index -> True
-    # heuristic.estimate_region's results for this IR, by (order, densities,
-    # rates).  An IR is not mutated after its first estimate: resolve_cycles
-    # runs before any, and compile_region rewrites only its own copy, first.
-    # Not an init field, so every dataclasses.replace copy starts empty.
+    # Results kept for this IR: heuristic.estimate_region's by (order,
+    # densities, rates), and the order search's accepted lowerings by order,
+    # each as (vp, CompiledRegion) until compile_region hands it out.  Both
+    # rest on an IR not being mutated after its first estimate or lowering:
+    # resolve_cycles, the one rewrite after elaboration, clears both when it
+    # changes the IR, and compile_region rewrites only its own copy.  Not
+    # init fields, so every dataclasses.replace copy starts empty.
     estimates: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    lowered: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def operand_vars(self, operand: Operand) -> tuple[str, ...]:
         if operand.kind == "view":
@@ -378,6 +382,8 @@ def resolve_cycles(ir: RegionIR) -> RegionIR:
             if is_acyclic(ir, trial):
                 ir.copies[idx] = True
                 ir.edges = trial
+                ir.estimates.clear()
+                ir.lowered.clear()
                 break
         else:
             raise UnsupportedSchedule(

@@ -28,8 +28,9 @@ dicts; a value's sign is part of the key, since 0.0 == -0.0.  A hit skips
 ``CostEstimate`` and output-density dict, so a caller that mutates its
 result cannot change the next one.  A call that raises keeps nothing.  This
 rests on an IR not being mutated after its first estimate:
-``resolve_cycles`` runs before any, and ``compile_region`` rewrites only its
-own copy, whose ``estimates`` start empty, and does so first.
+``resolve_cycles`` clears ``estimates`` when it rewrites an IR, and
+``compile_region`` rewrites only its own copy, whose ``estimates`` start
+empty, and does so first.
 """
 
 from __future__ import annotations

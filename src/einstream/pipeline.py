@@ -13,11 +13,19 @@ the extensions lexicographically and keeps the ones the lowering accepts,
 pruning rejections by shared prefix.  ``choose_build_order`` is the one
 place a region's order is decided; ``fuse{ order(...) }`` enters its search
 as extra precedence edges.
+
+The search keeps each lowering it accepts on the IR it searched
+(``RegionIR.lowered``), and ``compile_region`` called as the search calls
+it (no ``par``, no ``block``, the same ``vp``) hands that lowering out once
+instead of lowering the order again.  So an IR holds the accepted
+lowerings that no caller has taken yet, and they are freed with it; any
+other call lowers afresh.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from time import perf_counter
 
 from . import sim
 from .errors import PartialBlock, UnsatisfiableOrder, UnsupportedSchedule
@@ -62,8 +70,14 @@ def compile_region(vp, ir, order, *, par=None, block=None) -> CompiledRegion:
     ``plan_copies`` rewrites ``views`` and ``plan_blocking`` rewrites
     ``extents`` in place, so each candidate order works on its own copy of
     those two; the rest of the IR is shared.  ``par`` maps index vars to
-    split factors; ``block`` is a block shape such as ``(2, 2)``.
+    split factors; ``block`` is a block shape such as ``(2, 2)``.  With
+    neither, a lowering the order search kept on ``ir`` for this ``vp`` and
+    order is returned, and ``ir`` keeps it no longer.
     """
+    if par is None and block is None:
+        kept = ir.lowered.pop(tuple(order), None)
+        if kept is not None and kept[0] is vp:
+            return kept[1]
     if block is not None and ir.copies:
         raise UnsupportedSchedule(
             "blocking combined with permuted input copies is not supported"
@@ -80,7 +94,8 @@ _PROBE_LIMIT = 2000
 
 
 def schedulable_orders(vp, ir, cap: int = 24, extra_edges=()):
-    """First ``cap`` lexicographic POG extensions the lowering accepts.
+    """First ``cap`` lexicographic POG extensions the lowering accepts; each
+    one's lowering is kept on ``ir`` for ``compile_region`` to hand out.
 
     A build failure at row k rules out every extension sharing that
     (k+1)-prefix; the search backtracks straight past them.  ``_PROBE_LIMIT``
@@ -107,9 +122,10 @@ def schedulable_orders(vp, ir, cap: int = 24, extra_edges=()):
             probes += 1
             order = tuple(chosen)
             try:
-                compile_region(vp, ir, order)
+                cr = compile_region(vp, ir, order)
             except UnsupportedSchedule as e:
                 return getattr(e, "row_pos", len(order) - 1)
+            ir.lowered[order] = (vp, cr)
             good.append(order)
             return None
         for v in vs:
@@ -125,6 +141,7 @@ def schedulable_orders(vp, ir, cap: int = 24, extra_edges=()):
         return None
 
     dfs()
+    del dfs  # its cell refers to it: break the cycle, so ``ir`` goes by refcount
     return good
 
 
@@ -199,6 +216,8 @@ class ProgramRun:
     outputs: dict  # tensor -> SparseTensor, for each tensor a region stored
     reports: list  # one SimReport per region
     orders: list  # the loop order of each region
+    # per region, the seconds of plan_region, prepare_region, sim.run and store
+    timings: list = field(default_factory=list, compare=False)
 
 
 def run_program(vp, inputs: dict, config: sim.SimConfig | None = None) -> ProgramRun:
@@ -209,10 +228,19 @@ def run_program(vp, inputs: dict, config: sim.SimConfig | None = None) -> Progra
     env = {name: store(vp, name, arr) for name, arr in vp.check_inputs(inputs).items()}
     run = ProgramRun({}, [], [])
     for r in range(len(vp.regions)):
+        t0 = perf_counter()
         cr = plan_region(vp, r)
-        rep = sim.run(cr.graph, prepare_region(vp, cr, env), config)
+        t1 = perf_counter()
+        tens = prepare_region(vp, cr, env)
+        t2 = perf_counter()
+        rep = sim.run(cr.graph, tens, config)
+        t3 = perf_counter()
         run.reports.append(rep)
         run.orders.append(cr.order)
         for _, name in cr.ir.outputs:
             env[name] = run.outputs[name] = store(vp, name, rep.outputs[name])
+        run.timings.append(
+            {"plan_region": t1 - t0, "prepare_region": t2 - t1, "sim.run": t3 - t2,
+             "store": perf_counter() - t3}
+        )
     return run

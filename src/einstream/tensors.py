@@ -18,7 +18,9 @@ dense block per stored grid position, so the block shape lives only in
 ``permute_modes``, ``unblock``, ``block_tensor`` and the simulator's
 writer reconstruction (``sim.engine._finalize``) read a tensor through it
 as whole arrays.  ``_from_arrays`` builds every unblocked tensor from such
-arrays; blocked tensors come only from ``block_tensor`` and blocked writers.
+arrays, and ``from_dense`` from an array's nonzeros, both through one level
+builder (``_build``); blocked tensors come only from ``block_tensor`` and
+blocked writers.
 """
 
 from __future__ import annotations
@@ -146,13 +148,16 @@ class SparseTensor:
         formats: Sequence[LevelSpec] | None = None,
         mode_order: Sequence[int] | None = None,
     ) -> "SparseTensor":
-        """Compress a dense array, dropping its zeros (-0.0 included)."""
+        """Compress a dense array, dropping its zeros (-0.0 included).  The
+        nonzeros of the array in storage order come out sorted and unique,
+        so they go to the levels as they are."""
         arr = np.asarray(array, dtype=np.float64)
         if formats is None:
             formats = [LevelSpec(COMPRESSED)] * arr.ndim
-        at = np.nonzero(arr)
-        crd = np.stack(at, axis=1)
-        return _from_arrays(arr.shape, crd, arr[at], formats, mode_order)
+        mode_order, formats = _layout(arr.ndim, formats, mode_order)
+        stored = arr.transpose(mode_order)
+        at = np.nonzero(stored)
+        return _build(arr.shape, mode_order, formats, at, stored[at])
 
     # -- views -------------------------------------------------------------
 
@@ -276,25 +281,24 @@ class SparseTensor:
             )
 
 
-def _from_arrays(shape, crd, vals, formats, mode_order) -> SparseTensor:
-    """``from_coo`` on an (entries, ndim) coordinate array and its values.
-
-    Entries are sorted in storage order; level by level, each entry's
-    position is then its parent's position times the extent plus its
-    coordinate (dense), or the rank of its distinct (parent, coordinate)
-    pair (compressed), which keeps positions sorted.
-    """
-    shape = tuple(int(s) for s in shape)
-    ndim = len(shape)
-    if mode_order is None:
-        mode_order = tuple(range(ndim))
-    mode_order = tuple(mode_order)
+def _layout(ndim, formats, mode_order) -> tuple[tuple[int, ...], list]:
+    """``mode_order`` (identity if None) and ``formats``, checked against
+    ``ndim`` modes."""
+    mode_order = tuple(range(ndim)) if mode_order is None else tuple(mode_order)
     if sorted(mode_order) != list(range(ndim)):
         raise IllegalFormatCombination(f"mode_order {mode_order} is not a permutation")
     formats = list(formats)
     if len(formats) != ndim:
         raise IllegalFormatCombination(f"{len(formats)} level formats for {ndim} modes")
+    return mode_order, formats
 
+
+def _from_arrays(shape, crd, vals, formats, mode_order) -> SparseTensor:
+    """``from_coo`` on an (entries, ndim) coordinate array and its values:
+    bounds checked, sorted in storage order and checked for duplicates."""
+    shape = tuple(int(s) for s in shape)
+    ndim = len(shape)
+    mode_order, formats = _layout(ndim, formats, mode_order)
     outside = (crd < 0) | (crd >= np.array(shape, dtype=np.int64))
     if outside.any():
         coords = tuple(int(c) for c in crd[outside.any(axis=1).argmax()])
@@ -308,13 +312,23 @@ def _from_arrays(shape, crd, vals, formats, mode_order) -> SparseTensor:
         for d, c in enumerate(sc[np.argmax(same)]):
             coords[mode_order[d]] = int(c)
         raise DuplicateCoordinate(f"duplicate entry at {tuple(coords)}")
+    return _build(shape, mode_order, formats, sc.T, vals)
 
+
+def _build(shape, mode_order, formats, cols, vals) -> SparseTensor:
+    """The tensor of distinct entries sorted in storage order: ``cols[d]``
+    holds their coordinates at storage level ``d``.
+
+    Level by level, each entry's position is its parent's position times
+    the extent plus its coordinate (dense), or the rank of its distinct
+    (parent, coordinate) pair (compressed), which keeps positions sorted.
+    """
     levels = []
     pos = np.zeros(len(vals), dtype=np.int64)
     npos = 1
     for d, spec in enumerate(formats):
         size = shape[mode_order[d]]
-        c = sc[:, d]
+        c = cols[d]
         if spec.kind == DENSE:
             levels.append(DenseLevel(size))
             pos = pos * size + c

@@ -8,11 +8,13 @@ import gc
 import itertools
 import math
 import re
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from einstream import heuristic, oracle, sim
+from einstream import heuristic, oracle, pipeline, sim
 from einstream.errors import (
     Deadlock,
     EinstreamError,
@@ -25,13 +27,14 @@ from einstream.errors import (
     UnsupportedSchedule,
 )
 from einstream.frontend import parse_program, validate_program
-from einstream.fusion import elaborate_region, nesting_edges, resolve_cycles
+from einstream.fusion import elaborate_region, is_acyclic, nesting_edges, resolve_cycles
 from einstream.graph import DataflowGraph
 from einstream.pipeline import (
     choose_build_order,
     compile_region,
     plan_region,
     prepare_region,
+    region_par,
     run_program,
     schedulable_orders,
     store,
@@ -497,6 +500,138 @@ def test_compile_region_leaves_the_callers_ir_alone(src):
                 except Exception:  # noqa: BLE001 - refused or failed, the IR must hold
                     pass
                 assert ir == snapshot, (r, order, block)
+
+
+SOFTMAX_FUSED = SOFTMAX.replace("R(i) =", "fuse {\nR(i) =") + "}\n"
+HAND_OVER = [SPMV.format(body="y(i) = A(i, k) * x(k);"), SPMM.format(extra=""), SOFTMAX_FUSED]
+HAND_OVER_IDS = ["spmv", "fused_relu", "fused_softmax"]
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Every order ``compile_region`` lowers, in call order."""
+    calls = []
+    real = pipeline.build_region_graph
+
+    def spy(vp, ir, order, **kw):
+        calls.append(tuple(order))
+        return real(vp, ir, order, **kw)
+
+    monkeypatch.setattr(pipeline, "build_region_graph", spy)
+    return calls
+
+
+def _searched(src, r=0):
+    vp = validate_program(parse_program(src))
+    ir = resolve_cycles(elaborate_region(vp, r))
+    return vp, ir, choose_build_order(vp, ir)
+
+
+@pytest.mark.parametrize("src", HAND_OVER, ids=HAND_OVER_IDS)
+def test_plan_region_lowers_its_chosen_order_once(src, builds):
+    """The search's probes are the only lowerings: the accepted one is
+    handed to ``compile_region``."""
+    vp, _, _ = _searched(src)
+    probes = len(builds)
+    del builds[:]
+    cr = plan_region(vp, 0)
+    assert len(builds) == probes and builds[-1] == cr.order
+
+
+@pytest.mark.parametrize("src", HAND_OVER, ids=HAND_OVER_IDS)
+def test_a_kept_lowering_is_handed_out_once(src, builds):
+    vp, ir, order = _searched(src)
+    del builds[:]
+    first = compile_region(vp, ir, order)
+    assert not builds and not ir.lowered
+    second = compile_region(vp, ir, order)
+    assert builds == [order] and second.graph is not first.graph
+
+
+@pytest.mark.parametrize(
+    "src", [GCN, SPMM.format(extra="parallelize(i, 2);")], ids=["gcn_block2", "fused_relu_par2"]
+)
+def test_par_or_block_lowers_afresh(src, builds):
+    vp = validate_program(parse_program(src))
+    block = vp.schedule.block
+    for r in range(len(vp.regions)):
+        ir = resolve_cycles(elaborate_region(vp, r))
+        order = choose_build_order(vp, ir)
+        kept = ir.lowered[order][1]
+        par = region_par(vp, ir)
+        del builds[:]
+        cr = compile_region(vp, ir, order, par=par, block=block)
+        assert builds == [order] and cr is not kept
+        assert cr.info.par == (par or {}) and (cr.block is None) == (block is None)
+
+
+@pytest.mark.parametrize("src", HAND_OVER + [COPY], ids=HAND_OVER_IDS + ["copy"])
+def test_a_kept_lowering_equals_a_fresh_one(src):
+    vp, ir, order = _searched(src)
+    assert order in ir.lowered
+    kept = compile_region(vp, ir, order)
+    assert not ir.lowered
+    # an IR that was never searched holds nothing to hand out
+    fresh = compile_region(vp, resolve_cycles(elaborate_region(vp, 0)), order)
+    assert kept.graph is not fresh.graph
+    assert kept.graph.to_json() == fresh.graph.to_json()
+    assert kept.info == fresh.info and kept.copy_plans == fresh.copy_plans
+    assert kept.ir == fresh.ir
+    env = _env(vp, _inputs(vp))
+    got, want = (sim.run(c.graph, prepare_region(vp, c, env), sim.SimConfig()) for c in (kept, fresh))
+    assert got.counters() == want.counters()
+    assert got.outputs == want.outputs
+
+
+def test_kept_lowerings_are_freed_with_their_ir():
+    """By refcount: neither the search nor what it keeps makes a cycle
+    through the IR."""
+    vp = validate_program(parse_program(SOFTMAX_FUSED))
+    ir = resolve_cycles(elaborate_region(vp, 0))
+    gc.collect()
+    gc.disable()
+    try:
+        orders = schedulable_orders(vp, ir)
+        assert sorted(ir.lowered) == sorted(orders)
+        refs = [weakref.ref(x) for _, cr in ir.lowered.values() for x in (cr, cr.graph, cr.ir)]
+        del ir
+        assert not [r for r in refs if r() is not None]
+    finally:
+        gc.enable()
+
+
+def test_resolve_cycles_drops_what_was_kept_for_the_ir_it_rewrites():
+    vp = validate_program(parse_program(COPY))
+    ir = elaborate_region(vp, 0)
+    assert not is_acyclic(ir)
+    ir.lowered["o"], ir.estimates["o"] = (vp, None), None
+    resolve_cycles(ir)
+    assert ir.copies and not ir.lowered and not ir.estimates
+    ir.lowered["o"], ir.estimates["o"] = (vp, None), None
+    resolve_cycles(ir)  # acyclic now: nothing to rewrite, nothing dropped
+    assert "o" in ir.lowered and "o" in ir.estimates
+
+
+def test_a_lowering_kept_for_another_program_is_not_used(builds):
+    src = SPMM.format(extra="")
+    vp, ir, order = _searched(src)
+    kept = ir.lowered[order][1]
+    other = validate_program(parse_program(src))
+    del builds[:]
+    cr = compile_region(other, ir, order)
+    assert builds == [order] and cr is not kept
+
+
+@pytest.mark.parametrize(
+    "src", [SPMV.format(body="y(i) = A(i, k) * x(k);"), GCN], ids=["spmv", "gcn_block2"]
+)
+def test_run_program_times_each_region(src):
+    run = check_program(src)
+    assert len(run.timings) == len(run.reports)
+    for t in run.timings:
+        assert sorted(t) == ["plan_region", "prepare_region", "sim.run", "store"]
+        assert all(s >= 0 for s in t.values())
+    assert replace(run, timings=[]) == run
 
 
 def test_copy_program_schedules_a_permuted_copy():

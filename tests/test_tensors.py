@@ -26,6 +26,7 @@ from einstream.tensors import (
     DenseLevel,
     LevelSpec,
     SparseTensor,
+    _from_arrays,
     block_tensor,
 )
 
@@ -457,3 +458,26 @@ def test_array_walk_matches_loop_reference(case):
     assert bytes_written == (
         stored.values.size * ELEMENT_BYTES + stored.metadata_elems * INDEX_BYTES
     )
+
+
+@st.composite
+def dense_cases(draw):
+    """A dense array of rank 1-3 holding -0.0 and explicit zeros (or
+    nothing but zeros), with formats and a mode order to compress it in."""
+    ndim = draw(st.integers(1, 3))
+    shape = tuple(draw(st.integers(1, 4)) for _ in range(ndim))
+    values = st.sampled_from([0.0, -0.0, 1.5, -2.0, 0.25])
+    cells = draw(st.lists(values, min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))
+    formats = [LevelSpec(k) for k in draw(st.lists(KINDS, min_size=ndim, max_size=ndim))]
+    return np.array(cells).reshape(shape), formats, tuple(draw(st.permutations(range(ndim))))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(dense_cases())
+def test_from_dense_matches_from_arrays_on_the_nonzeros(case):
+    """``from_dense`` skips the sort and checks of ``_from_arrays``, which
+    the nonzeros of an array in storage order cannot fail."""
+    arr, formats, mode_order = case
+    at = np.nonzero(arr)
+    want = _from_arrays(arr.shape, np.stack(at, axis=1), arr[at], formats, mode_order)
+    _assert_same_bytes(SparseTensor.from_dense(arr, formats, mode_order), want)
