@@ -26,7 +26,8 @@ use), planning the region raises ``UnsatisfiableOrder``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from ..errors import ParseError
 from ..tensors import COMPRESSED, DENSE, LevelSpec
@@ -43,68 +44,61 @@ from .program import (
     TensorDecl,
 )
 
-_PUNCT = ("->", "(", ")", "{", "}", ",", ";", "=", "+", "-", "*", "/", ":", ".")
 
-
-@dataclass(frozen=True)
-class _Tok:
+class _Tok(NamedTuple):
     kind: str  # ident | number | punct | eof
     text: str
     line: int
     col: int
 
 
+def _token_pattern(digits: str = "", numerals: str = "") -> re.Pattern:
+    r"""One alternative per token class; the first that matches wins.
+
+    A name starts at a ``str.isalpha`` character or "_" and goes on over
+    ``str.isalnum`` ones and "_", which is ``\w``; a number's digits are
+    ``str.isdigit`` ones.  But ``\d`` is ``str.isdecimal``, and a name's
+    ``[^\W\d]`` holds every numeric character that is not decimal, so the
+    pattern for a text names those of its characters: ``digits`` (such as
+    "²") and the ``numerals`` that are no letter (such as "²" and "½")."""
+    d = rf"\d{digits}"  # a character class's contents
+    start = rf"(?![{numerals}])[^\W\d]" if numerals else r"[^\W\d]"
+    return re.compile(
+        r"(?P<nl>\n)|(?P<ws>[ \t\r]+)|(?P<comment>(?:#|//)[^\n]*)"
+        rf"|(?P<ident>{start}\w*)|(?P<number>\.?[{d}][{d}.]*(?:[eE][+-]?[{d}]+)?)"
+        r"|(?P<punct>->|[(){},;=+\-*/:.])|(?P<bad>.)",
+        re.S,
+    )
+
+
+_ASCII_TOKENS = _token_pattern()
+
+
+def _pattern_for(src: str) -> re.Pattern:
+    if src.isascii():
+        return _ASCII_TOKENS
+    odd = {c for c in set(src) if c.isnumeric() and not c.isdecimal()}
+    digits = "".join(sorted(c for c in odd if c.isdigit()))
+    numerals = "".join(sorted(c for c in odd if not c.isalpha()))
+    return _token_pattern(re.escape(digits), re.escape(numerals))
+
+
 def _tokenize(src: str) -> list[_Tok]:
     toks = []
     line, col = 1, 1
-    i, n = 0, len(src)
-    while i < n:
-        ch = src[i]
-        if ch == "\n":
+    for m in _pattern_for(src).finditer(src):
+        kind = m.lastgroup
+        if kind == "ws":
+            col += m.end() - m.start()
+        elif kind == "nl":
             line += 1
             col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#" or src.startswith("//", i):
-            while i < n and src[i] != "\n":
-                i += 1
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            toks.append(_Tok("ident", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and src[i + 1].isdigit()):
-            j = i
-            while j < n and (src[j].isdigit() or src[j] == "."):
-                j += 1
-            if j < n and src[j] in "eE":
-                k = j + 1
-                if k < n and src[k] in "+-":
-                    k += 1
-                if k < n and src[k].isdigit():
-                    j = k
-                    while j < n and src[j].isdigit():
-                        j += 1
-            toks.append(_Tok("number", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        for p in _PUNCT:
-            if src.startswith(p, i):
-                toks.append(_Tok("punct", p, line, col))
-                i += len(p)
-                col += len(p)
-                break
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", line, col)
+        elif kind != "comment":  # a comment leaves the column where it starts
+            text = m.group()
+            toks.append(_Tok(kind, text, line, col))
+            col += len(text)
     toks.append(_Tok("eof", "", line, col))
     return toks
 

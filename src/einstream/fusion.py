@@ -80,8 +80,9 @@ class RegionIR:
     copies: dict = field(default_factory=dict)  # view index -> True
     # Results kept for this IR: heuristic.estimate_region's by (order,
     # densities, rates), and the order search's accepted lowerings by order,
-    # each as (vp, CompiledRegion) until compile_region hands it out.  Both
-    # rest on an IR not being mutated after its first estimate or lowering:
+    # each as (vp, par, block, CompiledRegion) until compile_region hands it
+    # out to a call with that vp, par and block.  Both rest on an IR not
+    # being mutated after its first estimate or lowering:
     # resolve_cycles, the one rewrite after elaboration, clears both when it
     # changes the IR, and compile_region rewrites only its own copy.  Not
     # init fields, so every dataclasses.replace copy starts empty.

@@ -342,7 +342,9 @@ def _estimate(vp, ir, order, hin: HeuristicInput) -> tuple[CostEstimate, dict]:
 
 def estimate_program(vp, hin: HeuristicInput | None = None) -> CostEstimate:
     """Whole-program cost: regions in order, intermediate densities
-    propagated, intermediates' traffic counted at region boundaries."""
+    propagated, intermediates' traffic counted at region boundaries.  Each
+    region is estimated at ``choose_build_order``'s order, the search under
+    the program's directives that ``pipeline.plan_region`` runs."""
     from .pipeline import choose_build_order  # local: avoids an import cycle
 
     hin = hin or HeuristicInput.from_schedule(vp)

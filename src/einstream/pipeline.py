@@ -14,12 +14,17 @@ pruning rejections by shared prefix.  ``choose_build_order`` is the one
 place a region's order is decided; ``fuse{ order(...) }`` enters its search
 as extra precedence edges.
 
-The search keeps each lowering it accepts on the IR it searched
-(``RegionIR.lowered``), and ``compile_region`` called as the search calls
-it (no ``par``, no ``block``, the same ``vp``) hands that lowering out once
-instead of lowering the order again.  So an IR holds the accepted
+The search probes each order under the directives its region runs under,
+``region_par`` and the program's ``block``, and keeps each lowering it
+accepts on the IR it searched (``RegionIR.lowered``) with the ``vp``,
+``par`` and ``block`` it was built for.  ``compile_region`` hands that
+lowering out once, to a call with that ``vp``, order, ``par`` and
+``block``; ``plan_region`` is such a call.  So an IR holds the accepted
 lowerings that no caller has taken yet, and they are freed with it; any
-other call lowers afresh.
+other call lowers afresh.  Where the directives refuse every order, the
+order chosen is the first one the same search accepts without them, and
+``compile_region`` raises that order's refusal, as if the order had been
+chosen plain and then lowered under the directives.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from dataclasses import dataclass, field, replace
 from time import perf_counter
 
 from . import sim
-from .errors import PartialBlock, UnsatisfiableOrder, UnsupportedSchedule
+from .errors import PartialBlock, ScheduleError, UnsatisfiableOrder, UnsupportedSchedule
 from .fusion import elaborate_region, map_user_order, plan_copies, region_vars
 from .fusion import is_acyclic, resolve_cycles
 from .table import build_region_graph
@@ -70,23 +75,29 @@ def compile_region(vp, ir, order, *, par=None, block=None) -> CompiledRegion:
     ``plan_copies`` rewrites ``views`` and ``plan_blocking`` rewrites
     ``extents`` in place, so each candidate order works on its own copy of
     those two; the rest of the IR is shared.  ``par`` maps index vars to
-    split factors; ``block`` is a block shape such as ``(2, 2)``.  With
-    neither, a lowering the order search kept on ``ir`` for this ``vp`` and
-    order is returned, and ``ir`` keeps it no longer.
+    split factors; ``block`` is a block shape such as ``(2, 2)``.  A
+    lowering the order search kept on ``ir`` for this ``vp``, order,
+    ``par`` and ``block`` is returned instead, and ``ir`` keeps it no
+    longer; a call with anything else lowers afresh and leaves it kept.
     """
-    if par is None and block is None:
-        kept = ir.lowered.pop(tuple(order), None)
-        if kept is not None and kept[0] is vp:
-            return kept[1]
-    if block is not None and ir.copies:
-        raise UnsupportedSchedule(
-            "blocking combined with permuted input copies is not supported"
-        )
+    order, par = tuple(order), dict(par or {})
+    kept = ir.lowered.get(order)
+    if kept is not None and kept[0] is vp and kept[1:3] == (par, block):
+        del ir.lowered[order]
+        return kept[3]
+    _refuse_copies(ir, block)
     ir2 = replace(ir, views=list(ir.views), extents=dict(ir.extents))
     plans = plan_copies(ir2, order)
     binfo = plan_blocking(vp, ir2, block) if block is not None else None
     graph, info = build_region_graph(vp, ir2, order, par=par, block=binfo)
-    return CompiledRegion(tuple(order), graph, info, plans, ir2, binfo)
+    return CompiledRegion(order, graph, info, plans, ir2, binfo)
+
+
+def _refuse_copies(ir, block):
+    if block is not None and ir.copies:
+        raise UnsupportedSchedule(
+            "blocking combined with permuted input copies is not supported"
+        )
 
 
 # build attempts after which schedulable_orders stops searching
@@ -94,8 +105,25 @@ _PROBE_LIMIT = 2000
 
 
 def schedulable_orders(vp, ir, cap: int = 24, extra_edges=()):
-    """First ``cap`` lexicographic POG extensions the lowering accepts; each
-    one's lowering is kept on ``ir`` for ``compile_region`` to hand out.
+    """First ``cap`` lexicographic POG extensions the lowering accepts under
+    the region's directives (``region_par`` and ``vp.schedule.block``);
+    each one's lowering is kept on ``ir`` for ``compile_region`` to hand
+    out to a call with those directives.
+
+    A refusal that holds whatever the order, ``region_par``'s and
+    blocking's (permuted input copies, ``plan_blocking``'s errors), raises
+    before the first probe.
+    """
+    par, block = region_par(vp, ir), vp.schedule.block
+    if block is not None:
+        _refuse_copies(ir, block)
+        plan_blocking(vp, replace(ir, extents=dict(ir.extents)), block)
+    return _search(vp, ir, cap, extra_edges, par, block)
+
+
+def _search(vp, ir, cap, extra_edges, par, block):
+    """The orders ``schedulable_orders`` describes, probed under ``par``
+    and ``block``.
 
     A build failure at row k rules out every extension sharing that
     (k+1)-prefix; the search backtracks straight past them.  ``_PROBE_LIMIT``
@@ -107,6 +135,7 @@ def schedulable_orders(vp, ir, cap: int = 24, extra_edges=()):
     for a, b in edges:
         if a in pred and b in pred and a != b:
             pred[b].add(a)
+    par = dict(par or {})
     good: list[tuple[str, ...]] = []
     chosen: list[str] = []
     probes = 0
@@ -122,10 +151,10 @@ def schedulable_orders(vp, ir, cap: int = 24, extra_edges=()):
             probes += 1
             order = tuple(chosen)
             try:
-                cr = compile_region(vp, ir, order)
+                cr = compile_region(vp, ir, order, par=par, block=block)
             except UnsupportedSchedule as e:
                 return getattr(e, "row_pos", len(order) - 1)
-            ir.lowered[order] = (vp, cr)
+            ir.lowered[order] = (vp, par, block, cr)
             good.append(order)
             return None
         for v in vs:
@@ -146,8 +175,11 @@ def schedulable_orders(vp, ir, cap: int = 24, extra_edges=()):
 
 
 def choose_build_order(vp, ir) -> tuple[str, ...]:
-    """First lexicographic order the lowering accepts, nesting the region's
-    ``order(...)`` indices as listed.  A directive storage nesting forbids
+    """First lexicographic order the lowering accepts under the region's
+    directives, nesting the region's ``order(...)`` indices as listed; its
+    lowering is kept for ``plan_region``.  Where the directives refuse
+    every order, the first one the search accepts without them: lowering
+    it under them raises the reason.  A directive storage nesting forbids
     raises ``UnsatisfiableOrder``; one the lowering cannot build raises
     ``UnsupportedSchedule``."""
     names = vp.regions[ir.index].order
@@ -162,7 +194,11 @@ def choose_build_order(vp, ir) -> tuple[str, ...]:
         extra = set(zip(mapped, mapped[1:]))
         if not is_acyclic(ir, ir.edges | extra):
             raise UnsatisfiableOrder(f"{where} conflicts with storage nesting")
-    got = schedulable_orders(vp, ir, cap=1, extra_edges=extra)
+    try:
+        got = schedulable_orders(vp, ir, cap=1, extra_edges=extra)
+    except ScheduleError:  # refused whatever the order; compile_region says why
+        got = []
+    got = got or _search(vp, ir, 1, extra, None, None)
     if not got:
         raise UnsupportedSchedule(f"{where}: no schedulable dataflow order found")
     return got[0]
@@ -179,7 +215,8 @@ def region_par(vp, ir) -> dict | None:
 
 def plan_region(vp, r: int) -> CompiledRegion:
     """Region ``r`` lowered at its chosen order, with the program's
-    ``parallelize`` and ``block`` directives applied."""
+    ``parallelize`` and ``block`` directives applied: the lowering the
+    order search kept."""
     ir = resolve_cycles(elaborate_region(vp, r))
     order = choose_build_order(vp, ir)
     return compile_region(vp, ir, order, par=region_par(vp, ir), block=vp.schedule.block)

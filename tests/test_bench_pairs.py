@@ -58,3 +58,28 @@ def test_one_pair_has_its_value_as_every_quartile():
     got = bench_pairs.summarize(_lines(run_s=[2.0]), _lines(run_s=[1.0]))["run_s"]
     assert got["parent"] == {"q1": 2.0, "median": 2.0, "q3": 2.0}
     assert got["wins"] == 1 and got["gain"]
+
+
+def _runs(*digests):
+    """One run per digest list, alternating sides as the tool runs them."""
+    return [{"pair": n // 2, "side": ("parent", "change")[n % 2], "digest": d}
+            for n, d in enumerate(digests)]
+
+
+def test_one_digest_on_every_run_is_the_same_digest():
+    got = bench_pairs.digests(_runs(["ab"], ["ab"], ["ab"], ["ab"]))
+    assert got == {"digests": {"parent": ["ab"], "change": ["ab"]}, "same_digest": True}
+
+
+@pytest.mark.parametrize(
+    "runs, sides",
+    [
+        (_runs(["ab"], ["cd"]), {"parent": ["ab"], "change": ["cd"]}),
+        (_runs(["ab"], ["ab"], ["ab"], ["ab", "cd"]), {"parent": ["ab"], "change": ["ab", "cd"]}),
+        (_runs(["cd", "ab"], ["ab", "cd"]), {"parent": ["ab", "cd"], "change": ["ab", "cd"]}),
+    ],
+    ids=["sides_differ", "one_run_differs_within", "two_digests_each"],
+)
+def test_digests_that_differ_are_not_the_same(runs, sides):
+    got = bench_pairs.digests(runs)
+    assert got == {"digests": sides, "same_digest": False}

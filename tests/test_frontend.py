@@ -6,6 +6,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from einstream.errors import (
     ArityMismatch,
@@ -31,6 +33,7 @@ from einstream.frontend import (
     render_program,
     validate_program,
 )
+from einstream.frontend import parser
 from einstream.tensors import COMPRESSED, DENSE, LevelSpec
 
 SPMV = """
@@ -445,3 +448,95 @@ def test_apply_pointwise_array_matches_scalar_bit_for_bit(fn):
 def test_apply_pointwise_array_rejects_unknown_fn():
     with pytest.raises(FrontendError, match="unknown pointwise fn"):
         apply_pointwise_array("tanh", np.ones(2))
+
+
+# The character-by-character tokenizer the compiled pattern replaced, kept
+# as the reference its tokens and errors are held to.
+_OLD_PUNCT = ("->", "(", ")", "{", "}", ",", ";", "=", "+", "-", "*", "/", ":", ".")
+
+
+def _old_tokenize(src: str) -> list[tuple]:
+    toks = []
+    line, col = 1, 1
+    i, n = 0, len(src)
+    while i < n:
+        ch = src[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "#" or src.startswith("//", i):
+            while i < n and src[i] != "\n":
+                i += 1
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (src[j].isalnum() or src[j] == "_"):
+                j += 1
+            toks.append(("ident", src[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if ch.isdigit() or (ch == "." and i + 1 < n and src[i + 1].isdigit()):
+            j = i
+            while j < n and (src[j].isdigit() or src[j] == "."):
+                j += 1
+            if j < n and src[j] in "eE":
+                k = j + 1
+                if k < n and src[k] in "+-":
+                    k += 1
+                if k < n and src[k].isdigit():
+                    j = k
+                    while j < n and src[j].isdigit():
+                        j += 1
+            toks.append(("number", src[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        for p in _OLD_PUNCT:
+            if src.startswith(p, i):
+                toks.append(("punct", p, line, col))
+                i += len(p)
+                col += len(p)
+                break
+        else:
+            raise ParseError(f"unexpected character {ch!r}", line, col)
+    toks.append(("eof", "", line, col))
+    return toks
+
+
+def _tokens_or_error(tokenize, src):
+    try:
+        return [tuple(t) for t in tokenize(src)]
+    except ParseError as e:
+        return str(e), e.line, e.col
+
+
+TOKENIZE_SETTINGS = settings(derandomize=True, max_examples=400, deadline=None, database=None)
+# the format's own characters, and numerals the str methods and the
+# regex classes disagree on: "²" is a digit but not decimal, "½" and "Ⅷ"
+# are numeric but neither, "٣" is a decimal digit, "é" and "一" are letters
+FORMAT_TEXT = st.lists(
+    st.sampled_from(list("ikAB_x09.eE+-*/=(){},;:># \t\r\n²½Ⅷ٣é一\x0b")
+                    + ["->", "//", "index", "1e-3", ".5"]),
+    max_size=30,
+).map("".join)
+
+
+@TOKENIZE_SETTINGS
+@given(st.one_of(st.text(max_size=40), FORMAT_TEXT))
+def test_tokens_and_errors_equal_the_character_walks(src):
+    assert _tokens_or_error(parser._tokenize, src) == _tokens_or_error(_old_tokenize, src)
+
+
+@pytest.mark.parametrize("src", [
+    "x² = 1²", "1e² .²", "a½ ½", "Ⅷ", "a٣ ٣.5e٣", "一二 2一", "1e+ 2E-3x", "# only a comment",
+    "a // b\n  c", "->-", "..5.6.", "\x0b",
+])
+def test_tokens_on_numerals_equal_the_character_walk(src):
+    assert _tokens_or_error(parser._tokenize, src) == _tokens_or_error(_old_tokenize, src)

@@ -9,6 +9,7 @@ import itertools
 import math
 import re
 import weakref
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -23,11 +24,18 @@ from einstream.errors import (
     MalformedStream,
     ParseError,
     PartialBlock,
+    ScheduleError,
     UnsatisfiableOrder,
     UnsupportedSchedule,
 )
 from einstream.frontend import parse_program, validate_program
-from einstream.fusion import elaborate_region, is_acyclic, nesting_edges, resolve_cycles
+from einstream.fusion import (
+    elaborate_region,
+    is_acyclic,
+    nesting_edges,
+    region_vars,
+    resolve_cycles,
+)
 from einstream.graph import DataflowGraph
 from einstream.pipeline import (
     choose_build_order,
@@ -527,15 +535,27 @@ def _searched(src, r=0):
     return vp, ir, choose_build_order(vp, ir)
 
 
-@pytest.mark.parametrize("src", HAND_OVER, ids=HAND_OVER_IDS)
+# one program whose regions run blocked, one whose region runs split
+DIRECTED = [GCN, SPMM.format(extra="parallelize(i, 2);")]
+DIRECTED_IDS = ["gcn_block2", "fused_relu_par2"]
+
+
+def _directives(vp, ir) -> dict:
+    return {"par": region_par(vp, ir), "block": vp.schedule.block}
+
+
+@pytest.mark.parametrize("src", HAND_OVER + DIRECTED, ids=HAND_OVER_IDS + DIRECTED_IDS)
 def test_plan_region_lowers_its_chosen_order_once(src, builds):
-    """The search's probes are the only lowerings: the accepted one is
-    handed to ``compile_region``."""
-    vp, _, _ = _searched(src)
-    probes = len(builds)
-    del builds[:]
-    cr = plan_region(vp, 0)
-    assert len(builds) == probes and builds[-1] == cr.order
+    """The search's probes are the only lowerings: the accepted one, built
+    under the region's directives, is handed to ``compile_region``."""
+    vp = validate_program(parse_program(src))
+    for r in range(len(vp.regions)):
+        del builds[:]
+        choose_build_order(vp, resolve_cycles(elaborate_region(vp, r)))
+        probes = builds[:]
+        del builds[:]
+        cr = plan_region(vp, r)
+        assert builds == probes and builds[-1] == cr.order
 
 
 @pytest.mark.parametrize("src", HAND_OVER, ids=HAND_OVER_IDS)
@@ -548,56 +568,92 @@ def test_a_kept_lowering_is_handed_out_once(src, builds):
     assert builds == [order] and second.graph is not first.graph
 
 
-@pytest.mark.parametrize(
-    "src", [GCN, SPMM.format(extra="parallelize(i, 2);")], ids=["gcn_block2", "fused_relu_par2"]
-)
-def test_par_or_block_lowers_afresh(src, builds):
+@pytest.mark.parametrize("src", DIRECTED, ids=DIRECTED_IDS)
+def test_the_searchs_lowering_is_handed_out_to_its_directives(src, builds):
     vp = validate_program(parse_program(src))
-    block = vp.schedule.block
     for r in range(len(vp.regions)):
         ir = resolve_cycles(elaborate_region(vp, r))
         order = choose_build_order(vp, ir)
-        kept = ir.lowered[order][1]
-        par = region_par(vp, ir)
+        kept = ir.lowered[order][3]
+        directives = _directives(vp, ir)
         del builds[:]
-        cr = compile_region(vp, ir, order, par=par, block=block)
+        cr = compile_region(vp, ir, order, **directives)
+        assert not builds and cr is kept and order not in ir.lowered
+        assert cr.info.par == (directives["par"] or {})
+        assert (cr.block is None) == (directives["block"] is None)
+
+
+def _other_directives(vp, ir) -> dict:
+    """Unblocked where the program blocks; another factor where it splits."""
+    if vp.schedule.block is not None:
+        return {**_directives(vp, ir), "block": None}
+    return {"par": {v: 3 for v in region_par(vp, ir)}, "block": None}
+
+
+@pytest.mark.parametrize("src", DIRECTED, ids=DIRECTED_IDS)
+def test_a_call_with_other_directives_lowers_afresh(src, builds):
+    """And leaves the kept lowering for a call with its own directives."""
+    vp = validate_program(parse_program(src))
+    for r in range(len(vp.regions)):
+        ir = resolve_cycles(elaborate_region(vp, r))
+        order = choose_build_order(vp, ir)
+        kept = ir.lowered[order][3]
+        other = _other_directives(vp, ir)
+        del builds[:]
+        cr = compile_region(vp, ir, order, **other)
         assert builds == [order] and cr is not kept
-        assert cr.info.par == (par or {}) and (cr.block is None) == (block is None)
+        assert cr.info.par == (other["par"] or {}) and cr.block is None
+        assert compile_region(vp, ir, order, **_directives(vp, ir)) is kept
+        assert builds == [order]
 
 
-@pytest.mark.parametrize("src", HAND_OVER + [COPY], ids=HAND_OVER_IDS + ["copy"])
+@pytest.mark.parametrize(
+    "src", HAND_OVER + [COPY] + DIRECTED, ids=HAND_OVER_IDS + ["copy"] + DIRECTED_IDS
+)
 def test_a_kept_lowering_equals_a_fresh_one(src):
-    vp, ir, order = _searched(src)
-    assert order in ir.lowered
-    kept = compile_region(vp, ir, order)
-    assert not ir.lowered
-    # an IR that was never searched holds nothing to hand out
-    fresh = compile_region(vp, resolve_cycles(elaborate_region(vp, 0)), order)
-    assert kept.graph is not fresh.graph
-    assert kept.graph.to_json() == fresh.graph.to_json()
-    assert kept.info == fresh.info and kept.copy_plans == fresh.copy_plans
-    assert kept.ir == fresh.ir
+    """Region by region, on the tensors the regions before stored."""
+    vp = validate_program(parse_program(src))
     env = _env(vp, _inputs(vp))
-    got, want = (sim.run(c.graph, prepare_region(vp, c, env), sim.SimConfig()) for c in (kept, fresh))
-    assert got.counters() == want.counters()
-    assert got.outputs == want.outputs
+    for r in range(len(vp.regions)):
+        ir = resolve_cycles(elaborate_region(vp, r))
+        order = choose_build_order(vp, ir)
+        assert order in ir.lowered
+        directives = _directives(vp, ir)
+        kept = compile_region(vp, ir, order, **directives)
+        assert not ir.lowered
+        # an IR that was never searched holds nothing to hand out
+        fresh = compile_region(vp, resolve_cycles(elaborate_region(vp, r)), order, **directives)
+        assert kept.graph is not fresh.graph
+        assert kept.graph.to_json() == fresh.graph.to_json()
+        assert kept.info == fresh.info and kept.copy_plans == fresh.copy_plans
+        assert kept.ir == fresh.ir and kept.block == fresh.block
+        got, want = (
+            sim.run(c.graph, prepare_region(vp, c, env), sim.SimConfig()) for c in (kept, fresh)
+        )
+        assert got.counters() == want.counters()
+        assert got.outputs == want.outputs
+        for _, name in kept.ir.outputs:
+            env[name] = store(vp, name, got.outputs[name])
 
 
 def test_kept_lowerings_are_freed_with_their_ir():
     """By refcount: neither the search nor what it keeps makes a cycle
-    through the IR."""
-    vp = validate_program(parse_program(SOFTMAX_FUSED))
-    ir = resolve_cycles(elaborate_region(vp, 0))
-    gc.collect()
-    gc.disable()
-    try:
-        orders = schedulable_orders(vp, ir)
-        assert sorted(ir.lowered) == sorted(orders)
-        refs = [weakref.ref(x) for _, cr in ir.lowered.values() for x in (cr, cr.graph, cr.ir)]
-        del ir
-        assert not [r for r in refs if r() is not None]
-    finally:
-        gc.enable()
+    through the IR, with or without a split."""
+    for src in (SOFTMAX_FUSED, SPMM.format(extra="parallelize(i, 2);")):
+        vp = validate_program(parse_program(src))
+        ir = resolve_cycles(elaborate_region(vp, 0))
+        gc.collect()
+        gc.disable()
+        try:
+            orders = schedulable_orders(vp, ir)
+            assert sorted(ir.lowered) == sorted(orders)
+            entries = ir.lowered.values()
+            assert all(e[0] is vp and e[1:3] == (region_par(vp, ir) or {}, None) for e in entries)
+            refs = [weakref.ref(x) for *_, cr in entries for x in (cr, cr.graph, cr.ir)]
+            del ir, entries
+            assert not [r for r in refs if r() is not None]
+        finally:
+            gc.enable()
 
 
 def test_resolve_cycles_drops_what_was_kept_for_the_ir_it_rewrites():
@@ -615,11 +671,97 @@ def test_resolve_cycles_drops_what_was_kept_for_the_ir_it_rewrites():
 def test_a_lowering_kept_for_another_program_is_not_used(builds):
     src = SPMM.format(extra="")
     vp, ir, order = _searched(src)
-    kept = ir.lowered[order][1]
+    kept = ir.lowered[order][3]
     other = validate_program(parse_program(src))
     del builds[:]
     cr = compile_region(other, ir, order)
     assert builds == [order] and cr is not kept
+
+
+# Programs whose regions run under each parallelize(v, 2), under
+# block(2, 2) and under both; gcn_4 is the fused GCN.
+DIRECTIVE_CORPUS = {
+    "spmm": SPMM.format(extra=""),
+    "matmul": MATMUL.format(order=""),
+    "softmax": SOFTMAX,
+    "fused_softmax": SOFTMAX_FUSED,
+    "pair3": PAIR3.replace("parallelize(i, 2);\n", ""),
+    **{"gcn_" + "_".join(map(str, sizes)): gcn_partition(sizes, "") for sizes in GCN_PARTITIONS},
+}
+
+
+def _corpus():
+    """(plain program, program under directives, directives) of the corpus."""
+    for src in DIRECTIVE_CORPUS.values():
+        plain = validate_program(parse_program(src))
+        splits = [f"parallelize({v}, 2);" for v in sorted(plain.var_extents)]
+        for directives in splits + ["block(2, 2);"] + [f"{p} block(2, 2);" for p in splits]:
+            yield plain, validate_program(parse_program(src + directives + "\n")), directives
+
+
+def _outcome(plan):
+    try:
+        return plan()
+    except EinstreamError as e:
+        return type(e), str(e)
+
+
+def test_the_search_under_directives_plans_what_the_plain_order_did():
+    """Per region, ``plan_region``'s order or its error class and message
+    are those of the order chosen without the directives, lowered under
+    them: the first order accepted under them is the first accepted plain,
+    and where they refuse every order the reason is that order's."""
+    seen = set()
+    for plain, vp, directives in _corpus():
+        for r in range(len(vp.regions)):
+
+            def plain_first():
+                order = choose_build_order(plain, resolve_cycles(elaborate_region(plain, r)))
+                ir = resolve_cycles(elaborate_region(vp, r))
+                compile_region(vp, ir, order, **_directives(vp, ir))
+                return order
+
+            got = _outcome(lambda: plan_region(vp, r).order)
+            assert got == _outcome(plain_first), (directives, r)
+            seen.add(got[0] if isinstance(got[0], type) else "planned")
+    assert seen == {"planned", UnsupportedSchedule, UnsatisfiableOrder, IndivisibleExtent,
+                    IncompatibleBlocks}
+
+
+def _accepts(lower) -> bool:
+    try:
+        lower()
+    except ScheduleError:
+        return False
+    return True
+
+
+def test_an_order_accepted_under_directives_is_accepted_plain():
+    """Over every order of each corpus region with at most 5 vars; and the
+    search under the directives lists exactly the orders they accept, in
+    order, so its pruning skips none of them."""
+    both = Counter()
+    for _, vp, directives in _corpus():
+        for r in range(len(vp.regions)):
+            ir = resolve_cycles(elaborate_region(vp, r))
+            vs = region_vars(ir)
+            if len(vs) > 5 or not _accepts(lambda: region_par(vp, ir)):
+                continue
+            edges = [(a, b) for a, b in ir.edges if a in vs and b in vs and a != b]
+            accepted = []
+            for order in itertools.permutations(vs):
+                if any(order.index(a) > order.index(b) for a, b in edges):
+                    continue
+                plain_ok = _accepts(lambda: compile_region(vp, ir, order))
+                directed_ok = _accepts(lambda: compile_region(vp, ir, order, **_directives(vp, ir)))
+                assert plain_ok or not directed_ok, (directives, r, order)
+                both[plain_ok, directed_ok] += 1
+                accepted += [order] * directed_ok
+            searched = _outcome(lambda: schedulable_orders(vp, ir, cap=math.factorial(5)))
+            if not isinstance(searched, list):  # refused whatever the order
+                searched = []
+            assert searched == accepted, (directives, r)
+    assert both[True, True] and both[True, False] and both[False, False]
 
 
 @pytest.mark.parametrize(
@@ -640,10 +782,15 @@ def test_copy_program_schedules_a_permuted_copy():
     assert plan.source in ("A", "C") and plan.alias.startswith(plan.source)
 
 
-def test_blocking_a_region_with_a_permuted_copy_is_refused():
+def test_blocking_a_region_with_a_permuted_copy_is_refused(builds):
+    """Whatever the order: the search refuses before its first probe."""
     vp = validate_program(parse_program(COPY + "block(2, 2);\n"))
     ir = resolve_cycles(elaborate_region(vp, 0))
-    orders = schedulable_orders(vp, ir)
+    with pytest.raises(UnsupportedSchedule, match="permuted input copies"):
+        schedulable_orders(vp, ir)
+    assert not builds
+    plain = validate_program(parse_program(COPY))
+    orders = schedulable_orders(plain, resolve_cycles(elaborate_region(plain, 0)))
     assert orders
     for order in orders:
         with pytest.raises(UnsupportedSchedule, match="permuted input copies"):

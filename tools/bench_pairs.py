@@ -8,9 +8,11 @@ Run from the repository root::
 Each pair runs ``layerbench/run.py --trace 0`` once in each checkout, one
 after the other; even pairs run the parent first, odd pairs the change.
 The output file holds the command, whether every run of each side was
-correct, the last line of every run, and per end-to-end metric each side's
-median and quartiles, the change's wins (a pair where the change reads
-better; ties count for neither) and ``gain``:
+correct, each run's counter digest (from its first line, the details) and
+last line, per side the set of digests, ``same_digest`` (every run of both
+sides printed one digest, the same one), and per end-to-end metric each
+side's median and quartiles, the change's wins (a pair where the change
+reads better; ties count for neither) and ``gain``:
 the change wins at least nine tenths of the pairs, and its median is better
 than the parent's by more than the parent's quartile spread.  Nothing but
 ``layerbench/`` is read from either checkout.
@@ -40,14 +42,16 @@ def _args(argv):
     return ap.parse_args(argv)
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The last line of one untraced benchmark run in ``checkout``."""
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[list, dict]:
+    """The digests of the first line and the last line of one untraced
+    benchmark run in ``checkout``."""
     cmd = [sys.executable, "layerbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if done.returncode != 0:
         sys.exit(f"bench_pairs: {checkout}: exit {done.returncode}\n{done.stderr}")
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    lines = done.stdout.strip().splitlines()
+    return json.loads(lines[0])["digest"], json.loads(lines[-1])
 
 
 def quartiles(values) -> tuple[float, float, float]:
@@ -55,6 +59,18 @@ def quartiles(values) -> tuple[float, float, float]:
     if len(values) == 1:
         return (values[0],) * 3
     return tuple(statistics.quantiles(values, n=4, method="inclusive"))
+
+
+def digests(runs: list) -> dict:
+    """Per side the sorted digests its runs printed, and ``same_digest``."""
+    by_side: dict[str, set] = {}
+    for run in runs:
+        by_side.setdefault(run["side"], set()).update(run["digest"])
+    every = set().union(*by_side.values())
+    return {
+        "digests": {side: sorted(d) for side, d in by_side.items()},
+        "same_digest": len(every) == 1 and all(len(run["digest"]) == 1 for run in runs),
+    }
 
 
 def summarize(parent: list, change: list) -> dict:
@@ -83,8 +99,8 @@ def main(argv=None) -> int:
     runs = []
     for pair in range(args.pairs):
         for side in ("parent", "change") if pair % 2 == 0 else ("change", "parent"):
-            last = run_once(sides[side], args.workload, args.seed, args.seconds)
-            runs.append({"pair": pair, "side": side, "last": last})
+            digest, last = run_once(sides[side], args.workload, args.seed, args.seconds)
+            runs.append({"pair": pair, "side": side, "digest": digest, "last": last})
             print(f"pair {pair} {side}: correct {last['correct']}", file=sys.stderr)
     by_side = {s: [r["last"] for r in runs if r["side"] == s] for s in sides}
     report = {
@@ -93,6 +109,7 @@ def main(argv=None) -> int:
         "seed": args.seed,
         "seconds": args.seconds,
         "correct": {s: all(last["correct"] for last in by_side[s]) for s in sides},
+        **digests(runs),
         "runs": runs,
         "summary": summarize(by_side["parent"], by_side["change"]),
     }
